@@ -194,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("--budget", type=int, default=None, help="max decision nodes")
     p.add_argument("--out", default=None, help="write a search certificate here")
-    p.add_argument("--workers", type=int, default=None, help="parallelism hint (never changes results)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="number of worker processes, capped at the usable cores; never changes output",
+    )
     p.set_defaults(handler=_cmd_grid_search)
 
     p = with_version(sub.add_parser("grid-verify", help="verify a grid or search certificate"))
@@ -218,7 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("--tmax", type=int, default=None, help="largest t to try (default r+5)")
     p.add_argument("--budget", type=int, default=None, help="max decision nodes per t")
-    p.add_argument("--workers", type=int, default=None, help="parallelism hint (never changes results)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="number of worker processes, capped at the usable cores; never changes output",
+    )
     p.set_defaults(handler=_cmd_gr_search)
 
     p = with_version(sub.add_parser("embed", help="build one of the point-family embeddings"))

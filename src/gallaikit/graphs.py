@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
 from .grid import CertificateError
-from .search import Outcome, SearchOptions
+from .search import LEAD_PREFIXES, SPLIT_DEPTH, Outcome, SearchOptions, explore_subtrees, first_cut
 
 TARGETS = ("C4", "P4")
 
@@ -195,6 +195,10 @@ def search_good_edge_coloring(
     want_c4 = target == "C4"
     nodes = 0
     witness: EdgeColoring | None = None
+    # `stop` is the full depth, or the next cut depth (see first_cut) while a
+    # parallel run lists its prefixes: (colors, max_used, nodes so far)
+    stop = first_cut(opts, total)
+    prefixes: list[tuple[list[int], int, int]] = []
 
     def completes_bad(u: int, v: int, c: int) -> bool:
         ubit = 1 << u
@@ -237,13 +241,24 @@ def search_good_edge_coloring(
         coloring = EdgeColoring(t, r, {(u, v): colmat[u][v] for u, v in edges})
         return find_rainbow_triangle(coloring) is None
 
-    def descend(pos: int, max_used: int) -> bool:
-        nonlocal nodes, witness
+    def at_stop(pos: int, max_used: int) -> bool:
+        # a leaf, or a cut while the prefixes of a parallel run are listed.  Kept
+        # out of descend so that its recursion frames do not grow.
+        nonlocal witness, stop
         if pos == total:
             if not leaf_ok():
                 return False
             witness = EdgeColoring(t, r, {(u, v): colmat[u][v] for u, v in edges})
             return True
+        prefixes.append(([colmat[u][v] for u, v in edges[:pos]], max_used, nodes))
+        if len(prefixes) == LEAD_PREFIXES:
+            stop = SPLIT_DEPTH
+        return False
+
+    def descend(pos: int, max_used: int) -> bool:
+        nonlocal nodes
+        if pos >= stop:
+            return at_stop(pos, max_used)
         u, v = edges[pos]
         hi = min(r, max_used + 1) if color_sym else r
         ubit = 1 << u
@@ -268,10 +283,40 @@ def search_good_edge_coloring(
             amask[v] &= ~ubit
         return False
 
+    def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
+        # runs in a worker: search the subtree below prefixes[index]
+        nonlocal nodes, budget, stop
+        prefix, max_used, _ = prefixes[index]
+        for row in colmat:
+            row[:] = [0] * (t + 1)
+        for row in nc:
+            row[:] = [0] * (r + 1)
+        amask[:] = [0] * (t + 1)
+        for (u, v), c in zip(edges, prefix):
+            colmat[u][v] = colmat[v][u] = c
+            nc[u][c] |= 1 << v
+            nc[v][c] |= 1 << u
+            amask[u] |= 1 << v
+            amask[v] |= 1 << u
+        nodes, budget, stop = 0, cap, total
+        try:
+            found = descend(len(prefix), max_used)
+        except _BudgetHit:
+            return nodes, True, None
+        return nodes, False, [colmat[u][v] for u, v in edges] if found else None
+
     try:
         found = descend(0, 0)
     except _BudgetHit:
         return EdgeSearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+    if stop < total:
+        prefix_nodes = [p[2] for p in prefixes]
+        kind, nodes, colors = explore_subtrees(prefix_nodes, nodes, budget, opts.worker_hint, explore)
+        if kind is Outcome.BUDGET_EXCEEDED:
+            return EdgeSearchOutcome(kind, None, nodes, time.perf_counter() - start)
+        found = colors is not None
+        if found:
+            witness = EdgeColoring(t, r, dict(zip(edges, colors)))
     if found:
         assert witness is not None
         bad = find_rainbow_triangle(witness) if witness.t >= 3 and r >= 3 else None
@@ -322,11 +367,12 @@ def parse_edge_coloring(text: str) -> EdgeColoring:
         t, r = int(head[1]), int(head[2])
     except ValueError as exc:
         raise CertificateError(f"bad kgraph header: {lines[0]!r}") from exc
-    expected = [(u, v) for u, v in combinations(range(1, t + 1), 2)]
-    if len(lines) - 1 != len(expected):
-        raise CertificateError(f"expected {len(expected)} edge lines, found {len(lines) - 1}")
+    # compare with the file's line count before building anything of header size
+    expected = t * (t - 1) // 2 if t > 0 else 0
+    if len(lines) - 1 != expected:
+        raise CertificateError(f"expected {expected} edge lines, found {len(lines) - 1}")
     colors = {}
-    for line, (u, v) in zip(lines[1:], expected):
+    for line, (u, v) in zip(lines[1:], combinations(range(1, t + 1), 2)):
         parts = line.split()
         if len(parts) != 3:
             raise CertificateError(f"bad edge line: {line!r}")

@@ -159,11 +159,12 @@ def check_model_against_cnf(cnf: CnfDocument, assignment: Mapping[int, bool]) ->
     The assignment must cover every variable 1..num_vars; anything less is
     an error.  Extra variables are ignored.
     """
-    missing = [v for v in range(1, cnf.num_vars + 1) if v not in assignment]
-    if missing:
+    # count covered variables from the assignment, never by scanning 1..num_vars
+    covered = sum(1 for v in assignment if isinstance(v, int) and 1 <= v <= cnf.num_vars)
+    if covered < cnf.num_vars:
+        first = next(v for v in range(1, covered + 2) if v not in assignment)
         raise ValueError(
-            f"assignment covers {cnf.num_vars - len(missing)} of {cnf.num_vars} variables "
-            f"(first missing: {missing[0]})"
+            f"assignment covers {covered} of {cnf.num_vars} variables (first missing: {first})"
         )
     for clause in cnf.clauses:
         for lit in clause:

@@ -1,6 +1,7 @@
 """Edge-coloring detectors, the Gallai-Ramsey engine, and kgraph certificates."""
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -257,3 +258,10 @@ class TestCertificates:
     def test_malformed_certificates_rejected(self, text):
         with pytest.raises(CertificateError):
             parse_edge_coloring(text)
+
+    def test_huge_header_rejected_by_line_count(self):
+        # 4,999,950,000 expected edges: the parser must not build them to notice
+        start = time.perf_counter()
+        with pytest.raises(CertificateError, match="expected 4999950000 edge lines, found 0"):
+            parse_edge_coloring("kgraph 100000 2\n")
+        assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 """CNF encoding, decoding, model checking, and DIMACS round trips."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -166,6 +167,15 @@ class TestCheckModel:
     def test_coverage_enforced(self):
         with pytest.raises(ValueError, match="covers"):
             check_model_against_cnf(CnfDocument(2, [[1, 2]]), {1: True})
+
+    def test_coverage_counted_from_the_assignment(self):
+        with pytest.raises(ValueError, match=r"covers 3 of 5 variables \(first missing: 3\)"):
+            check_model_against_cnf(CnfDocument(5, [[1]]), {1: True, 2: True, 4: False, 9: True})
+        # a header-sized scan of 1..num_vars would take seconds and hundreds of MB here
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"covers 1 of 5000000 variables \(first missing: 2\)"):
+            check_model_against_cnf(CnfDocument(5_000_000, [[1]]), {1: True})
+        assert time.perf_counter() - start < 1.0
 
     def test_induced_assignments_of_good_colorings_satisfy_formula(self):
         n, m, r = 3, 3, 2
