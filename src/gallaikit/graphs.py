@@ -308,7 +308,13 @@ def search_good_edge_coloring(
     try:
         found = descend(0, 0)
     except _BudgetHit:
-        return EdgeSearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+        if stop == total:
+            return EdgeSearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+        # The prefix listing overran the budget.  A sequential run still reaches
+        # the subtrees listed so far, and one of them may hold a witness within
+        # budget; with nodes = budget + 1, explore_subtrees reports an overrun
+        # otherwise.
+        found = False
     if stop < total:
         prefix_nodes = [p[2] for p in prefixes]
         kind, nodes, colors = explore_subtrees(prefix_nodes, nodes, budget, opts.worker_hint, explore)

@@ -165,11 +165,12 @@ def explore_subtrees(
 
     prefix_nodes[i] is the node count a sequential run has reached on
     entering subtree i, not counting the nodes of earlier subtrees; nodes
-    is the count after the whole prefix enumeration.  explore(i, cap) runs
-    in a worker, which inherits the prefixes through the fork.  It
-    searches subtree i with at most cap nodes (no cap when None) and
-    returns (nodes spent, whether the cap was hit, witness or None); the
-    witness must be marshal-able.
+    is the count after the whole prefix enumeration, or budget + 1 when
+    the enumeration overran the budget and listed only some prefixes.
+    explore(i, cap) runs in a worker, which inherits the prefixes through
+    the fork.  It searches subtree i with at most cap nodes (no cap when
+    None) and returns (nodes spent, whether the cap was hit, witness or
+    None); the witness must be marshal-able.
 
     Results are committed in prefix order, so the returned (verdict,
     nodes_visited, witness) is the one a sequential run gives: the first
@@ -360,7 +361,13 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     try:
         found = descend(0, 0)
     except _BudgetHit:
-        return SearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+        if stop == total:
+            return SearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+        # The prefix listing overran the budget.  A sequential run still reaches
+        # the subtrees listed so far, and one of them may hold a witness within
+        # budget; with nodes = budget + 1, explore_subtrees reports an overrun
+        # otherwise.
+        found = False
     if stop < total:
         prefix_nodes = [p[3] for p in prefixes]
         kind, nodes, grid = explore_subtrees(prefix_nodes, nodes, budget, opts.worker_hint, explore)

@@ -54,15 +54,6 @@ def test_edge_engine_deferred_rainbow_check_matches_sequential():
         assert_hints_agree(lambda o: search_good_edge_coloring(t, 3, target, o, prune_rainbow=False))
 
 
-def test_edge_budget_boundary_matches_sequential():
-    # K7 P4 r=3 is exhausted in exactly 1861 nodes
-    assert outcome_key(search_good_edge_coloring(7, 3, "P4"))[::2] == (Outcome.EXHAUSTED, 1861)
-    for budget, kind in ((1860, Outcome.BUDGET_EXCEEDED), (1861, Outcome.EXHAUSTED)):
-        search = partial(search_good_edge_coloring, 7, 3, "P4")
-        plain = assert_hints_agree(search, node_budget=budget)
-        assert plain[0] is kind
-
-
 @pytest.mark.parametrize(
     "n, m, r, opts, kind",
     [
@@ -77,6 +68,29 @@ def test_edge_budget_boundary_matches_sequential():
 def test_grid_engine_matches_sequential(n, m, r, opts, kind):
     plain = assert_hints_agree(lambda o: search_good_coloring(n, m, r, o), **opts)
     assert plain[0] is kind
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize(
+    "search, fixed",
+    [
+        (partial(search_good_edge_coloring, 7, 3, "P4"), {}),
+        # the prefix listing alone counts more nodes than the witness's count
+        (partial(search_good_edge_coloring, 5, 3, "C4"), {}),
+        (partial(search_good_edge_coloring, 8, 5, "C4"), {}),
+        (partial(search_good_edge_coloring, 6, 3, "C4"), {"color_symmetry": False}),
+        (partial(search_good_coloring, 3, 4, 3), {}),
+        (partial(search_good_coloring, 4, 9, 3), {}),
+        (partial(search_good_coloring, 4, 6, 2), {"row_order_symmetry": False}),
+    ],
+)
+def test_budget_boundary_matches_sequential(search, fixed):
+    # A budget of exactly the sequential count must give the sequential verdict with
+    # workers too, even when the prefix listing overruns it before the deciding
+    # subtree is explored; one node less must give an overrun.
+    plain = search(SearchOptions(**fixed))
+    for budget, kind in ((plain.nodes_visited - 1, Outcome.BUDGET_EXCEEDED), (plain.nodes_visited, plain.kind)):
+        assert assert_hints_agree(search, node_budget=budget, **fixed)[0] is kind, budget
     assert_no_children_left()
 
 
