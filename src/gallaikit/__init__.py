@@ -46,7 +46,6 @@ from .sat import (
 )
 from .graphs import (
     EdgeColoring,
-    EdgeSearchOutcome,
     SubgraphWitness,
     WitnessKind,
     find_mono_subgraph,

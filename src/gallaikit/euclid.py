@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .grid import CertificateError
+from .grid import CertificateError, split_strict
 
 DEFAULT_TOL = 1e-9
 
@@ -529,22 +529,11 @@ def format_configuration(config: Configuration) -> str:
 
 def parse_configuration(text: str) -> Configuration:
     """Strict parser for the configuration text format."""
-    lines = [line.rstrip() for line in text.splitlines()]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CertificateError("empty configuration")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "config":
-        raise CertificateError(f"bad config header: {lines[0]!r}")
-    try:
-        dim, count = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise CertificateError(f"bad config header: {lines[0]!r}") from exc
-    if len(lines) - 1 != count:
-        raise CertificateError(f"expected {count} point lines, found {len(lines) - 1}")
+    (dim, count), body = split_strict(text, "config", 2, "configuration")
+    if len(body) != count:
+        raise CertificateError(f"expected {count} point lines, found {len(body)}")
     points = []
-    for line in lines[1:]:
+    for line in body:
         parts = line.split()
         if len(parts) != dim + 1:
             raise CertificateError(f"bad point line: {line!r}")

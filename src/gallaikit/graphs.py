@@ -2,8 +2,9 @@
 
 A good edge coloring here avoids both a rainbow triangle and a
 monochromatic copy of a target subgraph (the 4-cycle C4 or the
-four-vertex path P4).  The backtracking engine assigns edges in
-lexicographic order, pruning on every completed rainbow triangle or
+four-vertex path P4).  The edge engine runs the shared driver
+`search.backtrack` over the edges in lexicographic order and supplies its
+local check, which prunes on every completed rainbow triangle or
 monochromatic target; rainbow-triangle pruning is what makes exhaustion
 tractable, since colorings without rainbow triangles are rigidly
 structured.
@@ -17,8 +18,8 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
-from .grid import CertificateError
-from .search import LEAD_PREFIXES, SPLIT_DEPTH, Outcome, SearchOptions, explore_subtrees, first_cut
+from .grid import CertificateError, _bits, split_strict
+from .search import Outcome, SearchOptions, SearchOutcome, backtrack
 
 TARGETS = ("C4", "P4")
 
@@ -135,31 +136,6 @@ def find_mono_subgraph(ec: EdgeColoring, target: str) -> SubgraphWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class EdgeSearchOutcome:
-    """Result of a complete-graph search; witness is a verified good coloring."""
-
-    kind: Outcome
-    witness: EdgeColoring | None
-    nodes_visited: int
-    elapsed: float
-
-    def __post_init__(self) -> None:
-        if (self.witness is not None) != (self.kind is Outcome.FOUND):
-            raise ValueError("witness must be present exactly for Found outcomes")
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def search_good_edge_coloring(
     t: int,
     r: int,
@@ -167,7 +143,7 @@ def search_good_edge_coloring(
     opts: SearchOptions | None = None,
     *,
     prune_rainbow: bool = True,
-) -> EdgeSearchOutcome:
+) -> SearchOutcome[EdgeColoring]:
     """Find an r-coloring of K_t with no rainbow triangle and no mono target, or exhaust.
 
     Edges are assigned in lexicographic (u, v) order with first-use color
@@ -184,25 +160,16 @@ def search_good_edge_coloring(
         opts = SearchOptions()
     start = time.perf_counter()
     edges = [(u, v) for u, v in combinations(range(1, t + 1), 2)]
-    total = len(edges)
-    colmat = [[0] * (t + 1) for _ in range(t + 1)]
+    slot_info = [(u, v, 1 << u, 1 << v) for u, v in edges]
     # nc[u][c]: bitmask of vertices joined to u by an assigned edge of color c
     nc = [[0] * (r + 1) for _ in range(t + 1)]
     amask = [0] * (t + 1)
-    budget = opts.node_budget
-    color_sym = opts.color_symmetry
     rainbow_check = prune_rainbow and r >= 3
     want_c4 = target == "C4"
-    nodes = 0
-    witness: EdgeColoring | None = None
-    # `stop` is the full depth, or the next cut depth (see first_cut) while a
-    # parallel run lists its prefixes: (colors, max_used, nodes so far)
-    stop = first_cut(opts, total)
-    prefixes: list[tuple[list[int], int, int]] = []
 
-    def completes_bad(u: int, v: int, c: int) -> bool:
-        ubit = 1 << u
-        vbit = 1 << v
+    def try_place(pos: int, c: int) -> bool:
+        # reject c at edge pos if it completes a rainbow triangle or a mono target
+        u, v, ubit, vbit = slot_info[pos]
         nc_u = nc[u]
         nc_v = nc[v]
         if rainbow_check:
@@ -212,125 +179,54 @@ def search_good_edge_coloring(
                 for c2 in range(1, r + 1):
                     same |= nc_u[c2] & nc_v[c2]
                 if common & ~same & ~nc_u[c] & ~nc_v[c]:
-                    return True
+                    return False
         if want_c4:
             xs = nc_v[c] & ~ubit
             ys = nc_u[c] & ~vbit
             if xs and ys:
                 for x in _bits(xs):
                     if nc[x][c] & ys:
-                        return True
-            return False
-        # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge
-        a_set = nc_u[c] & ~vbit
-        b_set = nc_v[c] & ~ubit
-        if a_set and b_set and (a_set != b_set or a_set & (a_set - 1)):
-            return True
-        others = ~(ubit | vbit)
-        for x in _bits(b_set):
-            if nc[x][c] & others:
-                return True
-        for x in _bits(a_set):
-            if nc[x][c] & others:
-                return True
-        return False
+                        return False
+        else:
+            # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge
+            a_set = nc_u[c] & ~vbit
+            b_set = nc_v[c] & ~ubit
+            if a_set and b_set and (a_set != b_set or a_set & (a_set - 1)):
+                return False
+            others = ~(ubit | vbit)
+            for x in _bits(b_set):
+                if nc[x][c] & others:
+                    return False
+            for x in _bits(a_set):
+                if nc[x][c] & others:
+                    return False
+        nc_u[c] |= vbit
+        nc_v[c] |= ubit
+        amask[u] |= vbit
+        amask[v] |= ubit
+        return True
+
+    def unplace(pos: int, c: int) -> None:
+        u, v, ubit, vbit = slot_info[pos]
+        nc[u][c] &= ~vbit
+        nc[v][c] &= ~ubit
+        amask[u] &= ~vbit
+        amask[v] &= ~ubit
 
     def leaf_ok() -> bool:
-        if prune_rainbow or r < 3:
-            return True
-        coloring = EdgeColoring(t, r, {(u, v): colmat[u][v] for u, v in edges})
-        return find_rainbow_triangle(coloring) is None
+        colors = {(u, v): c for u, v in edges for c in range(1, r + 1) if nc[u][c] >> v & 1}
+        return find_rainbow_triangle(EdgeColoring(t, r, colors)) is None
 
-    def at_stop(pos: int, max_used: int) -> bool:
-        # a leaf, or a cut while the prefixes of a parallel run are listed.  Kept
-        # out of descend so that its recursion frames do not grow.
-        nonlocal witness, stop
-        if pos == total:
-            if not leaf_ok():
-                return False
-            witness = EdgeColoring(t, r, {(u, v): colmat[u][v] for u, v in edges})
-            return True
-        prefixes.append(([colmat[u][v] for u, v in edges[:pos]], max_used, nodes))
-        if len(prefixes) == LEAD_PREFIXES:
-            stop = SPLIT_DEPTH
-        return False
-
-    def descend(pos: int, max_used: int) -> bool:
-        nonlocal nodes
-        if pos >= stop:
-            return at_stop(pos, max_used)
-        u, v = edges[pos]
-        hi = min(r, max_used + 1) if color_sym else r
-        ubit = 1 << u
-        vbit = 1 << v
-        for c in range(1, hi + 1):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetHit
-            if completes_bad(u, v, c):
-                continue
-            colmat[u][v] = colmat[v][u] = c
-            nc[u][c] |= vbit
-            nc[v][c] |= ubit
-            amask[u] |= vbit
-            amask[v] |= ubit
-            if descend(pos + 1, c if c > max_used else max_used):
-                return True
-            colmat[u][v] = colmat[v][u] = 0
-            nc[u][c] &= ~vbit
-            nc[v][c] &= ~ubit
-            amask[u] &= ~vbit
-            amask[v] &= ~ubit
-        return False
-
-    def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
-        # runs in a worker: search the subtree below prefixes[index]
-        nonlocal nodes, budget, stop
-        prefix, max_used, _ = prefixes[index]
-        for row in colmat:
-            row[:] = [0] * (t + 1)
-        for row in nc:
-            row[:] = [0] * (r + 1)
-        amask[:] = [0] * (t + 1)
-        for (u, v), c in zip(edges, prefix):
-            colmat[u][v] = colmat[v][u] = c
-            nc[u][c] |= 1 << v
-            nc[v][c] |= 1 << u
-            amask[u] |= 1 << v
-            amask[v] |= 1 << u
-        nodes, budget, stop = 0, cap, total
-        try:
-            found = descend(len(prefix), max_used)
-        except _BudgetHit:
-            return nodes, True, None
-        return nodes, False, [colmat[u][v] for u, v in edges] if found else None
-
-    try:
-        found = descend(0, 0)
-    except _BudgetHit:
-        if stop == total:
-            return EdgeSearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
-        # The prefix listing overran the budget.  A sequential run still reaches
-        # the subtrees listed so far, and one of them may hold a witness within
-        # budget; with nodes = budget + 1, explore_subtrees reports an overrun
-        # otherwise.
-        found = False
-    if stop < total:
-        prefix_nodes = [p[2] for p in prefixes]
-        kind, nodes, colors = explore_subtrees(prefix_nodes, nodes, budget, opts.worker_hint, explore)
-        if kind is Outcome.BUDGET_EXCEEDED:
-            return EdgeSearchOutcome(kind, None, nodes, time.perf_counter() - start)
-        found = colors is not None
-        if found:
-            witness = EdgeColoring(t, r, dict(zip(edges, colors)))
-    if found:
-        assert witness is not None
-        bad = find_rainbow_triangle(witness) if witness.t >= 3 and r >= 3 else None
-        mono = find_mono_subgraph(witness, target) if witness.t >= 4 else None
+    deferred = leaf_ok if not prune_rainbow and r >= 3 else None
+    kind, nodes, colors = backtrack(len(edges), r, opts, try_place, unplace, leaf_ok=deferred)
+    witness = None
+    if colors is not None:
+        witness = EdgeColoring(t, r, dict(zip(edges, colors)))
+        bad = find_rainbow_triangle(witness) if r >= 3 else None
+        mono = find_mono_subgraph(witness, target) if t >= 4 else None
         if bad is not None or mono is not None:
             raise RuntimeError("graph search produced a bad witness; this is a bug")
-        return EdgeSearchOutcome(Outcome.FOUND, witness, nodes, time.perf_counter() - start)
-    return EdgeSearchOutcome(Outcome.EXHAUSTED, None, nodes, time.perf_counter() - start)
+    return SearchOutcome(kind, witness, nodes, time.perf_counter() - start)
 
 
 def gallai_ramsey_number(
@@ -361,24 +257,13 @@ def format_edge_coloring(ec: EdgeColoring) -> str:
 
 def parse_edge_coloring(text: str) -> EdgeColoring:
     """Strict parser for the kgraph certificate format."""
-    lines = [line.rstrip() for line in text.splitlines()]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CertificateError("empty kgraph certificate")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "kgraph":
-        raise CertificateError(f"bad kgraph header: {lines[0]!r}")
-    try:
-        t, r = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise CertificateError(f"bad kgraph header: {lines[0]!r}") from exc
+    (t, r), body = split_strict(text, "kgraph", 2, "kgraph certificate")
     # compare with the file's line count before building anything of header size
     expected = t * (t - 1) // 2 if t > 0 else 0
-    if len(lines) - 1 != expected:
-        raise CertificateError(f"expected {expected} edge lines, found {len(lines) - 1}")
+    if len(body) != expected:
+        raise CertificateError(f"expected {expected} edge lines, found {len(body)}")
     colors = {}
-    for line, (u, v) in zip(lines[1:], combinations(range(1, t + 1), 2)):
+    for line, (u, v) in zip(body, combinations(range(1, t + 1), 2)):
         parts = line.split()
         if len(parts) != 3:
             raise CertificateError(f"bad edge line: {line!r}")

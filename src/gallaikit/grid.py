@@ -16,6 +16,28 @@ class CertificateError(ValueError):
     """A certificate file deviates from its documented text format."""
 
 
+def split_strict(text: str, keyword: str, fields: int, name: str) -> tuple[list[int], list[str]]:
+    """Split a strict text file into its header's integer fields and its body lines.
+
+    The header is `keyword` followed by `fields` integers.  Trailing
+    whitespace and trailing blank lines are dropped; an empty file raises
+    `empty <name>` and any other header raises `bad <keyword> header`.
+    """
+    lines = [line.rstrip() for line in text.splitlines()]
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise CertificateError(f"empty {name}")
+    head = lines[0].split()
+    if len(head) != fields + 1 or head[0] != keyword:
+        raise CertificateError(f"bad {keyword} header: {lines[0]!r}")
+    try:
+        values = [int(tok) for tok in head[1:]]
+    except ValueError as exc:
+        raise CertificateError(f"bad {keyword} header: {lines[0]!r}") from exc
+    return values, lines[1:]
+
+
 @dataclass(frozen=True, order=True)
 class GridRectangle:
     """Axis-aligned rectangle named by two rows i < i2 and two columns j < j2 (1-based)."""
@@ -211,22 +233,11 @@ def format_grid_certificate(g: GridColoring) -> str:
 
 def parse_grid_certificate(text: str) -> GridColoring:
     """Strict parser for the grid certificate format; trailing whitespace is tolerated."""
-    lines = [line.rstrip() for line in text.splitlines()]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CertificateError("empty grid certificate")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "grid":
-        raise CertificateError(f"bad grid header: {lines[0]!r}")
-    try:
-        n, m, r = (int(tok) for tok in head[1:])
-    except ValueError as exc:
-        raise CertificateError(f"bad grid header: {lines[0]!r}") from exc
-    if len(lines) - 1 != n:
-        raise CertificateError(f"expected {n} rows, found {len(lines) - 1}")
+    (n, m, r), rows = split_strict(text, "grid", 3, "grid certificate")
+    if len(rows) != n:
+        raise CertificateError(f"expected {n} rows, found {len(rows)}")
     cells = []
-    for line in lines[1:]:
+    for line in rows:
         try:
             cells.append([int(tok) for tok in line.split()])
         except ValueError as exc:

@@ -1,21 +1,25 @@
-"""Exhaustive backtracking search for good grid colorings.
+"""The backtracking driver shared by both engines, and the grid engine on top of it.
 
-The engine assigns cells in row-major order and prunes as soon as the newly
-assigned cell completes a monochromatic or rainbow rectangle with earlier
-cells.  Two optional symmetry reductions quotient the search space without
-changing the Found/Exhausted verdict: first-use color numbering and
-lexicographically nondecreasing rows.
+`backtrack` assigns colors to an ordered list of slots, one node per tried
+color, with first-use color symmetry, a node budget and, with
+`worker_hint >= 2`, subtrees explored in forked workers.  An engine
+supplies the local check; the K_t edge engine lives in `graphs`.
+
+The grid engine assigns cells in row-major order and prunes as soon as the
+newly assigned cell completes a monochromatic or rainbow rectangle with
+earlier cells.  Two optional symmetry reductions quotient the search space
+without changing the Found/Exhausted verdict: first-use color numbering
+and lexicographically nondecreasing rows.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .grid import (
     CertificateError,
@@ -56,26 +60,28 @@ class SearchOptions:
             raise ValueError("worker_hint must be positive")
 
 
+W = TypeVar("W")
+
+
 @dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Generic[W]):
     """Result of a search: verdict, optional verified witness, and effort counters.
+
+    The witness is a GridColoring for grid searches and an EdgeColoring for
+    complete-graph searches.
 
     elapsed is wall-clock seconds and is the one field that varies between
     otherwise identical runs.
     """
 
     kind: Outcome
-    witness: GridColoring | None
+    witness: W | None
     nodes_visited: int
     elapsed: float
 
     def __post_init__(self) -> None:
         if (self.witness is not None) != (self.kind is Outcome.FOUND):
             raise ValueError("witness must be present exactly for Found outcomes")
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 # Depth at which a parallel search cuts its tree into subtrees.  With
@@ -250,7 +256,105 @@ def explore_subtrees(
             os.waitpid(pid, 0)
 
 
-def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = None) -> SearchOutcome:
+def backtrack(
+    slots: int,
+    r: int,
+    opts: SearchOptions,
+    try_place: Callable[[int, int], bool],
+    unplace: Callable[[int, int], None],
+    floor: Callable[[int], int] | None = None,
+    leaf_ok: Callable[[], bool] | None = None,
+) -> tuple[Outcome, int, list[int] | None]:
+    """Assign colors 1..r to slots 0..slots-1 in order; return (verdict, nodes, colors).
+
+    The engine supplies the constraints.  try_place(pos, c) checks color c
+    at slot pos against the slots before it and, if it fits, assigns it;
+    on a reject it assigns nothing.  unplace(pos, c) undoes an assignment.
+    floor(pos), if given, is the least color slot pos may take, and
+    leaf_ok(), if given, must accept a full assignment for it to count.
+    The driver owns the rest: first-use color symmetry (a slot may open at
+    most one new color), a node per tried color, the node budget, and the
+    cut into subtrees for forked workers.  Colors are tried in increasing
+    order, so a Found verdict carries the lexicographically least
+    assignment, and the counts never depend on opts.worker_hint.  Every
+    exit leaves the engine with nothing assigned.
+    """
+    color_sym = opts.color_symmetry
+    colors = [0] * slots
+    # a parallel run lists (colors, max_used, nodes so far) at the cut
+    prefixes: list[tuple[list[int], int, int]] = []
+    used_before = [0] * slots  # max_used before each placed slot
+
+    def walk(prefix: Sequence[int], max_used: int, budget: int | None, stop: int) -> tuple[Outcome, int]:
+        # search below `prefix` down to `stop` (a leaf at slots, otherwise a cut)
+        nodes = 0
+        pos = 0
+        try:
+            for c in prefix:  # the prefix passed these checks when it was listed
+                try_place(pos, c)
+                colors[pos] = c
+                pos += 1
+            base = pos
+            hi = max_used + 1 if color_sym and max_used < r else r
+            c = floor(pos) - 1 if floor is not None else 0
+            while True:
+                c += 1
+                if c > hi:
+                    if pos == base:
+                        return Outcome.EXHAUSTED, nodes
+                    pos -= 1
+                    c = colors[pos]
+                    unplace(pos, c)
+                    max_used = used_before[pos]
+                    hi = max_used + 1 if color_sym and max_used < r else r
+                    continue
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return Outcome.BUDGET_EXCEEDED, nodes
+                if not try_place(pos, c):
+                    continue
+                colors[pos] = c
+                used_before[pos] = max_used
+                pos += 1
+                if pos >= stop:
+                    if pos == slots:
+                        if leaf_ok is None or leaf_ok():
+                            return Outcome.FOUND, nodes
+                    else:
+                        prefixes.append((colors[:pos], c if c > max_used else max_used, nodes))
+                        if len(prefixes) == LEAD_PREFIXES:
+                            stop = SPLIT_DEPTH
+                    pos -= 1
+                    unplace(pos, c)
+                    continue
+                if c > max_used:
+                    max_used = c
+                    hi = max_used + 1 if color_sym and max_used < r else r
+                c = floor(pos) - 1 if floor is not None else 0
+        finally:
+            while pos:
+                pos -= 1
+                unplace(pos, colors[pos])
+
+    def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
+        # runs in a worker: search the subtree below prefixes[index]
+        prefix, max_used, _ = prefixes[index]
+        kind, nodes = walk(prefix, max_used, cap, slots)
+        return nodes, kind is Outcome.BUDGET_EXCEEDED, colors[:] if kind is Outcome.FOUND else None
+
+    budget = opts.node_budget
+    cut = first_cut(opts, slots)
+    kind, nodes = walk((), 0, budget, cut)
+    if cut == slots:
+        return kind, nodes, colors[:] if kind is Outcome.FOUND else None
+    # The listing never reaches a leaf.  If it overran the budget, a sequential
+    # run still reaches the subtrees listed so far, and one of them may hold a
+    # witness within budget; with nodes = budget + 1, explore_subtrees reports
+    # an overrun otherwise.
+    return explore_subtrees([p[2] for p in prefixes], nodes, budget, opts.worker_hint, explore)
+
+
+def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = None) -> SearchOutcome[GridColoring]:
     """Find a good n x m r-coloring or prove by exhaustion that none exists.
 
     Returns Found with the lexicographically least witness in the
@@ -263,29 +367,18 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     if n < 1 or m < 1 or r < 1:
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
     start = time.perf_counter()
-    total = n * m
-    if total + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(total + 1000)
-
     cells = [[0] * m for _ in range(n)]
-    # ge[i]: row i is already strictly greater than row i-1 on the filled prefix
-    ge = [False] * n
-    budget = opts.node_budget
-    color_sym = opts.color_symmetry
+    # per slot in row-major order: (row, column, the row, the rows above it)
+    slot_info = [(i, j, cells[i], cells[:i]) for i in range(n) for j in range(m)]
+    # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1
+    ge_at = [-1] * n
     row_sym = opts.row_order_symmetry
     rainbow_possible = r >= 4
-    nodes = 0
-    witness: GridColoring | None = None
-    # `stop` is the full depth, or the next cut depth (see first_cut) while a
-    # parallel run lists its prefixes: (colors, max_used, ge, nodes so far)
-    stop = first_cut(opts, total)
-    prefixes: list[tuple[list[int], int, list[bool], int]] = []
 
-    def completes_bad(i: int, j: int, c: int) -> bool:
-        # does assigning color c at (i, j) finish a mono or rainbow rectangle?
-        row_i = cells[i]
-        for i2 in range(i):
-            row2 = cells[i2]
+    def try_place(pos: int, c: int) -> bool:
+        # reject c at pos if it finishes a mono or rainbow rectangle
+        i, j, row_i, rows_above = slot_info[pos]
+        for row2 in rows_above:
             b = row2[j]
             mono = b == c
             if not mono and not rainbow_possible:
@@ -294,94 +387,32 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
                 a = row2[j2]
                 d = row_i[j2]
                 if mono and a == c and d == c:
-                    return True
+                    return False
                 if rainbow_possible and a != b and a != d and a != c and b != d and b != c and d != c:
-                    return True
-        return False
+                    return False
+        row_i[j] = c
+        if row_sym and i and ge_at[i] < 0 and c > rows_above[-1][j]:
+            ge_at[i] = pos
+        return True
 
-    def at_stop(pos: int, max_used: int) -> bool:
-        # a leaf, or a cut while the prefixes of a parallel run are listed.  Kept
-        # out of descend so that its recursion frames do not grow.
-        nonlocal witness, stop
-        if pos == total:
-            witness = GridColoring(n, m, r, [row[:] for row in cells])
-            return True
-        prefix = [cells[p // m][p % m] for p in range(pos)]
-        prefixes.append((prefix, max_used, ge[:], nodes))
-        if len(prefixes) == LEAD_PREFIXES:
-            stop = SPLIT_DEPTH
-        return False
+    def unplace(pos: int, c: int) -> None:
+        i, j, row_i, _ = slot_info[pos]
+        row_i[j] = 0
+        if ge_at[i] == pos:
+            ge_at[i] = -1
 
-    def descend(pos: int, max_used: int) -> bool:
-        nonlocal nodes
-        if pos >= stop:
-            return at_stop(pos, max_used)
-        i, j = divmod(pos, m)
-        hi = min(r, max_used + 1) if color_sym else r
-        lo = 1
-        prev = 0
-        tie = False
-        if row_sym and i > 0 and not ge[i]:
-            prev = cells[i - 1][j]
-            lo = prev
-            tie = True
-        for c in range(lo, hi + 1):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetHit
-            if completes_bad(i, j, c):
-                continue
-            cells[i][j] = c
-            bumped = tie and c > prev
-            if bumped:
-                ge[i] = True
-            if descend(pos + 1, c if c > max_used else max_used):
-                return True
-            if bumped:
-                ge[i] = False
-            cells[i][j] = 0
-        return False
+    def floor(pos: int) -> int:
+        # sorted rows: while row i ties row i-1, its cells may not fall below it
+        i, j, _, rows_above = slot_info[pos]
+        return rows_above[-1][j] if i and ge_at[i] < 0 else 1
 
-    def explore(index: int, cap: int | None) -> tuple[int, bool, Any]:
-        # runs in a worker: search the subtree below prefixes[index]
-        nonlocal nodes, budget, stop
-        prefix, max_used, flags, _ = prefixes[index]
-        for row in cells:
-            row[:] = [0] * m
-        for p, c in enumerate(prefix):
-            cells[p // m][p % m] = c
-        ge[:] = flags
-        nodes, budget, stop = 0, cap, total
-        try:
-            found = descend(len(prefix), max_used)
-        except _BudgetHit:
-            return nodes, True, None
-        return nodes, False, witness.cells if found else None
-
-    try:
-        found = descend(0, 0)
-    except _BudgetHit:
-        if stop == total:
-            return SearchOutcome(Outcome.BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
-        # The prefix listing overran the budget.  A sequential run still reaches
-        # the subtrees listed so far, and one of them may hold a witness within
-        # budget; with nodes = budget + 1, explore_subtrees reports an overrun
-        # otherwise.
-        found = False
-    if stop < total:
-        prefix_nodes = [p[3] for p in prefixes]
-        kind, nodes, grid = explore_subtrees(prefix_nodes, nodes, budget, opts.worker_hint, explore)
-        if kind is Outcome.BUDGET_EXCEEDED:
-            return SearchOutcome(kind, None, nodes, time.perf_counter() - start)
-        found = grid is not None
-        if found:
-            witness = GridColoring(n, m, r, grid)
-    if found:
-        assert witness is not None
+    kind, nodes, colors = backtrack(n * m, r, opts, try_place, unplace, floor if row_sym else None)
+    witness = None
+    if colors is not None:
+        witness = GridColoring(n, m, r, [colors[i * m:(i + 1) * m] for i in range(n)])
         if not verify_good(witness).is_good:
             raise RuntimeError("search engine produced a bad witness; this is a bug")
-        return SearchOutcome(Outcome.FOUND, witness, nodes, time.perf_counter() - start)
-    return SearchOutcome(Outcome.EXHAUSTED, None, nodes, time.perf_counter() - start)
+    return SearchOutcome(kind, witness, nodes, time.perf_counter() - start)
 
 
 def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = None) -> int | None:
@@ -414,7 +445,7 @@ class SearchCertificate:
     witness: GridColoring | None
 
 
-def format_search_certificate(result: SearchOutcome, n: int, m: int, r: int) -> str:
+def format_search_certificate(result: SearchOutcome[GridColoring], n: int, m: int, r: int) -> str:
     """Certificate text: `outcome {found|exhausted|budget} n m r nodes=<count>` [+ grid]."""
     head = f"outcome {result.kind.value} {n} {m} {r} nodes={result.nodes_visited}"
     if result.kind is Outcome.FOUND:

@@ -1,0 +1,107 @@
+"""The shared backtracking driver on toy engines: exact node counts, order, budgets, unwinding."""
+
+import os
+from math import comb
+
+import pytest
+
+from gallaikit.search import SPLIT_DEPTH, Outcome, SearchOptions, backtrack
+
+
+def stirling2(k, j):
+    # partitions of a k-set into j nonempty blocks
+    if k == j:
+        return 1
+    if j == 0 or j > k:
+        return 0
+    return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+
+
+class Toy:
+    """An engine without constraints: every color fits every slot."""
+
+    def __init__(self, slots):
+        self.values = [0] * slots
+        self.placed = 0
+
+    def try_place(self, pos, c):
+        assert self.values[pos] == 0 and self.placed == pos
+        self.values[pos] = c
+        self.placed += 1
+        return True
+
+    def unplace(self, pos, c):
+        assert self.values[pos] == c and self.placed == pos + 1
+        self.values[pos] = 0
+        self.placed -= 1
+
+    def floor(self, pos):
+        # nondecreasing sequences
+        return self.values[pos - 1] if pos else 1
+
+
+def run(toy, slots, r, leaf_ok=lambda: False, floor=None, **opts):
+    result = backtrack(slots, r, SearchOptions(**opts), toy.try_place, toy.unplace, floor, leaf_ok)
+    assert toy.placed == 0 and not any(toy.values)
+    return result
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+HINTS = (None, 2)
+
+
+@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("slots, r", [(1, 1), (3, 2), (5, 3), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 2)])
+def test_exhaustion_counts_every_assignment(slots, r, hint):
+    expected = sum(r**k for k in range(1, slots + 1))
+    toy = Toy(slots)
+    assert run(toy, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("slots, r", [(1, 1), (4, 2), (6, 4), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 4)])
+def test_color_symmetry_counts_set_partitions(slots, r, hint):
+    expected = sum(stirling2(k, j) for k in range(1, slots + 1) for j in range(1, r + 1))
+    toy = Toy(slots)
+    assert run(toy, slots, r, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_floor_counts_nondecreasing_sequences(hint):
+    slots, r = SPLIT_DEPTH + 3, 3
+    expected = sum(comb(k + r - 1, k) for k in range(1, slots + 1))
+    toy = Toy(slots)
+    result = run(toy, slots, r, floor=toy.floor, color_symmetry=False, worker_hint=hint)
+    assert result == (Outcome.EXHAUSTED, expected, None)
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
+    slots, r = SPLIT_DEPTH + 2, 2
+    toy = Toy(slots)
+    wanted = [1, 2] * (slots // 2)
+
+    def leaf_ok():
+        return toy.values == wanted
+
+    kind, nodes, colors = run(toy, slots, r, leaf_ok, color_symmetry=False, worker_hint=hint)
+    assert (kind, colors) == (Outcome.FOUND, wanted)
+    assert run(toy, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
+        Outcome.FOUND,
+        nodes,
+        wanted,
+    )
+    assert run(toy, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes - 1, worker_hint=hint) == (
+        Outcome.BUDGET_EXCEEDED,
+        nodes,
+        None,
+    )
+    assert_no_children_left()
+

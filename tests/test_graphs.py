@@ -265,3 +265,9 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="expected 4999950000 edge lines, found 0"):
             parse_edge_coloring("kgraph 100000 2\n")
         assert time.perf_counter() - start < 1.0
+
+
+def test_deep_search_does_not_overflow_the_stack():
+    # K_47 has 1081 edge slots, more than the default recursion limit
+    out = search_good_edge_coloring(47, 45, "P4", SearchOptions(node_budget=2_000_000))
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 17_295)

@@ -1,6 +1,7 @@
 """Grid search engine: verdicts, symmetry safety, determinism, certificates."""
 
 import dataclasses
+import sys
 from itertools import product
 
 import pytest
@@ -177,3 +178,9 @@ def test_outcomes_require_witness_consistency():
     good = search_good_coloring(2, 2, 4).witness
     with pytest.raises(ValueError, match="witness"):
         SearchOutcome(Outcome.EXHAUSTED, good, 1, 0.0)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    assert search_good_coloring(1, 1200, 1).kind is Outcome.FOUND
+    assert sys.getrecursionlimit() == limit
