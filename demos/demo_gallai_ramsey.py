@@ -7,14 +7,14 @@ assigns edges one at a time and prunes on every completed rainbow triangle
 or monochromatic target, which keeps even the K7 exhaustions tiny.
 """
 
-from gallaikit import (
-    Outcome,
+from gallaikit.graphs import (
     find_mono_subgraph,
     find_rainbow_triangle,
     format_edge_coloring,
     gallai_ramsey_number,
     search_good_edge_coloring,
 )
+from gallaikit.search import Outcome
 
 print("== gr_r(K3 : C4) and gr_r(K3 : P4) for small r ==")
 for target in ("C4", "P4"):

@@ -12,7 +12,7 @@ with unit hypotenuse.
 import math
 from itertools import combinations
 
-from gallaikit import (
+from gallaikit.euclid import (
     affine_rank,
     congruent,
     distance,

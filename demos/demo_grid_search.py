@@ -9,17 +9,14 @@ small spaces, and finally computes the least forcing width for three rows
 and two colors.
 """
 
-from gallaikit import (
-    GridColoring,
+from gallaikit.grid import GridColoring, find_mono_rectangle, find_rainbow_rectangle, verify_good
+from gallaikit.search import (
     Outcome,
     SearchOptions,
-    find_mono_rectangle,
-    find_rainbow_rectangle,
     format_search_certificate,
     minimal_forcing_m,
     parse_search_certificate,
     search_good_coloring,
-    verify_good,
 )
 
 

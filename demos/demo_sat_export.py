@@ -8,8 +8,8 @@ selected, and a selected pair is forced to share a color.  The formula is
 satisfiable exactly when a good coloring exists.
 """
 
-from gallaikit import (
-    GridColoring,
+from gallaikit.grid import GridColoring
+from gallaikit.sat import (
     check_model_against_cnf,
     color_var,
     decode_model,

@@ -12,7 +12,7 @@ produces two differently-colored points at any requested distance.
 
 import math
 
-from gallaikit import falsify_strip, halfplane_oracle, rainbow_segment, strip_color, strip_oracle
+from gallaikit.euclid import falsify_strip, halfplane_oracle, rainbow_segment, strip_color, strip_oracle
 
 print("== Strip coloring basics ==")
 for p in [(0.0, 0.0), (2.5, 7.0), (-0.5, 0.0)]:

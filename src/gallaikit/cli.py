@@ -17,18 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .euclid import (
-    Configuration,
-    affine_rank,
-    falsify_strip,
-    format_configuration,
-    grid_lattice_embedding,
-    halfplane_oracle,
-    rainbow_segment,
-    simplex_midpoint_embedding,
-    strip_oracle,
-    verify_triangle_gadget,
-)
 from .graphs import gallai_ramsey_number
 from .grid import CertificateError, parse_grid_certificate, verify_good
 from .sat import check_model_against_cnf, encode_grid_cnf, format_dimacs, parse_dimacs, parse_model_text
@@ -47,7 +35,6 @@ class CommandResult:
 
     exit_code: int
     summary: str
-    artifact_path: str | None
 
 
 def _options(args: argparse.Namespace) -> SearchOptions:
@@ -60,12 +47,10 @@ def _options(args: argparse.Namespace) -> SearchOptions:
 def _cmd_grid_search(args: argparse.Namespace) -> CommandResult:
     out = search_good_coloring(args.n, args.m, args.r, _options(args))
     summary = f"outcome {out.kind.value} {args.n} {args.m} {args.r} nodes={out.nodes_visited}"
-    artifact = None
     if args.out:
         Path(args.out).write_text(format_search_certificate(out, args.n, args.m, args.r))
-        artifact = args.out
     code = 0 if out.kind in (Outcome.FOUND, Outcome.EXHAUSTED) else 1
-    return CommandResult(code, summary, artifact)
+    return CommandResult(code, summary)
 
 
 def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
@@ -74,9 +59,7 @@ def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
     if first == "outcome":
         cert = parse_search_certificate(text)
         if cert.kind is not Outcome.FOUND:
-            return CommandResult(
-                2, f"error: certificate outcome is {cert.kind.value}; no coloring to verify", None
-            )
+            return CommandResult(2, f"error: certificate outcome is {cert.kind.value}; no coloring to verify")
         coloring = cert.witness
     elif first == "grid":
         coloring = parse_grid_certificate(text)
@@ -85,7 +68,7 @@ def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
     assert coloring is not None
     report = verify_good(coloring)
     if report.is_good:
-        return CommandResult(0, f"good {coloring.n} {coloring.m} {coloring.r}", None)
+        return CommandResult(0, f"good {coloring.n} {coloring.m} {coloring.r}")
     parts = []
     if report.mono_witness is not None:
         w = report.mono_witness
@@ -93,22 +76,22 @@ def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
     if report.rainbow_witness is not None:
         w = report.rainbow_witness
         parts.append(f"rainbow={w.i},{w.i2},{w.j},{w.j2}")
-    return CommandResult(1, "bad " + " ".join(parts), None)
+    return CommandResult(1, "bad " + " ".join(parts))
 
 
 def _cmd_sat_export(args: argparse.Namespace) -> CommandResult:
     cnf = encode_grid_cnf(args.n, args.m, args.r)
     Path(args.out).write_text(format_dimacs(cnf))
     summary = f"cnf {args.n} {args.m} {args.r} vars={cnf.num_vars} clauses={len(cnf.clauses)}"
-    return CommandResult(0, summary, args.out)
+    return CommandResult(0, summary)
 
 
 def _cmd_sat_check(args: argparse.Namespace) -> CommandResult:
     cnf = parse_dimacs(Path(args.file).read_text())
     assignment = parse_model_text(Path(args.model).read_text())
     if check_model_against_cnf(cnf, assignment):
-        return CommandResult(0, f"model ok vars={cnf.num_vars} clauses={len(cnf.clauses)}", None)
-    return CommandResult(1, "model violates formula", None)
+        return CommandResult(0, f"model ok vars={cnf.num_vars} clauses={len(cnf.clauses)}")
+    return CommandResult(1, "model violates formula")
 
 
 def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
@@ -116,18 +99,15 @@ def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
     tmax = args.tmax if args.tmax is not None else args.r + 5
     value = gallai_ramsey_number(target, args.r, tmax, _options(args))
     if value is None:
-        return CommandResult(1, f"gr=none tmax={tmax}", None)
-    return CommandResult(0, f"gr={value}", None)
+        return CommandResult(1, f"gr=none tmax={tmax}")
+    return CommandResult(0, f"gr={value}")
 
 
-def _write_config(args: argparse.Namespace, config: Configuration) -> str | None:
-    if args.out:
-        Path(args.out).write_text(format_configuration(config))
-        return args.out
-    return None
-
-
+# The geometry handlers below import euclid, and with it numpy, only when they run,
+# so the combinatorial commands (and the workers they fork) never load numpy.
 def _cmd_embed_lattice(args: argparse.Namespace) -> CommandResult:
+    from .euclid import affine_rank, format_configuration, grid_lattice_embedding
+
     emb = grid_lattice_embedding(args.r, args.a, args.b)
     config = emb.configuration()
     rank = affine_rank(config)
@@ -135,33 +115,45 @@ def _cmd_embed_lattice(args: argparse.Namespace) -> CommandResult:
         f"lattice r={args.r} rows={emb.rows} cols={emb.cols} "
         f"points={len(config)} ambient={config.dim} affine_rank={rank}"
     )
-    return CommandResult(0, summary, _write_config(args, config))
+    if args.out:
+        Path(args.out).write_text(format_configuration(config))
+    return CommandResult(0, summary)
 
 
 def _cmd_embed_simplex(args: argparse.Namespace) -> CommandResult:
+    from .euclid import format_configuration, simplex_midpoint_embedding
+
     emb = simplex_midpoint_embedding(args.t)
     config = emb.configuration()
     summary = f"simplex t={args.t} points={len(config)} dim={config.dim}"
-    return CommandResult(0, summary, _write_config(args, config))
+    if args.out:
+        Path(args.out).write_text(format_configuration(config))
+    return CommandResult(0, summary)
 
 
 def _cmd_gadget_verify(args: argparse.Namespace) -> CommandResult:
+    from .euclid import verify_triangle_gadget
+
     report = verify_triangle_gadget()
     summary = (
         f"gadget holds={'true' if report.holds else 'false'} "
         f"colorings={report.colorings_checked} triples={report.triple_count}"
     )
-    return CommandResult(0 if report.holds else 1, summary, None)
+    return CommandResult(0 if report.holds else 1, summary)
 
 
 def _cmd_strip_falsify(args: argparse.Namespace) -> CommandResult:
+    from .euclid import falsify_strip
+
     report = falsify_strip(args.r, args.a, args.b, args.trials, args.seed)
     summary = f"mono={report.mono_hits} rainbow={report.rainbow_hits}"
     code = 0 if report.mono_hits == 0 and report.rainbow_hits == 0 else 1
-    return CommandResult(code, summary, None)
+    return CommandResult(code, summary)
 
 
 def _cmd_rainbow_segment(args: argparse.Namespace) -> CommandResult:
+    from .euclid import halfplane_oracle, rainbow_segment, strip_oracle
+
     if args.oracle == "halfplane":
         oracle = halfplane_oracle
     else:
@@ -173,7 +165,7 @@ def _cmd_rainbow_segment(args: argparse.Namespace) -> CommandResult:
         f"p=({res.p[0]!r},{res.p[1]!r}) q=({res.q[0]!r},{res.q[1]!r}) "
         f"d={dist!r} colors=({ca},{cb}) iterations={res.iterations}"
     )
-    return CommandResult(0, summary, None)
+    return CommandResult(0, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,13 +268,11 @@ def run(argv: Sequence[str]) -> CommandResult:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 2)
-        return CommandResult(code, "", None)
+        return CommandResult(code, "")
     try:
         return args.handler(args)
-    except CertificateError as exc:
-        return CommandResult(2, f"error: {exc}", None)
     except (ValueError, OSError) as exc:
-        return CommandResult(2, f"error: {exc}", None)
+        return CommandResult(2, f"error: {exc}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -102,6 +102,11 @@ def find_rainbow_triangle(ec: EdgeColoring) -> SubgraphWitness | None:
     return None
 
 
+# The 12 vertex orders of a 4-subset that read each path once (first < last),
+# as indices into the subset, in permutations() order.
+_P4_ORDERS = tuple(p for p in permutations(range(4)) if p[0] < p[3])
+
+
 def _cycles_of(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], ...]:
     a, b, c, d = quad
     return ((a, b, c, d), (a, b, d, c), (a, c, b, d))
@@ -126,13 +131,11 @@ def find_mono_subgraph(ec: EdgeColoring, target: str) -> SubgraphWitness | None:
                     return SubgraphWitness(WitnessKind.MONO_C4, (w, x, y, z), c)
         return None
     for quad in combinations(range(1, ec.t + 1), 4):
-        for path in permutations(quad):
-            if path[0] > path[3]:
-                continue
-            p0, p1, p2, p3 = path
+        for i0, i1, i2, i3 in _P4_ORDERS:
+            p0, p1, p2, p3 = quad[i0], quad[i1], quad[i2], quad[i3]
             c = mat[p0][p1]
             if mat[p1][p2] == c and mat[p2][p3] == c:
-                return SubgraphWitness(WitnessKind.MONO_P4, path, c)
+                return SubgraphWitness(WitnessKind.MONO_P4, (p0, p1, p2, p3), c)
     return None
 
 

@@ -1,5 +1,11 @@
 """Command-line behavior: dispatch, exit codes, stable stdout, file round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gallaikit
 from gallaikit.cli import main, run
 from gallaikit.euclid import parse_configuration
 from gallaikit.grid import GridColoring, format_grid_certificate
@@ -243,3 +249,21 @@ class TestHarness:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_combinatorial_commands_never_load_numpy(self):
+        # In a fresh interpreter: the package, the non-geometry layers, a
+        # geometry command's --version and a forking search leave numpy unloaded.
+        script = (
+            "import sys\n"
+            "import gallaikit.cli, gallaikit.search, gallaikit.graphs, gallaikit.sat\n"
+            "from gallaikit.cli import run\n"
+            "assert run(['gadget-verify', '--version']).exit_code == 0\n"
+            "assert run(['grid-search', '3', '3', '3', '--workers', '2']).exit_code == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(gallaikit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
