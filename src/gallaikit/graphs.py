@@ -3,11 +3,14 @@
 A good edge coloring here avoids both a rainbow triangle and a
 monochromatic copy of a target subgraph (the 4-cycle C4 or the
 four-vertex path P4).  The edge engine runs the shared driver
-`search.backtrack` over the edges in lexicographic order and supplies its
-local check, which prunes on every completed rainbow triangle or
-monochromatic target; rainbow-triangle pruning is what makes exhaustion
-tractable, since colorings without rainbow triangles are rigidly
-structured.
+`search.backtrack` over the edges in lexicographic order.  Its `fits`
+returns, once per edge visit, the colors that complete no rainbow
+triangle and no monochromatic target with the assigned edges: it finds
+the common neighbours whose two edges differ once, and each color then
+costs one AND-NOT for the rainbow test and a bitmask scan for the target.
+Its `place` assigns without checking.  Rainbow-triangle pruning is what
+makes exhaustion tractable, since colorings without rainbow triangles
+are rigidly structured.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
-from .grid import CertificateError, _bits, split_strict
+from .grid import CertificateError, split_strict
 from .search import Outcome, SearchOptions, SearchOutcome, backtrack
 
 TARGETS = ("C4", "P4")
@@ -170,44 +173,62 @@ def search_good_edge_coloring(
     rainbow_check = prune_rainbow and r >= 3
     want_c4 = target == "C4"
 
-    def try_place(pos: int, c: int) -> bool:
-        # reject c at edge pos if it completes a rainbow triangle or a mono target
+    upto = [(2 << h) - 2 for h in range(r + 1)]  # upto[h]: the bits of colors 1..h
+
+    def fits(pos: int, hi: int) -> int:
+        # colors for edge pos that complete no rainbow triangle and no mono target
         u, v, ubit, vbit = slot_info[pos]
         nc_u = nc[u]
         nc_v = nc[v]
+        # split: common neighbours w whose edges uw and vw differ
+        split = 0
         if rainbow_check:
             common = amask[u] & amask[v]
             if common:
                 same = 0
-                for c2 in range(1, r + 1):
+                for c2 in range(1, hi + 1):
                     same |= nc_u[c2] & nc_v[c2]
-                if common & ~same & ~nc_u[c] & ~nc_v[c]:
-                    return False
-        if want_c4:
-            xs = nc_v[c] & ~ubit
-            ys = nc_u[c] & ~vbit
-            if xs and ys:
-                for x in _bits(xs):
-                    if nc[x][c] & ys:
-                        return False
-        else:
-            # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge
-            a_set = nc_u[c] & ~vbit
-            b_set = nc_v[c] & ~ubit
-            if a_set and b_set and (a_set != b_set or a_set & (a_set - 1)):
-                return False
-            others = ~(ubit | vbit)
-            for x in _bits(b_set):
-                if nc[x][c] & others:
-                    return False
-            for x in _bits(a_set):
-                if nc[x][c] & others:
-                    return False
-        nc_u[c] |= vbit
-        nc_v[c] |= ubit
+                split = common & ~same
+        ok = upto[hi]
+        for c in range(1, hi + 1):
+            cu = nc_u[c]
+            cv = nc_v[c]
+            if split & ~(cu | cv):
+                ok ^= 1 << c  # a split neighbour with neither edge colored c: rainbow
+            elif want_c4:
+                # a cycle u-v-x-y: x a c-neighbour of v, y one of u and of x
+                xs = cv & ~ubit
+                ys = cu & ~vbit
+                if ys:
+                    while xs:
+                        low = xs & -xs
+                        if nc[low.bit_length() - 1][c] & ys:
+                            ok ^= 1 << c
+                            break
+                        xs ^= low
+            else:
+                # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge
+                a_set = cu & ~vbit
+                b_set = cv & ~ubit
+                if a_set and b_set and (a_set != b_set or a_set & (a_set - 1)):
+                    ok ^= 1 << c
+                    continue
+                ends = a_set | b_set
+                others = ~(ubit | vbit)
+                while ends:
+                    low = ends & -ends
+                    if nc[low.bit_length() - 1][c] & others:
+                        ok ^= 1 << c
+                        break
+                    ends ^= low
+        return ok
+
+    def place(pos: int, c: int) -> None:
+        u, v, ubit, vbit = slot_info[pos]
+        nc[u][c] |= vbit
+        nc[v][c] |= ubit
         amask[u] |= vbit
         amask[v] |= ubit
-        return True
 
     def unplace(pos: int, c: int) -> None:
         u, v, ubit, vbit = slot_info[pos]
@@ -221,7 +242,7 @@ def search_good_edge_coloring(
         return find_rainbow_triangle(EdgeColoring(t, r, colors)) is None
 
     deferred = leaf_ok if not prune_rainbow and r >= 3 else None
-    kind, nodes, colors = backtrack(len(edges), r, opts, try_place, unplace, leaf_ok=deferred)
+    kind, nodes, colors = backtrack(len(edges), r, opts, fits, place, unplace, leaf_ok=deferred)
     witness = None
     if colors is not None:
         witness = EdgeColoring(t, r, dict(zip(edges, colors)))

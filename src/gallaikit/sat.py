@@ -27,6 +27,8 @@ class CnfDocument:
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be non-negative, got {self.num_vars}")
         for idx, clause in enumerate(self.clauses):
             if not clause:
                 raise ValueError(f"clause {idx} is empty")

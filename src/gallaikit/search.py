@@ -3,13 +3,18 @@
 `backtrack` assigns colors to an ordered list of slots, one node per tried
 color, with first-use color symmetry, a node budget and, with
 `worker_hint >= 2`, subtrees explored in forked workers.  An engine
-supplies the local check; the K_t edge engine lives in `graphs`.
+supplies the local check as two callbacks: `fits(pos, hi)` returns, once
+per slot visit, the bitmask of colors in 1..hi that slot pos may take, and
+`place(pos, c)` assigns a color without checking it (with `unplace` to
+undo it).  The K_t edge engine lives in `graphs`.
 
-The grid engine assigns cells in row-major order and prunes as soon as the
-newly assigned cell completes a monochromatic or rainbow rectangle with
-earlier cells.  Two optional symmetry reductions quotient the search space
-without changing the Found/Exhausted verdict: first-use color numbering
-and lexicographically nondecreasing rows.
+The grid engine assigns cells in row-major order and rejects a color as
+soon as it would complete a monochromatic or rainbow rectangle with
+earlier cells.  It keeps a column bitmask per (row, color), so the mono
+test is one AND per row above and the rainbow test a few AND-NOTs per
+row.  Two optional symmetry reductions quotient the search space without
+changing the Found/Exhausted verdict: first-use color numbering and
+lexicographically nondecreasing rows.
 """
 
 from __future__ import annotations
@@ -260,61 +265,76 @@ def backtrack(
     slots: int,
     r: int,
     opts: SearchOptions,
-    try_place: Callable[[int, int], bool],
+    fits: Callable[[int, int], int],
+    place: Callable[[int, int], None],
     unplace: Callable[[int, int], None],
     floor: Callable[[int], int] | None = None,
     leaf_ok: Callable[[], bool] | None = None,
 ) -> tuple[Outcome, int, list[int] | None]:
     """Assign colors 1..r to slots 0..slots-1 in order; return (verdict, nodes, colors).
 
-    The engine supplies the constraints.  try_place(pos, c) checks color c
-    at slot pos against the slots before it and, if it fits, assigns it;
-    on a reject it assigns nothing.  unplace(pos, c) undoes an assignment.
-    floor(pos), if given, is the least color slot pos may take, and
-    leaf_ok(), if given, must accept a full assignment for it to count.
-    The driver owns the rest: first-use color symmetry (a slot may open at
-    most one new color), a node per tried color, the node budget, and the
-    cut into subtrees for forked workers.  Colors are tried in increasing
-    order, so a Found verdict carries the lexicographically least
-    assignment, and the counts never depend on opts.worker_hint.  Every
-    exit leaves the engine with nothing assigned.
+    The engine supplies the constraints.  fits(pos, hi) returns a bitmask
+    (bit c for color c) of the colors in 1..hi that slot pos may take given
+    the slots before it; hi is at least every color assigned so far.  The
+    driver calls it once on entering a slot and walks the set bits in
+    increasing order.  place(pos, c) assigns c to slot pos without checking
+    it, and unplace(pos, c) undoes that.  floor(pos), if given, is the least
+    color slot pos may take, and leaf_ok(), if given, must accept a full
+    assignment for it to count.  The driver owns the rest: first-use color
+    symmetry (a slot may open at most one new color), a node per tried
+    color, the node budget, and the cut into subtrees for forked workers.
+    Every color in floor..hi counts as a node, also the ones fits rejected,
+    so the counts are those of trying each color in turn; a budget overrun
+    reports budget + 1 nodes.  A Found verdict carries the
+    lexicographically least assignment, and the counts never depend on
+    opts.worker_hint.  Every exit leaves the engine with nothing assigned.
     """
     color_sym = opts.color_symmetry
     colors = [0] * slots
     # a parallel run lists (colors, max_used, nodes so far) at the cut
     prefixes: list[tuple[list[int], int, int]] = []
-    used_before = [0] * slots  # max_used before each placed slot
+    # per placed slot: the fitting colors not yet tried there, and max_used before it
+    left_at = [0] * slots
+    used_before = [0] * slots
 
     def walk(prefix: Sequence[int], max_used: int, budget: int | None, stop: int) -> tuple[Outcome, int]:
         # search below `prefix` down to `stop` (a leaf at slots, otherwise a cut)
         nodes = 0
         pos = 0
         try:
-            for c in prefix:  # the prefix passed these checks when it was listed
-                try_place(pos, c)
+            for c in prefix:  # every prefix color passed fits when the prefix was listed
+                place(pos, c)
                 colors[pos] = c
                 pos += 1
             base = pos
             hi = max_used + 1 if color_sym and max_used < r else r
             c = floor(pos) - 1 if floor is not None else 0
+            left = fits(pos, hi) & -(2 << c)  # colors from c + 1 (the floor) up
             while True:
-                c += 1
-                if c > hi:
+                if not left:
+                    # the slot is spent: count the colors after c that fits rejected
+                    if c < hi:
+                        nodes += hi - c
+                        if budget is not None and nodes > budget:
+                            return Outcome.BUDGET_EXCEEDED, budget + 1
                     if pos == base:
                         return Outcome.EXHAUSTED, nodes
                     pos -= 1
                     c = colors[pos]
                     unplace(pos, c)
+                    left = left_at[pos]
                     max_used = used_before[pos]
                     hi = max_used + 1 if color_sym and max_used < r else r
                     continue
-                nodes += 1
+                low = left & -left
+                left ^= low
+                nxt = low.bit_length() - 1
+                nodes += nxt - c  # the rejected colors between c and nxt, and nxt
+                c = nxt
                 if budget is not None and nodes > budget:
-                    return Outcome.BUDGET_EXCEEDED, nodes
-                if not try_place(pos, c):
-                    continue
+                    return Outcome.BUDGET_EXCEEDED, budget + 1
+                place(pos, c)
                 colors[pos] = c
-                used_before[pos] = max_used
                 pos += 1
                 if pos >= stop:
                     if pos == slots:
@@ -327,10 +347,13 @@ def backtrack(
                     pos -= 1
                     unplace(pos, c)
                     continue
+                left_at[pos - 1] = left
+                used_before[pos - 1] = max_used
                 if c > max_used:
                     max_used = c
                     hi = max_used + 1 if color_sym and max_used < r else r
                 c = floor(pos) - 1 if floor is not None else 0
+                left = fits(pos, hi) & -(2 << c)
         finally:
             while pos:
                 pos -= 1
@@ -368,45 +391,68 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
     start = time.perf_counter()
     cells = [[0] * m for _ in range(n)]
-    # per slot in row-major order: (row, column, the row, the rows above it)
-    slot_info = [(i, j, cells[i], cells[:i]) for i in range(n) for j in range(m)]
+    # col_masks[i][c]: bitmask of the columns where row i holds color c
+    col_masks = [[0] * (r + 1) for _ in range(n)]
+    # per slot in row-major order: (row, column, the row, its masks, (row, masks) for each
+    # row above, the bits of the columns before this one)
+    slot_info = [
+        (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), (1 << j) - 1)
+        for i in range(n)
+        for j in range(m)
+    ]
     # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1
     ge_at = [-1] * n
     row_sym = opts.row_order_symmetry
     rainbow_possible = r >= 4
+    all_colors = range(1, r + 1)
+    upto = [(2 << h) - 2 for h in range(r + 1)]  # upto[h]: the bits of colors 1..h
 
-    def try_place(pos: int, c: int) -> bool:
-        # reject c at pos if it finishes a mono or rainbow rectangle
-        i, j, row_i, rows_above = slot_info[pos]
-        for row2 in rows_above:
+    def fits(pos: int, hi: int) -> int:
+        # colors that finish no mono or rainbow rectangle with a row above
+        _, j, row_i, masks_i, above, before = slot_info[pos]
+        ok = upto[hi]
+        for row2, masks2 in above:
             b = row2[j]
-            mono = b == c
-            if not mono and not rainbow_possible:
-                continue
-            for j2 in range(j):
-                a = row2[j2]
-                d = row_i[j2]
-                if mono and a == c and d == c:
-                    return False
-                if rainbow_possible and a != b and a != d and a != c and b != d and b != c and d != c:
-                    return False
+            if masks2[b] & masks_i[b]:
+                ok &= ~(1 << b)  # b would close a mono rectangle
+            if rainbow_possible:
+                # columns j2 < j where row2 and row i differ and neither holds b
+                free = before & ~(masks2[b] | masks_i[b])
+                if free:
+                    for x in all_colors:
+                        free &= ~(masks2[x] & masks_i[x])
+                    if free:
+                        # each such column leaves only b and its own two colors, so
+                        # besides b only the first one's two colors can fit, and
+                        # only if they occur in every such column
+                        j2 = (free & -free).bit_length() - 1
+                        keep = 1 << b
+                        for x in (row2[j2], row_i[j2]):
+                            if not free & ~(masks2[x] | masks_i[x]):
+                                keep |= 1 << x
+                        ok &= keep
+        return ok
+
+    def place(pos: int, c: int) -> None:
+        i, j, row_i, masks_i, above, _ = slot_info[pos]
         row_i[j] = c
-        if row_sym and i and ge_at[i] < 0 and c > rows_above[-1][j]:
+        masks_i[c] |= 1 << j
+        if row_sym and i and ge_at[i] < 0 and c > above[-1][0][j]:
             ge_at[i] = pos
-        return True
 
     def unplace(pos: int, c: int) -> None:
-        i, j, row_i, _ = slot_info[pos]
+        i, j, row_i, masks_i, _, _ = slot_info[pos]
         row_i[j] = 0
+        masks_i[c] &= ~(1 << j)
         if ge_at[i] == pos:
             ge_at[i] = -1
 
     def floor(pos: int) -> int:
         # sorted rows: while row i ties row i-1, its cells may not fall below it
-        i, j, _, rows_above = slot_info[pos]
-        return rows_above[-1][j] if i and ge_at[i] < 0 else 1
+        i, j, _, _, above, _ = slot_info[pos]
+        return above[-1][0][j] if i and ge_at[i] < 0 else 1
 
-    kind, nodes, colors = backtrack(n * m, r, opts, try_place, unplace, floor if row_sym else None)
+    kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor if row_sym else None)
     witness = None
     if colors is not None:
         witness = GridColoring(n, m, r, [colors[i * m:(i + 1) * m] for i in range(n)])

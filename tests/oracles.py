@@ -3,13 +3,15 @@
 Everything here is deliberately naive and shares no logic with the code it
 checks: quadruple-nested scans, odometer enumerations over whole coloring
 spaces, a bit-table sweep for two-color row triples, a column-type multiset
-search for two-row grids, and a bit-parallel complete evaluation of CNF
+search for two-row grids, a plain recursive search with the engines' slot
+order and symmetry rules, and a bit-parallel complete evaluation of CNF
 encodings over all colorings.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from typing import Callable
 
 from gallaikit.grid import BipartiteEdgeColoring, GridColoring, GridRectangle
 from gallaikit.graphs import EdgeColoring
@@ -234,6 +236,116 @@ def naive_good_edge_coloring_exists(t: int, r: int, target: str) -> bool:
         if _matrix_good(mat, t, r, target):
             return True
     return False
+
+
+# ------------------------------------------------------- reference search
+
+def _grid_partial_bad(flat: list[int], m: int) -> bool:
+    """Does the assigned prefix of a row-major grid hold a mono or rainbow rectangle?"""
+    k = len(flat)
+    rows = -(-k // m)
+    for i in range(rows):
+        for i2 in range(i + 1, rows):
+            for j in range(m):
+                for j2 in range(j + 1, m):
+                    if i2 * m + j2 >= k:
+                        continue
+                    corners = {flat[i * m + j], flat[i * m + j2], flat[i2 * m + j], flat[i2 * m + j2]}
+                    if len(corners) in (1, 4):
+                        return True
+    return False
+
+
+def _edge_new_bad(col: dict[tuple[int, int], int], t: int, target: str, u: int, v: int) -> bool:
+    """Does the newest edge (u, v) close a rainbow triangle or mono target with assigned edges?"""
+
+    def color(a: int, b: int) -> int | None:
+        return col.get((min(a, b), max(a, b)))
+
+    others = [x for x in range(1, t + 1) if x not in (u, v)]
+    for w in others:
+        cs = (color(u, v), color(u, w), color(v, w))
+        if None not in cs and len(set(cs)) == 3:
+            return True
+    for x, y in permutations(others, 2):
+        for a, b, c, d in ((x, u, v, y), (u, v, x, y), (x, y, u, v), (x, v, u, y), (v, u, x, y), (x, y, v, u)):
+            walk = [color(a, b), color(b, c), color(c, d)]
+            if target == "C4":
+                walk.append(color(d, a))
+            if None not in walk and len(set(walk)) == 1:
+                return True
+    return False
+
+
+def reference_search(
+    slots: int,
+    r: int,
+    bad: Callable[[list[int]], bool],
+    floor: Callable[[list[int]], int],
+    color_symmetry: bool,
+    budget: int | None,
+) -> tuple[str, list[int] | None, int]:
+    """Plain recursive search; returns (verdict, colors, nodes).
+
+    Slots take colors in order 1..r, one node per color tried, and bad(colors)
+    rejects an assigned prefix whose shorter prefixes it accepted.  With color_symmetry a slot may open at most
+    one color beyond those already used, and floor(colors) is the least color
+    the next slot may take.  A budget overrun reports budget + 1 nodes.
+    """
+    colors: list[int] = []
+    nodes = 0
+
+    class Overrun(Exception):
+        pass
+
+    def descend() -> bool:
+        nonlocal nodes
+        if len(colors) == slots:
+            return True
+        top = min(r, max(colors, default=0) + 1) if color_symmetry else r
+        for c in range(floor(colors), top + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise Overrun
+            colors.append(c)
+            if not bad(colors) and descend():
+                return True
+            colors.pop()
+        return False
+
+    try:
+        found = descend()
+    except Overrun:
+        return "budget", None, budget + 1
+    return ("found", colors, nodes) if found else ("exhausted", None, nodes)
+
+
+def reference_grid_search(
+    n: int, m: int, r: int, color_symmetry: bool, row_order_symmetry: bool, budget: int | None
+) -> tuple[str, list[int] | None, int]:
+    """Row-major cells; with row_order_symmetry a row stays >= the row above it."""
+
+    def floor(flat: list[int]) -> int:
+        k = len(flat)
+        i, j = divmod(k, m)
+        if not row_order_symmetry or i == 0:
+            return 1
+        above = flat[(i - 1) * m:(i - 1) * m + j + 1]
+        return above[j] if flat[i * m:k] == above[:j] else 1
+
+    return reference_search(n * m, r, lambda flat: _grid_partial_bad(flat, m), floor, color_symmetry, budget)
+
+
+def reference_edge_search(
+    t: int, r: int, target: str, color_symmetry: bool, budget: int | None
+) -> tuple[str, list[int] | None, int]:
+    """Edges of K_t in lexicographic order."""
+    edges = list(combinations(range(1, t + 1), 2))
+
+    def bad(colors: list[int]) -> bool:
+        return _edge_new_bad(dict(zip(edges, colors)), t, target, *edges[len(colors) - 1])
+
+    return reference_search(len(edges), r, bad, lambda colors: 1, color_symmetry, budget)
 
 
 # ------------------------------------------------------------- sat side

@@ -122,6 +122,13 @@ class TestSatCommands:
         model_path = write(tmp_path, "model.txt", "1 2 3")
         assert run(["sat-check", cnf_path, "--model", model_path]).exit_code == 2
 
+    def test_check_negative_variable_count_exit_two(self, tmp_path):
+        cnf_path = write(tmp_path, "neg.cnf", "p cnf -5 0\n")
+        model_path = write(tmp_path, "model.txt", "")
+        result = run(["sat-check", cnf_path, "--model", model_path])
+        assert result.exit_code == 2
+        assert "num_vars" in result.summary
+
     def test_export_requires_out(self):
         assert run(["sat-export", "2", "2", "2"]).exit_code == 2
 

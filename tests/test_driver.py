@@ -24,11 +24,14 @@ class Toy:
         self.values = [0] * slots
         self.placed = 0
 
-    def try_place(self, pos, c):
+    def fits(self, pos, hi):
+        assert self.placed == pos
+        return (2 << hi) - 2
+
+    def place(self, pos, c):
         assert self.values[pos] == 0 and self.placed == pos
         self.values[pos] = c
         self.placed += 1
-        return True
 
     def unplace(self, pos, c):
         assert self.values[pos] == c and self.placed == pos + 1
@@ -41,7 +44,7 @@ class Toy:
 
 
 def run(toy, slots, r, leaf_ok=lambda: False, floor=None, **opts):
-    result = backtrack(slots, r, SearchOptions(**opts), toy.try_place, toy.unplace, floor, leaf_ok)
+    result = backtrack(slots, r, SearchOptions(**opts), toy.fits, toy.place, toy.unplace, floor, leaf_ok)
     assert toy.placed == 0 and not any(toy.values)
     return result
 
@@ -105,3 +108,50 @@ def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
     )
     assert_no_children_left()
 
+
+class Picky(Toy):
+    """A toy engine that rejects a fixed set of colors at every slot."""
+
+    def __init__(self, slots, rejected):
+        super().__init__(slots)
+        self.rejected = sum(1 << c for c in rejected)
+
+    def fits(self, pos, hi):
+        return super().fits(pos, hi) & ~self.rejected
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
+    # colors 2, 3 and 5 of 1..5 never fit: each slot visit tries 5 colors, of which
+    # 1 and 4 fit, so a slot skips the run 2, 3 and ends with the run 5
+    slots, r, rejected = SPLIT_DEPTH + 2, 5, (2, 3, 5)
+    total = 5 * (2**slots - 1)
+    picky = Picky(slots, rejected)
+    assert run(picky, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.EXHAUSTED, total, None)
+    # the overrun lands on the trailing 5 of the first slot
+    assert run(picky, slots, r, color_symmetry=False, node_budget=total - 1, worker_hint=hint) == (
+        Outcome.BUDGET_EXCEEDED,
+        total,
+        None,
+    )
+
+    wanted = [1] * (slots - 1) + [4]
+
+    def leaf_ok():
+        return picky.values == wanted
+
+    # ones down to the last slot, then its 1, the skipped 2 and 3, and the 4
+    nodes = slots - 1 + 4
+    assert run(picky, slots, r, leaf_ok, color_symmetry=False, worker_hint=hint) == (Outcome.FOUND, nodes, wanted)
+    assert run(picky, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
+        Outcome.FOUND,
+        nodes,
+        wanted,
+    )
+    for budget in (nodes - 1, nodes - 2):  # budgets that fall on the skipped 3 and 2
+        assert run(picky, slots, r, leaf_ok, color_symmetry=False, node_budget=budget, worker_hint=hint) == (
+            Outcome.BUDGET_EXCEEDED,
+            budget + 1,
+            None,
+        )
+    assert_no_children_left()

@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from gallaikit.cli import run
 from gallaikit.graphs import search_good_edge_coloring
 from gallaikit.search import (
     Outcome,
@@ -91,6 +92,15 @@ def test_budget_boundary_matches_sequential(search, fixed):
     plain = search(SearchOptions(**fixed))
     for budget, kind in ((plain.nodes_visited - 1, Outcome.BUDGET_EXCEEDED), (plain.nodes_visited, plain.kind)):
         assert assert_hints_agree(search, node_budget=budget, **fixed)[0] is kind, budget
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("hint", [None, 2])
+def test_roadmap_baselines_are_pinned(hint):
+    workers = [] if hint is None else ["--workers", str(hint)]
+    assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=16567"
+    out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
+    assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 199_125)
     assert_no_children_left()
 
 

@@ -1,0 +1,86 @@
+"""Both engines against a plain recursive reference search: verdict, witness and node count."""
+
+from itertools import product
+
+import pytest
+
+from gallaikit.graphs import search_good_edge_coloring
+from gallaikit.search import SearchOptions, search_good_coloring
+
+from oracles import reference_edge_search, reference_grid_search
+
+GRIDS = [(n, m) for n in range(1, 13) for m in range(1, 12 // n + 1)]
+
+
+def flat_grid(out):
+    return None if out.witness is None else [c for row in out.witness.cells for c in row]
+
+
+def flat_edges(out):
+    return None if out.witness is None else [c for _, _, c in out.witness.pairs()]
+
+
+def assert_agrees_at_every_budget(engine, reference, flatten, label):
+    # no budget, a budget of exactly the node count, and one node less
+    kind, colors, nodes = reference(None)
+    for budget in (None, nodes, nodes - 1):
+        if budget == 0:
+            continue
+        want = reference(budget)
+        out = engine(budget)
+        assert (out.kind.value, flatten(out), out.nodes_visited) == want, (label, budget)
+    return kind
+
+
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry", list(product((True, False), repeat=2)))
+def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry):
+    kinds = set()
+    for (n, m), r in product(GRIDS, range(1, 5)):
+
+        def engine(budget):
+            opts = SearchOptions(budget, color_symmetry, row_order_symmetry)
+            return search_good_coloring(n, m, r, opts)
+
+        def reference(budget):
+            return reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, budget)
+
+        kinds.add(assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r)))
+    assert kinds == {"found", "exhausted"}
+
+
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry", list(product((True, False), repeat=2)))
+def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_order_symmetry):
+    # past 12 cells, rainbow rectangles reject colors that the first witness needs
+    for n, m, r in ((4, 5, 4), (5, 5, 4), (5, 6, 4), (6, 6, 4), (4, 6, 5), (5, 5, 5)):
+
+        def engine(budget):
+            opts = SearchOptions(budget, color_symmetry, row_order_symmetry)
+            return search_good_coloring(n, m, r, opts)
+
+        def reference(budget):
+            return reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, budget)
+
+        assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
+
+
+@pytest.mark.parametrize("target, color_symmetry", list(product(("C4", "P4"), (True, False))))
+def test_edge_engine_matches_reference(target, color_symmetry):
+    kinds = set()
+    for t, r in product(range(3, 7), range(1, 5)):
+
+        def engine(budget):
+            return search_good_edge_coloring(t, r, target, SearchOptions(budget, color_symmetry))
+
+        def reference(budget):
+            return reference_edge_search(t, r, target, color_symmetry, budget)
+
+        kinds.add(assert_agrees_at_every_budget(engine, reference, flat_edges, (t, r)))
+    assert kinds == {"found", "exhausted"}
+
+
+def test_reference_counts_by_hand():
+    # K4 with one color: edges (1,2), (1,3), (1,4) form a star, not a P4, and the
+    # fourth edge (2,3) closes 4-1-2-3, so the search exhausts after 4 nodes
+    assert reference_edge_search(4, 1, "P4", True, None) == ("exhausted", None, 4)
+    # 2x2 with one color: the fourth cell closes the only rectangle
+    assert reference_grid_search(2, 2, 1, True, True, None) == ("exhausted", None, 4)

@@ -239,6 +239,10 @@ class TestDimacs:
         with pytest.raises(CertificateError):
             parse_dimacs(text)
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(CertificateError, match="num_vars"):
+            parse_dimacs("p cnf -5 0\n")
+
 
 class TestModelText:
     def test_plain_integers(self):
