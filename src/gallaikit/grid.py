@@ -9,7 +9,7 @@ share one color (monochromatic) or carry four pairwise-distinct colors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class CertificateError(ValueError):
@@ -60,10 +60,11 @@ class GridColoring:
     """An r-coloring of the n x m grid with colors drawn from {1, ..., r}.
 
     Instances are immutable after construction and safe to share between
-    workers.  Each (row, color) pair keeps a column bitmask internally, so
-    rectangle detection reduces to word operations: two rows share a
+    workers.  Each row keeps a column bitmask for every color that occurs in
+    it, so the monochromatic detector works on words: two rows share a
     monochromatic rectangle of color c exactly when the AND of their color-c
-    masks has at least two bits set.
+    masks has at least two bits set.  Only colors that occur get a mask, so
+    the work is bounded by n*m whatever r is.
     """
 
     __slots__ = ("n", "m", "r", "cells", "_masks")
@@ -74,24 +75,22 @@ class GridColoring:
         if len(cells) != n:
             raise ValueError(f"expected {n} rows, got {len(cells)}")
         rows = []
+        masks = []
         for i, raw in enumerate(cells, start=1):
             row = tuple(raw)
             if len(row) != m:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {m}")
-            for j, c in enumerate(row, start=1):
+            per_color: dict[int, int] = {}
+            for j, c in enumerate(row):
                 if not isinstance(c, int) or not 1 <= c <= r:
-                    raise ValueError(f"cell ({i},{j}) has color {c!r}, outside 1..{r}")
+                    raise ValueError(f"cell ({i},{j + 1}) has color {c!r}, outside 1..{r}")
+                per_color[c] = per_color.get(c, 0) | 1 << j
             rows.append(row)
+            masks.append(per_color)
         self.n = n
         self.m = m
         self.r = r
         self.cells = tuple(rows)
-        masks = []
-        for row in self.cells:
-            per_color = [0] * (r + 1)
-            for j, c in enumerate(row):
-                per_color[c] |= 1 << j
-            masks.append(tuple(per_color))
         self._masks = tuple(masks)
 
     def color(self, i: int, j: int) -> int:
@@ -123,14 +122,6 @@ class VerificationReport:
             raise ValueError("is_good must equal the absence of both witnesses")
 
 
-def _bits(x: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def find_mono_rectangle(g: GridColoring) -> GridRectangle | None:
     """Lexicographically least (i, i2, j, j2) monochromatic rectangle, or None."""
     masks = g._masks
@@ -139,14 +130,15 @@ def find_mono_rectangle(g: GridColoring) -> GridRectangle | None:
         for i2 in range(i + 1, g.n):
             mi2 = masks[i2]
             best = None
-            for c in range(1, g.r + 1):
-                inter = mi[c] & mi2[c]
-                if inter.bit_count() >= 2:
-                    j = (inter & -inter).bit_length() - 1
+            for c in mi:
+                if c in mi2:
+                    inter = mi[c] & mi2[c]
                     rest = inter & (inter - 1)
-                    j2 = (rest & -rest).bit_length() - 1
-                    if best is None or (j, j2) < best:
-                        best = (j, j2)
+                    if rest:  # two or more shared columns
+                        j = (inter & -inter).bit_length() - 1
+                        j2 = (rest & -rest).bit_length() - 1
+                        if best is None or (j, j2) < best:
+                            best = (j, j2)
             if best is not None:
                 return GridRectangle(i + 1, i2 + 1, best[0] + 1, best[1] + 1)
     return None
@@ -161,28 +153,15 @@ def find_rainbow_rectangle(g: GridColoring) -> GridRectangle | None:
     """
     if g.r < 4:
         return None
-    full = (1 << g.m) - 1
-    masks = g._masks
+    cells = g.cells
+    columns = range(g.m)
     for i in range(g.n - 1):
-        row_i = g.cells[i]
-        mi = masks[i]
+        row_i = cells[i]
         for i2 in range(i + 1, g.n):
-            row_i2 = g.cells[i2]
-            mi2 = masks[i2]
-            same = 0
-            for c in range(1, g.r + 1):
-                same |= mi[c] & mi2[c]
-            diff = full & ~same
-            if diff.bit_count() < 2:
-                continue
-            cols = list(_bits(diff))
-            for a_idx in range(len(cols) - 1):
-                j = cols[a_idx]
-                a, b = row_i[j], row_i2[j]
-                for b_idx in range(a_idx + 1, len(cols)):
-                    j2 = cols[b_idx]
-                    a2, b2 = row_i[j2], row_i2[j2]
-                    # a != b and a2 != b2 hold by the diff prefilter
+            cols = [(j, a, b) for j, a, b in zip(columns, row_i, cells[i2]) if a != b]
+            for x, (j, a, b) in enumerate(cols):
+                for j2, a2, b2 in cols[x + 1 :]:
+                    # a != b and a2 != b2 hold by the prefilter
                     if a != a2 and a != b2 and b != a2 and b != b2:
                         return GridRectangle(i + 1, i2 + 1, j + 1, j2 + 1)
     return None

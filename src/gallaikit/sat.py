@@ -7,12 +7,18 @@ clause demands that some corner pair is equal, and one-directional
 channeling clauses make a true selector force the equality.  No solver is
 bundled; the module emits standard DIMACS text and re-checks any claimed
 model.
+
+DIMACS export is byte-stable: the same instance always gives the same
+text, and the tests pin SHA-256 digests of `sat-export` files.  The
+per-literal work of encoding, formatting, parsing and model checking runs
+inside C-level builtins (join, split, map, list.index, set operations);
+tests/oracles.py keeps a per-literal reference that the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Mapping
 
 from .grid import CertificateError, GridColoring, verify_good
@@ -27,19 +33,20 @@ class CnfDocument:
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be non-negative, got {self.num_vars}")
-        for idx, clause in enumerate(self.clauses):
+        nv = self.num_vars
+        if nv < 0:
+            raise ValueError(f"num_vars must be non-negative, got {nv}")
+        clauses = self.clauses
+        # no empty clause, and no literal 0 or outside -nv..nv among the distinct ones
+        lits = set(chain.from_iterable(clauses))
+        if all(clauses) and 0 not in lits and -nv <= min(lits, default=0) and max(lits, default=0) <= nv:
+            return
+        for idx, clause in enumerate(clauses):
             if not clause:
                 raise ValueError(f"clause {idx} is empty")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"clause {idx} has literal {lit} outside +/-1..{self.num_vars}")
-
-
-def cell_index(n: int, m: int, i: int, j: int) -> int:
-    """1-based cell id of (i, j) in row-major order."""
-    return (i - 1) * m + j
+            bad = [lit for lit in clause if not lit or not -nv <= lit <= nv]
+            if bad:
+                raise ValueError(f"clause {idx} has literal {bad[0]} outside +/-1..{nv}")
 
 
 def color_var(m: int, r: int, i: int, j: int, c: int) -> int:
@@ -73,45 +80,40 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
     if n < 2 or m < 2 or r < 1:
         raise ValueError(f"require n, m >= 2 and r >= 1, got {(n, m, r)}")
     nm = n * m
-    num_vars = nm * r + nm * (nm - 1) // 2
+    top = nm * r  # the last color variable; selectors follow
+    num_vars = top + nm * (nm - 1) // 2
+    colors = range(1, r + 1)
     clauses: list[list[int]] = []
+    append = clauses.append
 
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            xs = [color_var(m, r, i, j, c) for c in range(1, r + 1)]
-            clauses.append(xs)
-            clauses.extend([-a, -b] for a, b in combinations(xs, 2))
+    # Literals are built from variable bases: cell k (0-based, row-major)
+    # owns the color variables k*r + c, so color_var(m, r, i, j, c) is
+    # ((i-1)*m + j-1)*r + c.
+    color_pairs = list(combinations(colors, 2))
+    for base in range(0, top, r):
+        append(list(range(base + 1, base + r + 1)))
+        clauses.extend([-base - a, -base - b] for a, b in color_pairs)
 
-    for p, q in combinations(range(1, nm + 1), 2):
-        e = selector_var(n, m, r, p, q)
-        pi, pj = divmod(p - 1, m)
-        qi, qj = divmod(q - 1, m)
-        for c in range(1, r + 1):
-            xp = color_var(m, r, pi + 1, pj + 1, c)
-            xq = color_var(m, r, qi + 1, qj + 1, c)
-            clauses.append([-e, -xp, xq])
-            clauses.append([-e, -xq, xp])
+    e = top  # selectors are numbered consecutively in pair order
+    for p_base in range(0, top, r):
+        for q_base in range(p_base + r, top, r):
+            e += 1
+            not_e = -e
+            for c in colors:
+                append([not_e, -p_base - c, q_base + c])
+                append([not_e, -q_base - c, p_base + c])
 
-    for i, i2 in combinations(range(1, n + 1), 2):
-        for j, j2 in combinations(range(1, m + 1), 2):
-            corner_cells = (
-                cell_index(n, m, i, j),
-                cell_index(n, m, i, j2),
-                cell_index(n, m, i2, j),
-                cell_index(n, m, i2, j2),
-            )
-            for c in range(1, r + 1):
-                clauses.append(
-                    [
-                        -color_var(m, r, i, j, c),
-                        -color_var(m, r, i, j2, c),
-                        -color_var(m, r, i2, j, c),
-                        -color_var(m, r, i2, j2, c),
-                    ]
-                )
-            clauses.append(
-                [selector_var(n, m, r, p, q) for p, q in combinations(sorted(corner_cells), 2)]
-            )
+    # selector_var(n, m, r, p + 1, q + 1) == sel[p] + q for 0-based cells p < q
+    sel = [top + p * nm - p * (p + 1) // 2 - p for p in range(nm)]
+    for row in range(0, nm - m, m):
+        for row2 in range(row + m, nm, m):
+            for j in range(m - 1):
+                tl, bl = row + j, row2 + j
+                for tr, br in zip(range(tl + 1, row + m), range(bl + 1, row2 + m)):
+                    x_tl, x_tr, x_bl, x_br = tl * r, tr * r, bl * r, br * r
+                    clauses.extend([-x_tl - c, -x_tr - c, -x_bl - c, -x_br - c] for c in colors)
+                    s_tl, s_tr = sel[tl], sel[tr]
+                    append([s_tl + tr, s_tl + bl, s_tl + br, s_tr + bl, s_tr + br, sel[bl] + br])
 
     comments = [
         f"grid n={n} m={m} r={r}",
@@ -128,13 +130,15 @@ def decode_model(n: int, m: int, r: int, assignment: Mapping[int, bool]) -> Grid
     per cell; the decoded coloring must verify good.  Violations raise
     ValueError (a bad decoded coloring signals an encoding bug).
     """
+    colors = range(1, r + 1)
     cells = []
+    var = 0  # color_var(m, r, i, j, c), counted up in row-major cell order
     for i in range(1, n + 1):
         row = []
         for j in range(1, m + 1):
             true_colors = []
-            for c in range(1, r + 1):
-                var = color_var(m, r, i, j, c)
+            for c in colors:
+                var += 1
                 if var not in assignment:
                     raise ValueError(f"assignment misses color variable {var} for cell ({i},{j})")
                 if assignment[var]:
@@ -159,38 +163,71 @@ def check_model_against_cnf(cnf: CnfDocument, assignment: Mapping[int, bool]) ->
     """True iff every clause contains a true literal under the assignment.
 
     The assignment must cover every variable 1..num_vars; anything less is
-    an error.  Extra variables are ignored.
+    an error.  Extra variables are ignored.  Literal v is true when its
+    value == True and -v when its value == False, so a value that equals
+    neither satisfies no literal.
     """
+    nv = cnf.num_vars
     # count covered variables from the assignment, never by scanning 1..num_vars
-    covered = sum(1 for v in assignment if isinstance(v, int) and 1 <= v <= cnf.num_vars)
-    if covered < cnf.num_vars:
-        first = next(v for v in range(1, covered + 2) if v not in assignment)
+    covered = [v for v in assignment if isinstance(v, int) and 1 <= v <= nv]
+    if len(covered) < nv:
+        first = next(v for v in range(1, len(covered) + 2) if v not in assignment)
         raise ValueError(
-            f"assignment covers {covered} of {cnf.num_vars} variables (first missing: {first})"
+            f"assignment covers {len(covered)} of {nv} variables (first missing: {first})"
         )
-    for clause in cnf.clauses:
-        for lit in clause:
-            if assignment[abs(lit)] == (lit > 0):
-                break
-        else:
-            return False
-    return True
+    true_lits = {v for v in covered if assignment[v] == True}
+    true_lits.update(-v for v in covered if assignment[v] == False)
+    return not any(map(true_lits.isdisjoint, cnf.clauses))
 
 
 def format_dimacs(cnf: CnfDocument) -> str:
     """Standard DIMACS CNF text with `c` comment lines and zero-terminated clauses."""
-    lines = [f"c {comment}" for comment in cnf.comments]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    lines.extend(" ".join(str(lit) for lit in clause) + " 0" for clause in cnf.clauses)
-    return "\n".join(lines) + "\n"
+    head = [f"c {comment}\n" for comment in cnf.comments]
+    head.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
+    # one string per distinct literal, with its separator; None ends a clause
+    text_of = {lit: str(lit) + " " for lit in set(chain.from_iterable(cnf.clauses))}
+    text_of[None] = "0\n"
+    body = chain.from_iterable(chain.from_iterable(zip(cnf.clauses, repeat((None,)))))
+    return "".join(chain(head, map(text_of.__getitem__, body)))
+
+
+_CHUNK = 1 << 16  # tokens converted per step in parse_dimacs
+
+
+def _split_head(text: str, marks: str) -> tuple[list[str], list[str]]:
+    """The lines that may start with a character of `marks`, and the tokens after them.
+
+    Such a line holds a mark, so it ends no later than the line holding the
+    last mark in the text; past that line the text is whitespace-split in
+    one go.  Line breaks are whitespace, so the head's lines and the tail's
+    tokens hold the same tokens as the lines of the whole text.
+    """
+    last = max(map(text.rfind, marks))
+    cut = 0 if last < 0 else text.find("\n", last) + 1 or len(text)
+    head = text[:cut]
+    tokens = text.split()
+    del tokens[: len(head.split())]
+    return head.splitlines(), tokens
+
+
+def _token_values(tokens: list[str], special: dict[str, int]) -> dict[str, int | None]:
+    """int() of each distinct token (None where it fails), with `special` tokens preset."""
+    values: dict[str, int | None] = dict(special)
+    for tok in set(tokens).difference(special):
+        try:
+            values[tok] = int(tok)
+        except ValueError:
+            values[tok] = None
+    return values
 
 
 def parse_dimacs(text: str) -> CnfDocument:
     """Strict DIMACS reader; clause count and variable bounds must match the header."""
+    lines, tokens = _split_head(text, "cp")
     comments: list[str] = []
     header: tuple[int, int] | None = None
-    tokens: list[str] = []
-    for line in text.splitlines():
+    head_tokens: list[str] = []
+    for line in lines:
         stripped = line.strip()
         if not stripped:
             continue
@@ -210,25 +247,37 @@ def parse_dimacs(text: str) -> CnfDocument:
             continue
         if header is None:
             raise CertificateError("clause data before the problem line")
-        tokens.extend(stripped.split())
+        head_tokens.extend(stripped.split())
     if header is None:
-        raise CertificateError("missing problem line")
+        raise CertificateError("clause data before the problem line" if tokens else "missing problem line")
     num_vars, num_clauses = header
+    tokens[:0] = head_tokens
+
+    values = _token_values(tokens, {})
+    bad_token = None
+    if None in values.values():
+        bad_at = list(map(values.__getitem__, tokens)).index(None)
+        bad_token = tokens[bad_at]
+        del tokens[bad_at:]  # only the tokens before it can raise first
+    # convert in place, a slice at a time, so the token strings are freed as
+    # they go and no second list the size of the body is ever built
+    for k in range(0, len(tokens), _CHUNK):
+        tokens[k : k + _CHUNK] = map(values.__getitem__, tokens[k : k + _CHUNK])
+    lits = tokens
     clauses: list[list[int]] = []
-    current: list[int] = []
-    for tok in tokens:
+    start = 0
+    while True:
         try:
-            lit = int(tok)
-        except ValueError as exc:
-            raise CertificateError(f"bad clause token: {tok!r}") from exc
-        if lit == 0:
-            if not current:
-                raise CertificateError("empty clause in input")
-            clauses.append(current)
-            current = []
-        else:
-            current.append(lit)
-    if current:
+            stop = lits.index(0, start)
+        except ValueError:
+            break
+        if stop == start:
+            raise CertificateError("empty clause in input")
+        clauses.append(lits[start:stop])
+        start = stop + 1
+    if bad_token is not None:
+        raise CertificateError(f"bad clause token: {bad_token!r}")
+    if start < len(lits):
         raise CertificateError("final clause is not zero-terminated")
     if len(clauses) != num_clauses:
         raise CertificateError(f"header promises {num_clauses} clauses, found {len(clauses)}")
@@ -240,23 +289,28 @@ def parse_dimacs(text: str) -> CnfDocument:
 
 def parse_model_text(text: str) -> dict[int, bool]:
     """Parse solver model output: whitespace-separated signed ints, optional v prefixes and 0s."""
-    assignment: dict[int, bool] = {}
-    for line in text.splitlines():
+    lines, tokens = _split_head(text, "sS")
+    head_tokens: list[str] = []
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("s ") or stripped in ("s", "SAT", "SATISFIABLE"):
             continue
-        for tok in stripped.split():
-            if tok == "v":
-                continue
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise CertificateError(f"bad model token: {tok!r}") from exc
-            if lit == 0:
-                continue
-            var = abs(lit)
-            value = lit > 0
-            if var in assignment and assignment[var] != value:
-                raise CertificateError(f"conflicting truth values for variable {var}")
-            assignment[var] = value
-    return assignment
+        head_tokens.extend(stripped.split())
+    tokens[:0] = head_tokens
+
+    values = _token_values(tokens, {"v": 0})
+    lits = list(map(values.__getitem__, tokens))
+    chosen = set(values.values())
+    chosen.discard(0)
+    if None in chosen or not chosen.isdisjoint(map(int.__neg__, chosen)):
+        seen: set[int] = set()
+        for tok, lit in zip(tokens, lits):
+            if lit is None:
+                raise CertificateError(f"bad model token: {tok!r}")
+            if lit and -lit in seen:
+                raise CertificateError(f"conflicting truth values for variable {abs(lit)}")
+            seen.add(lit)
+    # each variable at its first occurrence, true when that literal is positive
+    firsts = dict.fromkeys(lits)
+    firsts.pop(0, None)
+    return dict(zip(map(abs, firsts), map((0).__lt__, firsts)))

@@ -522,6 +522,8 @@ def parse_search_certificate(text: str) -> SearchCertificate:
         nodes = int(head[5][len("nodes="):])
     except ValueError as exc:
         raise CertificateError(f"bad outcome header: {lines[0]!r}") from exc
+    if min(n, m, r) < 1 or nodes < 0:
+        raise CertificateError(f"bad outcome header: {lines[0]!r}")
     rest = "\n".join(lines[1:])
     witness = None
     if kind is Outcome.FOUND:

@@ -90,6 +90,12 @@ class TestGridVerify:
     def test_missing_file_exit_two(self):
         assert run(["grid-verify", "/nonexistent/path.txt"]).exit_code == 2
 
+    def test_negative_node_count_exit_two(self, tmp_path):
+        path = write(tmp_path, "cert.txt", "outcome found 2 2 2 nodes=-5\ngrid 2 2 2\n1 2\n2 1\n")
+        result = run(["grid-verify", path])
+        assert result.exit_code == 2
+        assert "bad outcome header" in result.summary
+
 
 class TestSatCommands:
     def test_export_then_check_good_model(self, tmp_path):

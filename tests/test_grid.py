@@ -1,5 +1,9 @@
 """Grid coloring construction, detectors, bipartite view, and certificates."""
 
+import random
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +241,33 @@ class TestCertificates:
     def test_malformed_certificates_rejected(self, text):
         with pytest.raises(CertificateError):
             parse_grid_certificate(text)
+
+
+class TestHugeColorCounts:
+    """The work of a grid is bounded by its cells, never by r from the header."""
+
+    def test_twenty_million_colors_in_a_one_cell_grid(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            g = parse_grid_certificate("grid 1 1 20000000\n1\n")
+            assert verify_good(g).is_good
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1_000_000  # a mask per color of r would take 160 MB
+
+    def test_detectors_with_sparse_color_values(self):
+        rng = random.Random(4)
+        r = 10_000
+        for _ in range(200):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            palette = rng.sample(range(1, r + 1), rng.randint(1, 6))
+            g = GridColoring(n, m, r, [[rng.choice(palette) for _ in range(m)] for _ in range(n)])
+            assert find_mono_rectangle(g) == naive_find_mono(g)
+            assert find_rainbow_rectangle(g) == naive_find_rainbow(g)
 
 
 class TestRectangleType:

@@ -164,6 +164,22 @@ class TestCertificates:
             parse_search_certificate(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "outcome found 2 2 2 nodes=-5\ngrid 2 2 2\n1 2\n2 1\n",
+        "outcome exhausted -3 0 -2 nodes=-5\n",
+        "outcome exhausted 0 2 2 nodes=1\n",
+        "outcome budget 2 0 2 nodes=1\n",
+        "outcome budget 2 2 0 nodes=1\n",
+        "outcome exhausted 2 2 1 nodes=-1\n",
+    ],
+)
+def test_impossible_outcome_headers_rejected(text):
+    with pytest.raises(CertificateError, match="bad outcome header: 'outcome "):
+        parse_search_certificate(text)
+
+
 def test_options_are_immutable_values():
     opts = SearchOptions()
     with pytest.raises(dataclasses.FrozenInstanceError):
