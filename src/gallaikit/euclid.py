@@ -111,8 +111,10 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
     k = len(a)
-    da = a.distance_matrix()
-    db = b.distance_matrix()
+    # nested lists of Python floats: the same values as the arrays, without
+    # a numpy scalar per comparison
+    da = a.distance_matrix().tolist()
+    db = b.distance_matrix().tolist()
     mapping = [-1] * k
     used = [False] * k
 
@@ -122,7 +124,8 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
         for cand in range(k):
             if used[cand]:
                 continue
-            if all(abs(da[idx, p] - db[cand, mapping[p]]) <= tol for p in range(idx)):
+            row_a, row_b = da[idx], db[cand]
+            if all(abs(row_a[p] - row_b[mapping[p]]) <= tol for p in range(idx)):
                 mapping[idx] = cand
                 used[cand] = True
                 if place(idx + 1):
@@ -319,16 +322,23 @@ class FalsificationReport:
             raise ValueError("first_counterexample must be recorded exactly when hits occurred")
 
 
+_BLOCK = 1 << 16  # trials drawn and tested per step of the strip falsifier
+
+
 def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
     """Attack the strip coloring with random congruent copies of the a x b rectangle.
 
-    Samples `trials` placements with a seeded PCG64 generator
-    (numpy.random.default_rng): one batch of rotation angles uniform in
-    [0, pi), then center x uniform in the fundamental domain [0, r*a),
-    then center y uniform in [0, 1), in that fixed order so reports are
-    reproducible bit for bit.  Corner colors come from the strip coloring;
-    for a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow,
-    so the expected hit counts are zero.
+    Trial i is a placement drawn from one seeded PCG64 stream
+    (numpy.random.default_rng(seed)): its rotation angle, uniform in
+    [0, pi), is draw i; its center x, uniform in the fundamental domain
+    [0, r*a), is draw trials + i; its center y, uniform in [0, 1), is draw
+    2*trials + i.  Reports are therefore reproducible bit for bit and
+    independent of how the work is split.  Trials are drawn and tested in
+    blocks of 65,536, so memory is bounded by the block size and not by
+    `trials`; center y affects no color and is drawn only for the first
+    hit.  Corner colors come from the strip coloring; for
+    a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow, so
+    the expected hit counts are zero.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
@@ -340,29 +350,43 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
         raise ValueError("trials must be nonnegative")
     if trials == 0:
         return FalsificationReport(0, 0, 0, None)
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, math.pi, trials)
-    cx = rng.uniform(0.0, r * a, trials)
-    cy = rng.uniform(0.0, 1.0, trials)
+    return _falsify_strip_blocks(r, a, b, trials, seed)
+
+
+def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
+    """falsify_strip's sweep, without its range checks, one block of trials at a time.
+
+    Each PCG64 output is one double, so a generator advanced by k steps
+    continues the stream at draw k.
+    """
+    angles = np.random.Generator(np.random.PCG64(seed))
+    centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials))
     half_a = a / 2.0
     half_b = b / 2.0
-    ux = half_a * np.cos(theta)
-    uy = half_a * np.sin(theta)
-    vx = -half_b * np.sin(theta)
-    vy = half_b * np.cos(theta)
-    corner_x = (cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx)
-    colors = [np.floor(x / a).astype(np.int64) % r for x in corner_x]
-    c0, c1, c2, c3 = colors
-    mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
-    rainbow = (
-        (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
-    )
-    hits = mono | rainbow
+    mono_hits = rainbow_hits = 0
     first = None
-    if hits.any():
-        idx = int(np.argmax(hits))
-        first = ((float(cx[idx]), float(cy[idx])), float(theta[idx]))
-    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()), first)
+    for start in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - start)
+        theta = angles.uniform(0.0, math.pi, size)
+        cx = centers_x.uniform(0.0, r * a, size)
+        ux = half_a * np.cos(theta)
+        vx = -half_b * np.sin(theta)
+        corner_x = (cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx)
+        c0, c1, c2, c3 = [np.floor(x / a).astype(np.int64) % r for x in corner_x]
+        mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
+        rainbow = (
+            (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
+        )
+        mono_hits += int(np.count_nonzero(mono))
+        rainbow_hits += int(np.count_nonzero(rainbow))
+        if first is None:
+            hits = mono | rainbow
+            if hits.any():
+                idx = int(np.argmax(hits))
+                centers_y = np.random.Generator(np.random.PCG64(seed).advance(2 * trials + start + idx))
+                cy = centers_y.uniform(0.0, 1.0, 1)
+                first = ((float(cx[idx]), float(cy[0])), float(theta[idx]))
+    return FalsificationReport(trials, mono_hits, rainbow_hits, first)
 
 
 @dataclass(frozen=True)
@@ -483,36 +507,59 @@ def verify_triangle_gadget() -> GadgetReport:
     from {1..9} (nine colors represent any coloring of nine points up to
     renaming), with A fixed to 1, B fixed to 2, and C != 2; those fixings
     encode the symmetry reductions under which the full statement follows.
-    The 8 * 9^6 colorings are swept in vectorized batches, one batch per
-    color of C.
+    The 8 * 9^6 colorings form one array with an axis per free point: C
+    has the axis (1, 3, ..., 9) and each A_i the axis (1..9).  Each triple
+    is tested on the axes of its own points only and OR-ed into the
+    coverage array by broadcasting: first the 18 triples without C into
+    the 9^6 hexagon grid, then that grid, repeated along the C axis, with
+    the two triples through C.  This is exact, because a triple's verdict
+    depends on its three points' colors alone, so repeating it along the
+    other axes gives its value on every coloring, and every coloring keeps
+    its own coverage bit.
     """
-    config, triples = triangle_gadget()
-    hex_labels = ("A1", "A2", "A3", "A4", "A5", "A6")
-    n_hex = 9 ** 6
-    unraveled = np.unravel_index(np.arange(n_hex), (9,) * 6)
-    hex_colors = [arr.astype(np.int8) + 1 for arr in unraveled]
-    checked = 0
+    _, triples = triangle_gadget()
+    return _sweep_gadget(triples)
+
+
+_GADGET_FIXED = {"A": 1, "B": 2}
+#: the colors each free point ranges over, in axis order
+_GADGET_AXES = {"C": (1, 3, 4, 5, 6, 7, 8, 9), **{f"A{k}": range(1, 10) for k in range(1, 7)}}
+
+
+def _sweep_gadget(triples: list[tuple[str, str, str]]) -> GadgetReport:
+    """verify_triangle_gadget's sweep over a given list of gadget triples.
+
+    A free point's colors lie along its own axis and have length 1 on the
+    others, so an expression in a triple's colors broadcasts over exactly
+    the axes of its points.
+    """
+    colors: dict[str, object] = dict(_GADGET_FIXED)
+    for axis, (label, values) in enumerate(_GADGET_AXES.items()):
+        view = [1] * len(_GADGET_AXES)
+        view[axis] = -1
+        colors[label] = np.array(values, dtype=np.int8).reshape(view)
+
+    def verdict(triple: tuple[str, str, str]) -> np.ndarray:
+        cp, cq, cs = (colors[lab] for lab in triple)
+        return ((cp == cq) & (cq == cs)) | ((cp != cq) & (cp != cs) & (cq != cs))
+
+    sizes = [len(values) for values in _GADGET_AXES.values()]
+    hexagon = np.zeros([1] + sizes[1:], dtype=bool)
+    through_c = np.zeros(sizes[:1] + [1] * (len(sizes) - 1), dtype=bool)
+    for triple in triples:
+        if "C" in triple:
+            through_c = through_c | verdict(triple)
+        else:
+            hexagon |= verdict(triple)
+    covered = hexagon | through_c
+    holds = bool(covered.all())
     first_uncovered = None
-    holds = True
-    for c_color in (1, 3, 4, 5, 6, 7, 8, 9):
-        colors: dict[str, object] = {"A": 1, "B": 2, "C": c_color}
-        for lab, arr in zip(hex_labels, hex_colors):
-            colors[lab] = arr
-        covered = np.zeros(n_hex, dtype=bool)
-        for p, q, s in triples:
-            cp, cq, cs = colors[p], colors[q], colors[s]
-            mono = (cp == cq) & (cq == cs)
-            rainbow = (cp != cq) & (cp != cs) & (cq != cs)
-            covered |= mono | rainbow
-        checked += n_hex
-        if not covered.all():
-            holds = False
-            if first_uncovered is None:
-                idx = int(np.argmin(covered))
-                first_uncovered = {"A": 1, "B": 2, "C": c_color}
-                for lab, arr in zip(hex_labels, hex_colors):
-                    first_uncovered[lab] = int(arr[idx])
-    return GadgetReport(holds, checked, len(triples), first_uncovered)
+    if not holds:
+        index = np.unravel_index(int(np.argmin(covered)), covered.shape)
+        first_uncovered = dict(_GADGET_FIXED)
+        for (label, values), k in zip(_GADGET_AXES.items(), index):
+            first_uncovered[label] = values[k]
+    return GadgetReport(holds, int(covered.size), len(triples), first_uncovered)
 
 
 def format_configuration(config: Configuration) -> str:

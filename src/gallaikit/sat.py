@@ -171,7 +171,11 @@ def check_model_against_cnf(cnf: CnfDocument, assignment: Mapping[int, bool]) ->
     # count covered variables from the assignment, never by scanning 1..num_vars
     covered = [v for v in assignment if isinstance(v, int) and 1 <= v <= nv]
     if len(covered) < nv:
-        first = next(v for v in range(1, len(covered) + 2) if v not in assignment)
+        # search the covered int keys, not the assignment: a float key such as
+        # 2.0 equals 2 but covers nothing.  The keys are distinct, so some value
+        # in 1..len(covered)+1 is missing.
+        present = set(covered)
+        first = next(v for v in range(1, len(covered) + 2) if v not in present)
         raise ValueError(
             f"assignment covers {len(covered)} of {nv} variables (first missing: {first})"
         )

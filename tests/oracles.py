@@ -5,8 +5,9 @@ checks: quadruple-nested scans, odometer enumerations over whole coloring
 spaces, a bit-table sweep for two-color row triples, a column-type multiset
 search for two-row grids, a plain recursive search with the engines' slot
 order and symmetry rules, a bit-parallel complete evaluation of CNF
-encodings over all colorings, and the SAT layer's former per-literal code
-as the reference for its bulk rewrite.
+encodings over all colorings, the SAT layer's former per-literal code
+as the reference for its bulk rewrite, and the former whole-array geometry
+sweeps as the reference for their streamed rewrites.
 """
 
 from __future__ import annotations
@@ -532,11 +533,12 @@ def reference_check_model_against_cnf(cnf: CnfDocument | ReferenceCnf, assignmen
     an error.  Extra variables are ignored.
     """
     # count covered variables from the assignment, never by scanning 1..num_vars
-    covered = sum(1 for v in assignment if isinstance(v, int) and 1 <= v <= cnf.num_vars)
-    if covered < cnf.num_vars:
-        first = next(v for v in range(1, covered + 2) if v not in assignment)
+    covered = {v for v in assignment if isinstance(v, int) and 1 <= v <= cnf.num_vars}
+    if len(covered) < cnf.num_vars:
+        # scan the int keys only: a float key such as 2.0 covers nothing
+        first = next(v for v in range(1, len(covered) + 2) if v not in covered)
         raise ValueError(
-            f"assignment covers {covered} of {cnf.num_vars} variables (first missing: {first})"
+            f"assignment covers {len(covered)} of {cnf.num_vars} variables (first missing: {first})"
         )
     for clause in cnf.clauses:
         for lit in clause:
@@ -630,3 +632,82 @@ def reference_parse_model_text(text: str) -> dict[int, bool]:
                 raise CertificateError(f"conflicting truth values for variable {var}")
             assignment[var] = value
     return assignment
+
+
+# ---------------------------------------------------------------- geometry sweeps
+#
+# The two numpy sweeps of euclid before they were streamed, kept as the
+# reference for the blocked strip kernel and the per-triple gadget
+# broadcast.  numpy is imported inside them so that the grid, graph and SAT
+# tests load no numpy through this module.
+
+def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
+    """Whole-array strip falsifier: every trial's arrays are alive at once.
+
+    Makes no range check on b, so b outside [a, sqrt(3)*a] produces hits.
+    """
+    import math
+
+    import numpy as np
+
+    from gallaikit.euclid import FalsificationReport
+
+    if trials == 0:
+        return FalsificationReport(0, 0, 0, None)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, math.pi, trials)
+    cx = rng.uniform(0.0, r * a, trials)
+    cy = rng.uniform(0.0, 1.0, trials)
+    half_a = a / 2.0
+    half_b = b / 2.0
+    ux = half_a * np.cos(theta)
+    uy = half_a * np.sin(theta)
+    vx = -half_b * np.sin(theta)
+    vy = half_b * np.cos(theta)
+    corner_x = (cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx)
+    colors = [np.floor(x / a).astype(np.int64) % r for x in corner_x]
+    c0, c1, c2, c3 = colors
+    mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
+    rainbow = (
+        (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
+    )
+    hits = mono | rainbow
+    first = None
+    if hits.any():
+        idx = int(np.argmax(hits))
+        first = ((float(cx[idx]), float(cy[idx])), float(theta[idx]))
+    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()), first)
+
+
+def reference_gadget_sweep(triples: list[tuple[str, str, str]]):
+    """One 9^6 batch per color of C, OR-ing every triple over the whole batch."""
+    import numpy as np
+
+    from gallaikit.euclid import GadgetReport
+
+    hex_labels = ("A1", "A2", "A3", "A4", "A5", "A6")
+    n_hex = 9 ** 6
+    unraveled = np.unravel_index(np.arange(n_hex), (9,) * 6)
+    hex_colors = [arr.astype(np.int8) + 1 for arr in unraveled]
+    checked = 0
+    first_uncovered = None
+    holds = True
+    for c_color in (1, 3, 4, 5, 6, 7, 8, 9):
+        colors: dict[str, object] = {"A": 1, "B": 2, "C": c_color}
+        for lab, arr in zip(hex_labels, hex_colors):
+            colors[lab] = arr
+        covered = np.zeros(n_hex, dtype=bool)
+        for p, q, s in triples:
+            cp, cq, cs = colors[p], colors[q], colors[s]
+            mono = (cp == cq) & (cq == cs)
+            rainbow = (cp != cq) & (cp != cs) & (cq != cs)
+            covered |= mono | rainbow
+        checked += n_hex
+        if not covered.all():
+            holds = False
+            if first_uncovered is None:
+                idx = int(np.argmin(covered))
+                first_uncovered = {"A": 1, "B": 2, "C": c_color}
+                for lab, arr in zip(hex_labels, hex_colors):
+                    first_uncovered[lab] = int(arr[idx])
+    return GadgetReport(holds, checked, len(triples), first_uncovered)

@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,10 @@ from gallaikit.euclid import (
     triangle_gadget,
     verify_triangle_gadget,
 )
+from gallaikit.euclid import _BLOCK, _falsify_strip_blocks, _sweep_gadget
 from gallaikit.grid import CertificateError
+
+from oracles import reference_falsify_strip, reference_gadget_sweep
 
 TOL = 1e-9
 
@@ -461,6 +466,112 @@ def test_gadget_enumeration_holds():
     assert report.holds
     assert report.colorings_checked == 8 * 9 ** 6
     assert report.first_uncovered is None
+
+
+class TestStreamedStripFalsifier:
+    """The blocked kernel reports exactly what the whole-array sweep reported."""
+
+    def test_random_cases_match_the_whole_array_reference(self):
+        rng = random.Random(7)
+        edges = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1)
+        with_hits = 0
+        for k in range(200):
+            r = rng.randint(3, 6)
+            a = rng.uniform(0.3, 2.0)
+            # even cases may leave [a, sqrt(3)*a], so hits and first counterexamples occur
+            b = a * (rng.uniform(1.0, math.sqrt(3)) if k % 2 else rng.uniform(0.5, 2.5))
+            trials = edges[k // 2 % 4] if k % 10 < 2 else rng.randint(1, 2000)
+            seed = rng.randrange(2 ** 32)
+            want = reference_falsify_strip(r, a, b, trials, seed)
+            assert _falsify_strip_blocks(r, a, b, trials, seed) == want, (r, a, b, trials, seed)
+            with_hits += want.first_counterexample is not None
+        assert with_hits >= 40
+
+    @pytest.mark.parametrize("b, seed", [(0.99, 26), (0.992, 10)])
+    def test_first_hit_in_a_later_block(self, b, seed):
+        trials = 2 * _BLOCK + 5
+        report = _falsify_strip_blocks(3, 1.0, b, trials, seed)
+        assert report == reference_falsify_strip(3, 1.0, b, trials, seed)
+        angles = np.random.default_rng(seed).uniform(0.0, math.pi, trials)
+        index = int(np.flatnonzero(angles == report.first_counterexample[1])[0])
+        assert index >= _BLOCK
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_public_falsifier_matches_reference_at_block_edges(self, trials):
+        report = falsify_strip(4, 0.8, 1.1, trials, 3)
+        assert report == reference_falsify_strip(4, 0.8, 1.1, trials, 3)
+        assert report.mono_hits == report.rainbow_hits == 0
+
+
+class TestGadgetBroadcast:
+    """The per-triple broadcast reports exactly what the per-C-color loop reported."""
+
+    def test_real_triples_match_the_reference(self):
+        _, triples = triangle_gadget()
+        report = _sweep_gadget(triples)
+        assert report == reference_gadget_sweep(triples)
+        assert report == verify_triangle_gadget()
+
+    @pytest.mark.parametrize(
+        "drop, holds",
+        [
+            (lambda t: "B" in t, False),  # the six (A, B, A_i) triples
+            (lambda t: "C" in t, False),
+            (lambda t: "A1" in t, False),
+            (lambda t: t == ("A1", "A2", "A4"), True),
+        ],
+    )
+    def test_reduced_triple_lists_match_the_reference(self, drop, holds):
+        _, triples = triangle_gadget()
+        reduced = [t for t in triples if not drop(t)]
+        report = _sweep_gadget(reduced)
+        assert report.holds is holds
+        assert report == reference_gadget_sweep(reduced)
+
+    def test_random_triple_lists_match_the_reference(self):
+        labels = ("A", "B", "C", "A1", "A2", "A3", "A4", "A5", "A6")
+        subsets = list(combinations(labels, 3))
+        rng = random.Random(5)
+        for _ in range(6):
+            triples = rng.sample(subsets, rng.randint(3, 12))
+            assert _sweep_gadget(triples) == reference_gadget_sweep(triples), triples
+
+    def test_first_uncovered_past_the_first_color_of_c(self):
+        # every coloring with C = 1 is covered, so the order over C's axis shows
+        triples = [
+            ("B", "A3", "A4"), ("A", "C", "A2"), ("B", "A2", "A3"), ("B", "A3", "A6"),
+            ("A3", "A4", "A6"), ("C", "A4", "A5"), ("B", "A2", "A4"), ("A", "A3", "A5"),
+            ("A2", "A4", "A6"), ("C", "A3", "A6"), ("A", "A3", "A4"), ("A", "C", "A1"),
+        ]
+        report = _sweep_gadget(triples)
+        assert report == reference_gadget_sweep(triples)
+        assert report.first_uncovered == {
+            "A": 1, "B": 2, "C": 3, "A1": 1, "A2": 1, "A3": 1, "A4": 2, "A5": 2, "A6": 1,
+        }
+
+
+class TestBoundedMemory:
+    """The geometry sweeps hold a block of work at a time, never the whole sweep."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_strip_falsifier_memory_does_not_grow_with_trials(self):
+        report, peak = self.traced_peak(lambda: falsify_strip(3, 1.0, 1.5, 2_000_000, 1))
+        assert report == type(report)(2_000_000, 0, 0, None)
+        assert peak < 16 * 2 ** 20  # holding all trials at once takes 245 MiB
+
+    def test_gadget_sweep_memory(self):
+        report, peak = self.traced_peak(verify_triangle_gadget)
+        assert report.holds
+        assert peak < 20 * 2 ** 20  # a 9^6 batch per color of C peaks at 30 MiB
 
 
 class TestConfigurationFormat:

@@ -25,6 +25,7 @@ from oracles import (
     count_good_3xm_2colorings,
     count_good_naive,
     formula_coloring_model_count,
+    reference_check_model_against_cnf,
 )
 
 
@@ -176,6 +177,14 @@ class TestCheckModel:
         with pytest.raises(ValueError, match=r"covers 1 of 5000000 variables \(first missing: 2\)"):
             check_model_against_cnf(CnfDocument(5_000_000, [[1]]), {1: True})
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("check", [check_model_against_cnf, reference_check_model_against_cnf])
+    def test_float_key_equal_to_a_variable_covers_nothing(self, check):
+        # 2.0 == 2, so a scan of `v in assignment` finds no missing variable
+        with pytest.raises(ValueError, match=r"covers 1 of 2 variables \(first missing: 2\)"):
+            check(CnfDocument(2, [[1, 2]]), {1: True, 2.0: True})
+        with pytest.raises(ValueError, match=r"covers 1 of 3 variables \(first missing: 1\)"):
+            check(CnfDocument(3, [[1]]), {1.0: True, 2: True, 3.0: False})
 
     def test_induced_assignments_of_good_colorings_satisfy_formula(self):
         n, m, r = 3, 3, 2
