@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -40,10 +41,10 @@ class LabeledPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(x) for x in self.coords)
-        for x in coords:
-            if not math.isfinite(x):
-                raise ValueError(f"point {self.label!r} has non-finite coordinate {x}")
+        coords = tuple(map(float, self.coords))
+        if not all(map(math.isfinite, coords)):
+            bad = next(x for x in coords if not math.isfinite(x))
+            raise ValueError(f"point {self.label!r} has non-finite coordinate {bad}")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -105,6 +106,16 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     The two configurations may live in different ambient dimensions.  The
     search tries assignments in point order with early pruning on the
     first mismatched distance, so the returned bijection is deterministic.
+
+    Before searching, it sorts the pairwise distances of each side and
+    returns None when the j-th entries of the two lists differ by more than
+    tol for some j.  This rejects only what the search would reject: a
+    bijection matching every distance within tol maps the j smallest
+    distances of a to j distances of b, each at most tol above the j-th
+    smallest of a, so the j-th smallest of b is at most tol above it, and
+    by symmetry the j-th entries differ by at most tol.  Rounded
+    subtraction is monotone in each argument, so this holds for the
+    computed differences too.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -115,6 +126,15 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     # a numpy scalar per comparison
     da = a.distance_matrix().tolist()
     db = b.distance_matrix().tolist()
+    # the lower triangles: every pairwise distance once
+    sorted_a, sorted_b = [], []
+    for i in range(1, k):
+        sorted_a += da[i][:i]
+        sorted_b += db[i][:i]
+    sorted_a.sort()
+    sorted_b.sort()
+    if max(map(abs, map(sub, sorted_a, sorted_b)), default=0.0) > tol:
+        return None
     mapping = [-1] * k
     used = [False] * k
 
@@ -227,13 +247,14 @@ def grid_lattice_embedding(r: int, a: float, b: float) -> LatticeEmbedding:
     cols = 11 * r + 1
     row_simplex = regular_simplex(rows - 1, a).coords_array()
     col_simplex = regular_simplex(cols - 1, b).coords_array()
-    row_simplex = row_simplex - row_simplex[0]
-    col_simplex = col_simplex - col_simplex[0]
+    # lists of Python floats: the same values as the arrays, without a numpy
+    # scalar per coordinate
+    row_offsets = (row_simplex - row_simplex[0]).tolist()
+    col_offsets = (col_simplex - col_simplex[0]).tolist()
     points = {}
-    for i in range(1, rows + 1):
-        for j in range(1, cols + 1):
-            coords = tuple(row_simplex[i - 1]) + tuple(col_simplex[j - 1])
-            points[(i, j)] = LabeledPoint(f"A{i}_{j}", coords)
+    for i, row in enumerate(row_offsets, 1):
+        for j, col in enumerate(col_offsets, 1):
+            points[(i, j)] = LabeledPoint(f"A{i}_{j}", row + col)
     return LatticeEmbedding(rows, cols, float(a), float(b), points)
 
 
@@ -323,6 +344,7 @@ class FalsificationReport:
 
 
 _BLOCK = 1 << 16  # trials drawn and tested per step of the strip falsifier
+_TABLE_COLORS = 127  # the most colors the strip falsifier's int8 table holds
 
 
 def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
@@ -339,13 +361,29 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     hit.  Corner colors come from the strip coloring; for
     a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow, so
     the expected hit counts are zero.
+
+    A corner's color is read from a table indexed by floor(x/a).  Every
+    corner lies within (a + b)/2 of its center x, which lies in [0, r*a],
+    so floor(x/a) lies in [floor(-(a+b)/(2a)) - 1, r + ceil((a+b)/(2a))];
+    the extra -1 absorbs rounding below an integer.  The table covers that
+    range and gives the exact color of any index it accepts; an index
+    outside it raises IndexError, so a wrong bound can never give a wrong
+    color.  For r < 4 the rainbow test is skipped: four corners cannot take
+    four distinct colors out of three, so the rainbow count is exactly 0.
+    a, b and r*a + a + b must be finite, which keeps every corner finite.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
     if not a <= b <= math.sqrt(3) * a:
         raise ValueError(f"require a <= b <= sqrt(3)*a, got a={a}, b={b}")
+    try:
+        extent = r * a + a + b
+    except OverflowError:  # r too large to convert to a float
+        extent = math.inf
+    if not math.isfinite(extent):
+        raise ValueError(f"r*a + a + b must be finite, got r={r}, a={a}, b={b}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:
@@ -357,12 +395,15 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
     """falsify_strip's sweep, without its range checks, one block of trials at a time.
 
     Each PCG64 output is one double, so a generator advanced by k steps
-    continues the stream at draw k.
+    continues the stream at draw k.  Corner x is (cx + ux) +- vx or
+    (cx - ux) +- vx, the same sums in the same order as cx + ux + vx, so
+    sharing cx + ux and cx - ux keeps every bit.
     """
     angles = np.random.Generator(np.random.PCG64(seed))
     centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials))
     half_a = a / 2.0
     half_b = b / 2.0
+    colors = _corner_colors(r, a, b)
     mono_hits = rainbow_hits = 0
     first = None
     for start in range(0, trials, _BLOCK):
@@ -371,22 +412,40 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
         cx = centers_x.uniform(0.0, r * a, size)
         ux = half_a * np.cos(theta)
         vx = -half_b * np.sin(theta)
-        corner_x = (cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx)
-        c0, c1, c2, c3 = [np.floor(x / a).astype(np.int64) % r for x in corner_x]
-        mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
-        rainbow = (
-            (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
-        )
-        mono_hits += int(np.count_nonzero(mono))
-        rainbow_hits += int(np.count_nonzero(rainbow))
-        if first is None:
-            hits = mono | rainbow
-            if hits.any():
-                idx = int(np.argmax(hits))
-                centers_y = np.random.Generator(np.random.PCG64(seed).advance(2 * trials + start + idx))
-                cy = centers_y.uniform(0.0, 1.0, 1)
-                first = ((float(cx[idx]), float(cy[0])), float(theta[idx]))
+        right = cx + ux
+        left = cx - ux
+        c0, c1, c2, c3 = map(colors, (right + vx, right - vx, left + vx, left - vx))
+        hits = (c0 == c1) & (c0 == c2) & (c0 == c3)
+        mono_hits += int(np.count_nonzero(hits))
+        if r >= 4:
+            rainbow = (
+                (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
+            )
+            rainbow_hits += int(np.count_nonzero(rainbow))
+            hits |= rainbow
+        if first is None and hits.any():
+            idx = int(np.argmax(hits))
+            centers_y = np.random.Generator(np.random.PCG64(seed).advance(2 * trials + start + idx))
+            cy = centers_y.uniform(0.0, 1.0, 1)
+            first = ((float(cx[idx]), float(cy[0])), float(theta[idx]))
     return FalsificationReport(trials, mono_hits, rainbow_hits, first)
+
+
+def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The strip color floor(x/a) mod r of each corner x in an array.
+
+    With at most 127 colors this is a lookup of k = floor(x/a) in an int8
+    table of length L, a multiple of r, holding i mod r at index i.  take
+    reads a negative k as L + k, which is congruent to k mod r, so every k
+    in [-L, L) gets exactly its color and any other k raises IndexError.
+    L exceeds both ends of the range falsify_strip's docstring derives
+    for k, so the lookup never raises.
+    """
+    if r > _TABLE_COLORS:
+        return lambda x: np.floor(x / a).astype(np.int64) % r
+    reach = math.ceil((a + b) / (2.0 * a))
+    table = np.tile(np.arange(r, dtype=np.int8), 2 + reach // r)
+    return lambda x: table.take(np.floor(x / a).astype(np.intp))
 
 
 @dataclass(frozen=True)
@@ -413,18 +472,23 @@ def rainbow_segment(
     both endpoints (of the two apexes, the lexicographically larger one)
     and pairs it with whichever endpoint disagrees.  Never needs more than
     ceil(|c dpt| / d) + 1 iterations; max_iter defaults to that bound and
-    exceeding it raises RuntimeError.
+    exceeding it raises RuntimeError.  d, both endpoints and |c dpt| / d
+    must be finite.
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
     cur = (float(c[0]), float(c[1]))
     other = (float(dpt[0]), float(dpt[1]))
+    # a non-finite coordinate makes the distance non-finite too
+    steps = math.dist(cur, other) / d
+    if not math.isfinite(steps):
+        raise ValueError("endpoints must be finite and |c dpt| / d must be finite")
     col_cur = oracle(*cur)
     col_other = oracle(*other)
     if col_cur == col_other:
         raise ValueError("oracle must give the two starting points distinct colors")
     if max_iter is None:
-        max_iter = math.ceil(math.dist(cur, other) / d) + 1
+        max_iter = math.ceil(steps) + 1
     iterations = 0
     while math.dist(cur, other) > 2 * d:
         iterations += 1
@@ -568,9 +632,7 @@ def format_configuration(config: Configuration) -> str:
         if not p.label or any(ch.isspace() for ch in p.label):
             raise ValueError(f"label {p.label!r} cannot be written to the text format")
     lines = [f"config {config.dim} {len(config)}"]
-    lines.extend(
-        p.label + " " + " ".join(repr(x) for x in p.coords) for p in config.points
-    )
+    lines.extend(p.label + " " + " ".join(map(repr, p.coords)) for p in config.points)
     return "\n".join(lines) + "\n"
 
 
@@ -585,10 +647,10 @@ def parse_configuration(text: str) -> Configuration:
         if len(parts) != dim + 1:
             raise CertificateError(f"bad point line: {line!r}")
         try:
-            coords = tuple(float(tok) for tok in parts[1:])
+            # LabeledPoint converts the tokens and rejects non-finite values
+            points.append(LabeledPoint(parts[0], parts[1:]))
         except ValueError as exc:
             raise CertificateError(f"bad point line: {line!r}") from exc
-        points.append(LabeledPoint(parts[0], coords))
     try:
         return Configuration(points)
     except ValueError as exc:

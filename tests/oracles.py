@@ -6,8 +6,9 @@ spaces, a bit-table sweep for two-color row triples, a column-type multiset
 search for two-row grids, a plain recursive search with the engines' slot
 order and symmetry rules, a bit-parallel complete evaluation of CNF
 encodings over all colorings, the SAT layer's former per-literal code
-as the reference for its bulk rewrite, and the former whole-array geometry
-sweeps as the reference for their streamed rewrites.
+as the reference for its bulk rewrite, the former whole-array geometry
+sweeps as the reference for their streamed rewrites, and the former
+`congruent` without its sorted-distance pre-check.
 """
 
 from __future__ import annotations
@@ -711,3 +712,38 @@ def reference_gadget_sweep(triples: list[tuple[str, str, str]]):
                 for lab, arr in zip(hex_labels, hex_colors):
                     first_uncovered[lab] = int(arr[idx])
     return GadgetReport(holds, checked, len(triples), first_uncovered)
+
+
+def reference_congruent(a, b, tol: float = 1e-9) -> dict[str, str] | None:
+    """`congruent` as it was before the sorted-distance pre-check: backtracking alone."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
+    k = len(a)
+    # nested lists of Python floats: the same values as the arrays, without
+    # a numpy scalar per comparison
+    da = a.distance_matrix().tolist()
+    db = b.distance_matrix().tolist()
+    mapping = [-1] * k
+    used = [False] * k
+
+    def place(idx: int) -> bool:
+        if idx == k:
+            return True
+        for cand in range(k):
+            if used[cand]:
+                continue
+            row_a, row_b = da[idx], db[cand]
+            if all(abs(row_a[p] - row_b[mapping[p]]) <= tol for p in range(idx)):
+                mapping[idx] = cand
+                used[cand] = True
+                if place(idx + 1):
+                    return True
+                used[cand] = False
+                mapping[idx] = -1
+        return False
+
+    if place(0):
+        return {a.points[i].label: b.points[mapping[i]].label for i in range(k)}
+    return None

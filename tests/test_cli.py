@@ -1,9 +1,12 @@
 """Command-line behavior: dispatch, exit codes, stable stdout, file round trips."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gallaikit
 from gallaikit.cli import main, run
@@ -179,6 +182,24 @@ class TestEmbed:
     def test_bad_parameters_exit_two(self):
         assert run(["embed", "simplex", "1"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["embed", "lattice", "2", "1", "1.5"],
+                "83343d496e106b8cf852fa1d0fa64e54b05e82db975e633ab4ec439849315cdc",
+            ),
+            (
+                ["embed", "simplex", "7"],
+                "d2377b858e7b1976f613b603b8ca102bebe38ebaec93ab7697c1e7b5d6d37db5",
+            ),
+        ],
+    )
+    def test_files_are_byte_stable(self, tmp_path, argv, digest):
+        out_file = tmp_path / "family.txt"
+        assert run([*argv, "--out", str(out_file)]).exit_code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
 
 class TestStripFalsify:
     def test_zero_hits(self):
@@ -196,6 +217,14 @@ class TestStripFalsify:
     def test_out_of_range_aspect_exit_two(self):
         result = run(["strip-falsify", "3", "1", "1.8", "--trials", "10", "--seed", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "a, b", [("inf", "inf"), ("1e308", "1e308"), ("nan", "1"), ("1", "nan")]
+    )
+    def test_nonfinite_widths_exit_two(self, a, b):
+        result = run(["strip-falsify", "3", a, b, "--trials", "10", "--seed", "1"])
+        assert result.exit_code == 2
+        assert result.summary.startswith("error: ")
 
 
 class TestRainbowSegment:
@@ -224,6 +253,15 @@ class TestRainbowSegment:
             ["rainbow-segment", "--d", "1", "--cx", "1", "--cy", "0", "--dx", "2", "--dy", "0"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--d", "inf"), ("--d", "nan"), ("--dx", "inf"), ("--cx", "nan")]
+    )
+    def test_nonfinite_input_exit_two(self, flag, value):
+        values = {"--d": "1", "--cx": "-1", "--cy": "0", "--dx": "1", "--dy": "0", flag: value}
+        result = run(["rainbow-segment", *(tok for item in values.items() for tok in item)])
+        assert result.exit_code == 2
+        assert "finite" in result.summary
 
 
 class TestHarness:

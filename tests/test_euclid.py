@@ -30,10 +30,10 @@ from gallaikit.euclid import (
     triangle_gadget,
     verify_triangle_gadget,
 )
-from gallaikit.euclid import _BLOCK, _falsify_strip_blocks, _sweep_gadget
+from gallaikit.euclid import _BLOCK, _corner_colors, _falsify_strip_blocks, _sweep_gadget
 from gallaikit.grid import CertificateError
 
-from oracles import reference_falsify_strip, reference_gadget_sweep
+from oracles import reference_congruent, reference_falsify_strip, reference_gadget_sweep
 
 TOL = 1e-9
 
@@ -148,6 +148,74 @@ class TestCongruent:
                 distance(p, q) for p, q in combinations(b.points, 2)
             )
             assert all(abs(x - y) <= TOL for x, y in zip(da, db))
+
+
+class TestSortedDistancePreCheck:
+    """congruent with its pre-check answers exactly what the backtracking alone answered."""
+
+    @staticmethod
+    def moved(config, rng, scale):
+        """A shuffled, rotated, translated and scaled copy, relabeled."""
+        pts = np.array([p.coords for p in config.points])
+        q, _ = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(config.dim)] for _ in range(config.dim)]))
+        shift = np.array([rng.uniform(-5, 5) for _ in range(config.dim)])
+        image = (scale * pts @ q + shift).tolist()
+        order = list(range(len(config)))
+        rng.shuffle(order)
+        return Configuration(LabeledPoint(f"q{k}", image[k]) for k in order)
+
+    def test_random_moved_and_scaled_copies(self):
+        rng = random.Random(11)
+        matches = mismatches = 0
+        for _ in range(300):
+            k, dim = rng.randint(1, 6), rng.randint(1, 4)
+            a = Configuration(
+                LabeledPoint(f"p{i}", [rng.uniform(-3, 3) for _ in range(dim)]) for i in range(k)
+            )
+            scale = rng.choice((1.0, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.25))
+            others = (
+                self.moved(a, rng, scale),
+                Configuration(
+                    LabeledPoint(f"r{i}", [rng.uniform(-3, 3) for _ in range(dim)]) for i in range(k)
+                ),
+            )
+            for b in others:
+                for tol in (1e-12, 1e-9, 1e-3):
+                    want = reference_congruent(a, b, tol)
+                    assert congruent(a, b, tol) == want
+                    matches += want is not None
+                    mismatches += want is None
+        assert matches >= 300 and mismatches >= 300
+
+    @pytest.mark.parametrize("bump, congruent_expected", [(0.0, True), (2.0 ** -50, False)])
+    def test_distances_exactly_tol_apart(self, bump, congruent_expected):
+        # dyadic coordinates: every distance and every difference is exact
+        tol = 0.25
+        a = Configuration([pt("x", 0.0), pt("y", 1.0), pt("z", 3.0)])
+        b = Configuration([pt("u", 0.0), pt("v", 1.25 + bump), pt("w", 3.0)])
+        want = reference_congruent(a, b, tol)
+        assert (want is not None) is congruent_expected
+        assert congruent(a, b, tol) == want
+
+    def test_equal_distance_multisets_without_congruence(self):
+        # two homometric sets on a line: the pre-check passes, the backtracking refuses
+        a = Configuration(pt(f"a{x}", float(x)) for x in (0, 1, 4, 10, 12, 17))
+        b = Configuration(pt(f"b{x}", float(x)) for x in (0, 1, 8, 11, 13, 17))
+        da = sorted(distance(p, q) for p, q in combinations(a.points, 2))
+        db = sorted(distance(p, q) for p, q in combinations(b.points, 2))
+        assert da == db
+        assert congruent(a, b) is None and reference_congruent(a, b) is None
+
+    def test_lattice_rectangles_against_both_references(self):
+        emb = grid_lattice_embedding(2, 1.1, 1.7)
+        ref, wrong = planar_rectangle(1.1, 1.7), planar_rectangle(1.1, 1.25 * 1.7)
+        rng = random.Random(4)
+        for _ in range(50):
+            i, i2 = sorted(rng.sample(range(1, emb.rows + 1), 2))
+            j, j2 = sorted(rng.sample(range(1, emb.cols + 1), 2))
+            rect = emb.rectangle_configuration(i, i2, j, j2)
+            assert congruent(rect, ref) == reference_congruent(rect, ref) is not None
+            assert congruent(rect, wrong) is reference_congruent(rect, wrong) is None
 
 
 class TestRegularSimplex:
@@ -330,6 +398,11 @@ class TestFalsifyStrip:
             (3, 1.0, 0.5, 10, 0),
             (3, 1.0, 1.8, 10, 0),
             (3, 1.0, 1.0, -1, 0),
+            (3, math.inf, math.inf, 10, 0),
+            (3, math.nan, 1.0, 10, 0),
+            (3, 1.0, math.nan, 10, 0),
+            (3, 1e308, 1e308, 10, 0),
+            (10 ** 400, 1.0, 1.0, 10, 0),
         ],
     )
     def test_parameter_range_violations(self, args):
@@ -357,6 +430,22 @@ class TestRainbowSegment:
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             rainbow_segment(halfplane_oracle, 0.0, (-1.0, 0.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "d, c, dpt",
+        [
+            (math.inf, (-1.0, 0.0), (1.0, 0.0)),
+            (math.nan, (-1.0, 0.0), (1.0, 0.0)),
+            (1.0, (-1.0, 0.0), (math.inf, 0.0)),
+            (1.0, (math.nan, 0.0), (1.0, 0.0)),
+            (1.0, (-1.0, math.nan), (1.0, -math.inf)),
+            (1.0, (-1e308, 0.0), (1e308, 0.0)),  # the distance overflows
+            (1e-320, (-1.0, 0.0), (1.0, 0.0)),  # so does the step count
+        ],
+    )
+    def test_nonfinite_input_rejected(self, d, c, dpt):
+        with pytest.raises(ValueError, match="finite"):
+            rainbow_segment(halfplane_oracle, d, c, dpt)
 
     def test_defensive_iteration_cap(self):
         with pytest.raises(RuntimeError, match="max_iter"):
@@ -496,6 +585,50 @@ class TestStreamedStripFalsifier:
         index = int(np.flatnonzero(angles == report.first_counterexample[1])[0])
         assert index >= _BLOCK
 
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_corners_reach_both_ends_of_the_floor_range(self, r):
+        # b = 2.5a places corners up to hypot(a, b)/2 = 1.35a from the center, so
+        # floor(x/a) runs from -2 to r + 1 inside the derived bound [-3, r + 2]
+        a, b, trials, seed = 0.8, 2.0, 20_000, 100 + r
+        report = _falsify_strip_blocks(r, a, b, trials, seed)
+        assert report == reference_falsify_strip(r, a, b, trials, seed)
+        assert report.first_counterexample is not None
+        assert (report.rainbow_hits > 0) is (r >= 4)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, math.pi, trials)
+        cx = rng.uniform(0.0, r * a, trials)
+        ux, vx = a / 2 * np.cos(theta), -b / 2 * np.sin(theta)
+        k = np.floor(np.concatenate([cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx]) / a)
+        assert (k.min(), k.max()) == (-2, r + 1)
+
+    def test_more_colors_than_the_table_holds(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            r = rng.choice((127, 128, 200, 300))
+            a = rng.uniform(0.3, 2.0)
+            b = a * rng.uniform(0.5, 2.5)
+            seed = rng.randrange(2 ** 32)
+            assert _falsify_strip_blocks(r, a, b, 3000, seed) == reference_falsify_strip(r, a, b, 3000, seed)
+
+    @pytest.mark.parametrize("r, b", [(3, 1.5), (5, 1.0), (4, 2.5), (127, 9.0)])
+    def test_color_table_is_exact_or_raises(self, r, b):
+        colors = _corner_colors(r, 1.0, b)
+
+        def fits(k):
+            try:
+                colors(np.array([k + 0.5]))
+            except IndexError:
+                return False
+            return True
+
+        inside = [k for k in range(-3 * r - 10, 3 * r + 10) if fits(k)]
+        # the table accepts one whole range [-L, L), L a multiple of r covering the bound
+        length = inside[-1] + 1
+        assert inside == list(range(-length, length)) and length % r == 0
+        assert length > r + math.ceil((1.0 + b) / 2) and length > math.ceil((1.0 + b) / 2) + 1
+        x = np.array(inside, dtype=float) + 0.5
+        assert colors(x).tolist() == [k % r for k in inside]
+
     @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_public_falsifier_matches_reference_at_block_edges(self, trials):
         report = falsify_strip(4, 0.8, 1.1, trials, 3)
@@ -600,6 +733,9 @@ class TestConfigurationFormat:
             "config 2 1\np 0\n",
             "config 2 1\np 0 zero\n",
             "config x 1\np 0 0\n",
+            "config 2 1\np inf 0\n",
+            "config 2 1\np 0 nan\n",
+            "config 2 1\np 1e400 0\n",
         ],
     )
     def test_malformed_configurations_rejected(self, text):
