@@ -45,8 +45,8 @@ print("== Certificates round-trip ==")
 out = search_good_coloring(3, 6, 2)
 text = format_search_certificate(out, 3, 6, 2)
 print(text, end="")
-cert = parse_search_certificate(text)
-print("re-verified:", verify_good(cert.witness).is_good)
+parsed, _, _, _ = parse_search_certificate(text)
+print("re-verified:", verify_good(parsed.witness).is_good)
 
 print()
 print("== Forcing threshold for three rows, two colors ==")

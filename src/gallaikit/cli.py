@@ -38,10 +38,7 @@ class CommandResult:
 
 
 def _options(args: argparse.Namespace) -> SearchOptions:
-    return SearchOptions(
-        node_budget=getattr(args, "budget", None),
-        worker_hint=getattr(args, "workers", None),
-    )
+    return SearchOptions(node_budget=args.budget, worker_hint=args.workers)
 
 
 def _cmd_grid_search(args: argparse.Namespace) -> CommandResult:
@@ -57,10 +54,10 @@ def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
     text = Path(args.file).read_text()
     first = text.split(None, 1)[0] if text.strip() else ""
     if first == "outcome":
-        cert = parse_search_certificate(text)
-        if cert.kind is not Outcome.FOUND:
-            return CommandResult(2, f"error: certificate outcome is {cert.kind.value}; no coloring to verify")
-        coloring = cert.witness
+        out, _, _, _ = parse_search_certificate(text)
+        if out.kind is not Outcome.FOUND:
+            return CommandResult(2, f"error: certificate outcome is {out.kind.value}; no coloring to verify")
+        coloring = out.witness
     elif first == "grid":
         coloring = parse_grid_certificate(text)
     else:
@@ -180,18 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--version", action="version", version=f"gallaikit {__version__}")
         return p
 
-    p = with_version(sub.add_parser("grid-search", help="search for a good n x m r-coloring"))
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--budget", type=int, default=None, help="max decision nodes")
-    p.add_argument("--out", default=None, help="write a search certificate here")
-    p.add_argument(
+    # the search options shared by grid-search and gr-search
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--budget", type=int, default=None, help="max decision nodes per search")
+    search.add_argument(
         "--workers",
         type=int,
         default=None,
         help="number of worker processes, capped at the usable cores; never changes output",
     )
+
+    p = with_version(sub.add_parser("grid-search", parents=[search], help="search for a good n x m r-coloring"))
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+    p.add_argument("r", type=int)
+    p.add_argument("--out", default=None, help="write a search certificate here")
     p.set_defaults(handler=_cmd_grid_search)
 
     p = with_version(sub.add_parser("grid-verify", help="verify a grid or search certificate"))
@@ -210,17 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file (v-line style signed integers)")
     p.set_defaults(handler=_cmd_sat_check)
 
-    p = with_version(sub.add_parser("gr-search", help="compute a small Gallai-Ramsey number"))
+    p = with_version(sub.add_parser("gr-search", parents=[search], help="compute a small Gallai-Ramsey number"))
     p.add_argument("target", choices=["c4", "p4"])
     p.add_argument("r", type=int)
     p.add_argument("--tmax", type=int, default=None, help="largest t to try (default r+5)")
-    p.add_argument("--budget", type=int, default=None, help="max decision nodes per t")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="number of worker processes, capped at the usable cores; never changes output",
-    )
     p.set_defaults(handler=_cmd_gr_search)
 
     p = with_version(sub.add_parser("embed", help="build one of the point-family embeddings"))

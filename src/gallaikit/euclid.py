@@ -202,8 +202,6 @@ class LatticeEmbedding:
 
     rows: int
     cols: int
-    side_a: float
-    side_b: float
     points: Mapping[tuple[int, int], LabeledPoint]
 
     def point(self, i: int, j: int) -> LabeledPoint:
@@ -255,7 +253,7 @@ def grid_lattice_embedding(r: int, a: float, b: float) -> LatticeEmbedding:
     for i, row in enumerate(row_offsets, 1):
         for j, col in enumerate(col_offsets, 1):
             points[(i, j)] = LabeledPoint(f"A{i}_{j}", row + col)
-    return LatticeEmbedding(rows, cols, float(a), float(b), points)
+    return LatticeEmbedding(rows, cols, points)
 
 
 @dataclass(frozen=True)
@@ -448,6 +446,9 @@ def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndar
     return lambda x: table.take(np.floor(x / a).astype(np.intp))
 
 
+MAX_SEGMENT_STEPS = 10**6  # the longest walk rainbow_segment takes, in steps of length d
+
+
 @dataclass(frozen=True)
 class SegmentResult:
     """A rainbow pair at the requested distance, plus the walk's iteration count."""
@@ -473,7 +474,9 @@ def rainbow_segment(
     and pairs it with whichever endpoint disagrees.  Never needs more than
     ceil(|c dpt| / d) + 1 iterations; max_iter defaults to that bound and
     exceeding it raises RuntimeError.  d, both endpoints and |c dpt| / d
-    must be finite.
+    must be finite, and |c dpt| / d at most MAX_SEGMENT_STEPS, since an
+    oracle that changes color only near dpt makes the walk take every
+    step; anything else raises ValueError before the walk.
     """
     if not 0 < d < math.inf:
         raise ValueError("d must be positive and finite")
@@ -483,6 +486,8 @@ def rainbow_segment(
     steps = math.dist(cur, other) / d
     if not math.isfinite(steps):
         raise ValueError("endpoints must be finite and |c dpt| / d must be finite")
+    if steps > MAX_SEGMENT_STEPS:
+        raise ValueError(f"|c dpt| / d must be at most {MAX_SEGMENT_STEPS}, got {steps!r}")
     col_cur = oracle(*cur)
     col_other = oracle(*other)
     if col_cur == col_other:

@@ -15,7 +15,6 @@ are rigidly structured.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
@@ -147,16 +146,14 @@ def search_good_edge_coloring(
     r: int,
     target: str,
     opts: SearchOptions | None = None,
-    *,
-    prune_rainbow: bool = True,
 ) -> SearchOutcome[EdgeColoring]:
     """Find an r-coloring of K_t with no rainbow triangle and no mono target, or exhaust.
 
     Edges are assigned in lexicographic (u, v) order with first-use color
     symmetry breaking; every completed rainbow triangle or monochromatic
-    target among assigned edges prunes immediately.  prune_rainbow=False
-    defers the rainbow check to the leaves (slower, identical verdicts);
-    it exists so tests can confirm the pruning is verdict-preserving.
+    target among assigned edges prunes immediately.  The reference
+    searches in tests/oracles.py share no code with this engine and pin
+    its verdicts, witnesses and node counts on small instances.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -164,13 +161,12 @@ def search_good_edge_coloring(
         raise ValueError(f"require t >= 3 and r >= 1, got {(t, r)}")
     if opts is None:
         opts = SearchOptions()
-    start = time.perf_counter()
     edges = [(u, v) for u, v in combinations(range(1, t + 1), 2)]
     slot_info = [(u, v, 1 << u, 1 << v) for u, v in edges]
     # nc[u][c]: bitmask of vertices joined to u by an assigned edge of color c
     nc = [[0] * (r + 1) for _ in range(t + 1)]
     amask = [0] * (t + 1)
-    rainbow_check = prune_rainbow and r >= 3
+    rainbow_check = r >= 3
     want_c4 = target == "C4"
 
     upto = [(2 << h) - 2 for h in range(r + 1)]  # upto[h]: the bits of colors 1..h
@@ -237,12 +233,7 @@ def search_good_edge_coloring(
         amask[u] &= ~vbit
         amask[v] &= ~ubit
 
-    def leaf_ok() -> bool:
-        colors = {(u, v): c for u, v in edges for c in range(1, r + 1) if nc[u][c] >> v & 1}
-        return find_rainbow_triangle(EdgeColoring(t, r, colors)) is None
-
-    deferred = leaf_ok if not prune_rainbow and r >= 3 else None
-    kind, nodes, colors = backtrack(len(edges), r, opts, fits, place, unplace, leaf_ok=deferred)
+    kind, nodes, colors = backtrack(len(edges), r, opts, fits, place, unplace)
     witness = None
     if colors is not None:
         witness = EdgeColoring(t, r, dict(zip(edges, colors)))
@@ -250,7 +241,7 @@ def search_good_edge_coloring(
         mono = find_mono_subgraph(witness, target) if t >= 4 else None
         if bad is not None or mono is not None:
             raise RuntimeError("graph search produced a bad witness; this is a bug")
-    return SearchOutcome(kind, witness, nodes, time.perf_counter() - start)
+    return SearchOutcome(kind, witness, nodes)
 
 
 def gallai_ramsey_number(

@@ -174,35 +174,6 @@ def verify_good(g: GridColoring) -> VerificationReport:
     return VerificationReport(mono, rainbow, mono is None and rainbow is None)
 
 
-@dataclass(frozen=True)
-class BipartiteEdgeColoring:
-    """An r-coloring of the edges of the complete bipartite graph K_{n,m}.
-
-    Edge {left i, right j} carries colors[i-1][j-1].  Monochromatic and
-    rainbow K_{2,2} subgraphs correspond exactly to monochromatic and
-    rainbow rectangles of the originating grid coloring.
-    """
-
-    n: int
-    m: int
-    r: int
-    colors: tuple[tuple[int, ...], ...]
-
-    def color(self, i: int, j: int) -> int:
-        """Color of the edge between left vertex i and right vertex j (1-based)."""
-        return self.colors[i - 1][j - 1]
-
-
-def to_bipartite_edge_coloring(g: GridColoring) -> BipartiteEdgeColoring:
-    """View the grid coloring as an edge coloring of K_{n,m}: edge (i,j) gets cell (i,j)."""
-    return BipartiteEdgeColoring(g.n, g.m, g.r, g.cells)
-
-
-def from_bipartite_edge_coloring(ec: BipartiteEdgeColoring) -> GridColoring:
-    """Inverse of to_bipartite_edge_coloring; the two maps form a bijection."""
-    return GridColoring(ec.n, ec.m, ec.r, ec.colors)
-
-
 def format_grid_certificate(g: GridColoring) -> str:
     """Grid certificate text: `grid n m r` then n lines of m space-separated colors."""
     lines = [f"grid {g.n} {g.m} {g.r}"]

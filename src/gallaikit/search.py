@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generic, Sequence, TypeVar
@@ -70,19 +69,16 @@ W = TypeVar("W")
 
 @dataclass(frozen=True)
 class SearchOutcome(Generic[W]):
-    """Result of a search: verdict, optional verified witness, and effort counters.
+    """Result of a search: verdict, optional verified witness, and node count.
 
     The witness is a GridColoring for grid searches and an EdgeColoring for
-    complete-graph searches.
-
-    elapsed is wall-clock seconds and is the one field that varies between
-    otherwise identical runs.
+    complete-graph searches.  Every field is determined by the instance and
+    the options, so two runs of one search give equal outcomes.
     """
 
     kind: Outcome
     witness: W | None
     nodes_visited: int
-    elapsed: float
 
     def __post_init__(self) -> None:
         if (self.witness is not None) != (self.kind is Outcome.FOUND):
@@ -269,7 +265,6 @@ def backtrack(
     place: Callable[[int, int], None],
     unplace: Callable[[int, int], None],
     floor: Callable[[int], int] | None = None,
-    leaf_ok: Callable[[], bool] | None = None,
 ) -> tuple[Outcome, int, list[int] | None]:
     """Assign colors 1..r to slots 0..slots-1 in order; return (verdict, nodes, colors).
 
@@ -279,10 +274,11 @@ def backtrack(
     driver calls it once on entering a slot and walks the set bits in
     increasing order.  place(pos, c) assigns c to slot pos without checking
     it, and unplace(pos, c) undoes that.  floor(pos), if given, is the least
-    color slot pos may take, and leaf_ok(), if given, must accept a full
-    assignment for it to count.  The driver owns the rest: first-use color
-    symmetry (a slot may open at most one new color), a node per tried
-    color, the node budget, and the cut into subtrees for forked workers.
+    color slot pos may take.  The first full assignment is the witness: an
+    engine that must reject a leaf does so through fits at the last slot.
+    The driver owns the rest: first-use color symmetry (a slot may open at
+    most one new color), a node per tried color, the node budget, and the
+    cut into subtrees for forked workers.
     Every color in floor..hi counts as a node, also the ones fits rejected,
     so the counts are those of trying each color in turn; a budget overrun
     reports budget + 1 nodes.  A Found verdict carries the
@@ -338,12 +334,10 @@ def backtrack(
                 pos += 1
                 if pos >= stop:
                     if pos == slots:
-                        if leaf_ok is None or leaf_ok():
-                            return Outcome.FOUND, nodes
-                    else:
-                        prefixes.append((colors[:pos], c if c > max_used else max_used, nodes))
-                        if len(prefixes) == LEAD_PREFIXES:
-                            stop = SPLIT_DEPTH
+                        return Outcome.FOUND, nodes
+                    prefixes.append((colors[:pos], c if c > max_used else max_used, nodes))
+                    if len(prefixes) == LEAD_PREFIXES:
+                        stop = SPLIT_DEPTH
                     pos -= 1
                     unplace(pos, c)
                     continue
@@ -389,7 +383,6 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         opts = SearchOptions()
     if n < 1 or m < 1 or r < 1:
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
-    start = time.perf_counter()
     cells = [[0] * m for _ in range(n)]
     # col_masks[i][c]: bitmask of the columns where row i holds color c
     col_masks = [[0] * (r + 1) for _ in range(n)]
@@ -458,7 +451,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         witness = GridColoring(n, m, r, [colors[i * m:(i + 1) * m] for i in range(n)])
         if not verify_good(witness).is_good:
             raise RuntimeError("search engine produced a bad witness; this is a bug")
-    return SearchOutcome(kind, witness, nodes, time.perf_counter() - start)
+    return SearchOutcome(kind, witness, nodes)
 
 
 def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = None) -> int | None:
@@ -479,18 +472,6 @@ def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = N
     return None
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
-    """Parsed search certificate: verdict header plus optional witness grid."""
-
-    kind: Outcome
-    n: int
-    m: int
-    r: int
-    nodes_visited: int
-    witness: GridColoring | None
-
-
 def format_search_certificate(result: SearchOutcome[GridColoring], n: int, m: int, r: int) -> str:
     """Certificate text: `outcome {found|exhausted|budget} n m r nodes=<count>` [+ grid]."""
     head = f"outcome {result.kind.value} {n} {m} {r} nodes={result.nodes_visited}"
@@ -500,8 +481,12 @@ def format_search_certificate(result: SearchOutcome[GridColoring], n: int, m: in
     return head + "\n"
 
 
-def parse_search_certificate(text: str) -> SearchCertificate:
-    """Strict parser for the search certificate format."""
+def parse_search_certificate(text: str) -> tuple[SearchOutcome[GridColoring], int, int, int]:
+    """Strict parser for the search certificate format; returns (outcome, n, m, r).
+
+    The exact inverse of format_search_certificate: parsing its text for
+    (out, n, m, r) gives back (out, n, m, r).
+    """
     lines = text.splitlines()
     if not lines:
         raise CertificateError("empty search certificate")
@@ -532,4 +517,4 @@ def parse_search_certificate(text: str) -> SearchCertificate:
             raise CertificateError("witness dimensions disagree with the outcome header")
     elif rest.strip():
         raise CertificateError("unexpected content after non-found outcome header")
-    return SearchCertificate(kind, n, m, r, nodes, witness)
+    return SearchOutcome(kind, witness, nodes), n, m, r

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Callable, Mapping
 
-from gallaikit.grid import BipartiteEdgeColoring, CertificateError, GridColoring, GridRectangle
+from gallaikit.grid import CertificateError, GridColoring, GridRectangle
 from gallaikit.graphs import EdgeColoring
 from gallaikit.sat import CnfDocument, color_var, selector_var
 
@@ -180,12 +180,16 @@ def two_row_forcing_threshold(r: int, m_max: int) -> int | None:
 
 # ------------------------------------------------------------- bipartite
 
-def naive_k22_scan(bec: BipartiteEdgeColoring) -> tuple[bool, bool]:
-    """(mono K22 exists, rainbow K22 exists) by scanning all vertex-pair pairs."""
+def naive_k22_scan(g: GridColoring) -> tuple[bool, bool]:
+    """(mono K22 exists, rainbow K22 exists) by scanning all vertex-pair pairs.
+
+    The grid is read as an edge coloring of K_{n,m}: edge {left i, right j}
+    carries cell (i, j), so a K22 is a pair of rows and a pair of columns.
+    """
     mono = rainbow = False
-    for i, i2 in combinations(range(1, bec.n + 1), 2):
-        for j, j2 in combinations(range(1, bec.m + 1), 2):
-            cs = (bec.color(i, j), bec.color(i, j2), bec.color(i2, j), bec.color(i2, j2))
+    for i, i2 in combinations(range(1, g.n + 1), 2):
+        for j, j2 in combinations(range(1, g.m + 1), 2):
+            cs = (g.color(i, j), g.color(i, j2), g.color(i2, j), g.color(i2, j2))
             if cs[0] == cs[1] == cs[2] == cs[3]:
                 mono = True
             if len(set(cs)) == 4:

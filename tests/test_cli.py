@@ -30,8 +30,8 @@ class TestGridSearch:
         result = run(["grid-search", "2", "2", "4", "--out", out_file])
         assert result.exit_code == 0
         assert result.summary.startswith("outcome found 2 2 4 nodes=")
-        cert = parse_search_certificate((tmp_path / "cert.txt").read_text())
-        assert cert.kind is Outcome.FOUND
+        out, n, m, r = parse_search_certificate((tmp_path / "cert.txt").read_text())
+        assert (out.kind, n, m, r) == (Outcome.FOUND, 2, 2, 4)
 
     def test_exhausted_exit_zero(self):
         result = run(["grid-search", "2", "2", "1"])
@@ -253,6 +253,12 @@ class TestRainbowSegment:
             ["rainbow-segment", "--d", "1", "--cx", "1", "--cy", "0", "--dx", "2", "--dy", "0"]
         )
         assert result.exit_code == 2
+
+    def test_walk_too_long_exit_two(self):
+        argv = ["rainbow-segment", "--d", "1", "--cx=-1e300", "--cy", "0", "--dx", "1e300", "--dy", "0"]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.summary.startswith("error: |c dpt| / d must be at most 1000000")
 
     @pytest.mark.parametrize(
         "flag, value", [("--d", "inf"), ("--d", "nan"), ("--dx", "inf"), ("--cx", "nan")]

@@ -18,15 +18,24 @@ def stirling2(k, j):
 
 
 class Toy:
-    """An engine without constraints: every color fits every slot."""
+    """An engine whose only constraint is at the last slot, where it accepts `wanted` alone.
 
-    def __init__(self, slots):
+    Every color fits every other slot.  With wanted None the last slot
+    takes no color, so a search tries every assignment and exhausts.
+    """
+
+    def __init__(self, slots, wanted=None):
         self.values = [0] * slots
         self.placed = 0
+        self.wanted = wanted
 
     def fits(self, pos, hi):
         assert self.placed == pos
-        return (2 << hi) - 2
+        if pos < len(self.values) - 1:
+            return (2 << hi) - 2
+        if self.wanted is not None and self.values[:pos] == self.wanted[:pos]:
+            return 1 << self.wanted[pos]
+        return 0
 
     def place(self, pos, c):
         assert self.values[pos] == 0 and self.placed == pos
@@ -43,8 +52,8 @@ class Toy:
         return self.values[pos - 1] if pos else 1
 
 
-def run(toy, slots, r, leaf_ok=lambda: False, floor=None, **opts):
-    result = backtrack(slots, r, SearchOptions(**opts), toy.fits, toy.place, toy.unplace, floor, leaf_ok)
+def run(toy, slots, r, floor=None, **opts):
+    result = backtrack(slots, r, SearchOptions(**opts), toy.fits, toy.place, toy.unplace, floor)
     assert toy.placed == 0 and not any(toy.values)
     return result
 
@@ -88,20 +97,17 @@ def test_floor_counts_nondecreasing_sequences(hint):
 @pytest.mark.parametrize("hint", HINTS)
 def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
     slots, r = SPLIT_DEPTH + 2, 2
-    toy = Toy(slots)
     wanted = [1, 2] * (slots // 2)
+    toy = Toy(slots, wanted)
 
-    def leaf_ok():
-        return toy.values == wanted
-
-    kind, nodes, colors = run(toy, slots, r, leaf_ok, color_symmetry=False, worker_hint=hint)
+    kind, nodes, colors = run(toy, slots, r, color_symmetry=False, worker_hint=hint)
     assert (kind, colors) == (Outcome.FOUND, wanted)
-    assert run(toy, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
+    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
         Outcome.FOUND,
         nodes,
         wanted,
     )
-    assert run(toy, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes - 1, worker_hint=hint) == (
+    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes - 1, worker_hint=hint) == (
         Outcome.BUDGET_EXCEEDED,
         nodes,
         None,
@@ -112,8 +118,8 @@ def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
 class Picky(Toy):
     """A toy engine that rejects a fixed set of colors at every slot."""
 
-    def __init__(self, slots, rejected):
-        super().__init__(slots)
+    def __init__(self, slots, rejected, wanted=None):
+        super().__init__(slots, wanted)
         self.rejected = sum(1 << c for c in rejected)
 
     def fits(self, pos, hi):
@@ -136,20 +142,17 @@ def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
     )
 
     wanted = [1] * (slots - 1) + [4]
-
-    def leaf_ok():
-        return picky.values == wanted
-
+    picky = Picky(slots, rejected, wanted)
     # ones down to the last slot, then its 1, the skipped 2 and 3, and the 4
     nodes = slots - 1 + 4
-    assert run(picky, slots, r, leaf_ok, color_symmetry=False, worker_hint=hint) == (Outcome.FOUND, nodes, wanted)
-    assert run(picky, slots, r, leaf_ok, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
+    assert run(picky, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.FOUND, nodes, wanted)
+    assert run(picky, slots, r, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
         Outcome.FOUND,
         nodes,
         wanted,
     )
     for budget in (nodes - 1, nodes - 2):  # budgets that fall on the skipped 3 and 2
-        assert run(picky, slots, r, leaf_ok, color_symmetry=False, node_budget=budget, worker_hint=hint) == (
+        assert run(picky, slots, r, color_symmetry=False, node_budget=budget, worker_hint=hint) == (
             Outcome.BUDGET_EXCEEDED,
             budget + 1,
             None,

@@ -13,6 +13,7 @@ from gallaikit.euclid import (
     Configuration,
     GADGET_SIDES,
     LabeledPoint,
+    MAX_SEGMENT_STEPS,
     affine_rank,
     congruent,
     distance,
@@ -446,6 +447,22 @@ class TestRainbowSegment:
     def test_nonfinite_input_rejected(self, d, c, dpt):
         with pytest.raises(ValueError, match="finite"):
             rainbow_segment(halfplane_oracle, d, c, dpt)
+
+    def test_step_limit_rejects_before_walking(self):
+        # from x = -0.5 the first step crosses the color change, so only the limit decides
+        start = (-0.5, 0.0)
+        res = rainbow_segment(halfplane_oracle, 1.0, start, (MAX_SEGMENT_STEPS - 0.5, 0.0))
+        assert res.iterations == 1
+        calls = []
+
+        def oracle(x, y):
+            calls.append((x, y))
+            return halfplane_oracle(x, y)
+
+        for dpt in ((MAX_SEGMENT_STEPS + 0.5, 0.0), (1e300, 0.0)):
+            with pytest.raises(ValueError, match=f"at most {MAX_SEGMENT_STEPS}"):
+                rainbow_segment(oracle, 1.0, start, dpt)
+        assert calls == []
 
     def test_defensive_iteration_cap(self):
         with pytest.raises(RuntimeError, match="max_iter"):

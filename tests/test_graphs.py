@@ -145,12 +145,6 @@ class TestEngine:
             expected = naive_good_edge_coloring_exists(t, r, target)
             assert (out.kind is Outcome.FOUND) == expected, (t, r, target)
 
-    def test_rainbow_pruning_is_verdict_preserving(self):
-        for t, r, target in product((4, 5), (2, 3), ("C4", "P4")):
-            pruned = search_good_edge_coloring(t, r, target)
-            deferred = search_good_edge_coloring(t, r, target, prune_rainbow=False)
-            assert pruned.kind == deferred.kind, (t, r, target)
-
     def test_found_witnesses_reverify_with_detectors(self):
         for t, r, target in [(5, 3, "P4"), (6, 3, "C4"), (6, 4, "P4")]:
             out = search_good_edge_coloring(t, r, target)
@@ -159,11 +153,9 @@ class TestEngine:
             assert find_mono_subgraph(out.witness, target) is None
 
     def test_deterministic_across_runs_and_worker_hints(self):
-        results = []
+        first = search_good_edge_coloring(5, 3, "C4")
         for hint in (None, 1, 3):
-            out = search_good_edge_coloring(5, 3, "C4", SearchOptions(worker_hint=hint))
-            results.append((out.kind, out.witness, out.nodes_visited))
-        assert len(set(results)) == 1
+            assert search_good_edge_coloring(5, 3, "C4", SearchOptions(worker_hint=hint)) == first, hint
 
     def test_budget_exceeded(self):
         out = search_good_edge_coloring(7, 3, "C4", SearchOptions(node_budget=100))
@@ -182,10 +174,6 @@ class TestEngine:
         assert sym.kind is Outcome.EXHAUSTED
         assert raw.kind is Outcome.EXHAUSTED
         assert raw.nodes_visited > sym.nodes_visited
-
-    def test_k6_p4_exhaustion_survives_deferred_rainbow_check(self):
-        out = search_good_edge_coloring(6, 3, "P4", prune_rainbow=False)
-        assert out.kind is Outcome.EXHAUSTED
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
