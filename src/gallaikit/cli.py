@@ -12,36 +12,35 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
-from .graphs import gallai_ramsey_number
-from .grid import CertificateError, parse_grid_certificate, verify_good
-from .sat import check_model_against_cnf, encode_grid_cnf, format_dimacs, parse_dimacs, parse_model_text
-from .search import (
-    Outcome,
-    SearchOptions,
-    format_search_certificate,
-    parse_search_certificate,
-    search_good_coloring,
-)
+
+if TYPE_CHECKING:
+    from .search import SearchOptions
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     """Outcome of one CLI invocation."""
 
     exit_code: int
     summary: str
 
 
+# Each handler imports the layers it runs when it runs, so a command loads only
+# those layers: --version and --help load none, the combinatorial commands (and
+# the workers they fork) never load euclid or numpy, and only the geometry
+# commands do.
 def _options(args: argparse.Namespace) -> SearchOptions:
+    from .search import SearchOptions
+
     return SearchOptions(node_budget=args.budget, worker_hint=args.workers)
 
 
 def _cmd_grid_search(args: argparse.Namespace) -> CommandResult:
+    from .search import Outcome, format_search_certificate, search_good_coloring
+
     out = search_good_coloring(args.n, args.m, args.r, _options(args))
     summary = f"outcome {out.kind.value} {args.n} {args.m} {args.r} nodes={out.nodes_visited}"
     if args.out:
@@ -51,6 +50,9 @@ def _cmd_grid_search(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
+    from .grid import CertificateError, parse_grid_certificate, verify_good
+    from .search import Outcome, parse_search_certificate
+
     text = Path(args.file).read_text()
     first = text.split(None, 1)[0] if text.strip() else ""
     if first == "outcome":
@@ -77,6 +79,8 @@ def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_sat_export(args: argparse.Namespace) -> CommandResult:
+    from .sat import encode_grid_cnf, format_dimacs
+
     cnf = encode_grid_cnf(args.n, args.m, args.r)
     Path(args.out).write_text(format_dimacs(cnf))
     summary = f"cnf {args.n} {args.m} {args.r} vars={cnf.num_vars} clauses={len(cnf.clauses)}"
@@ -84,6 +88,8 @@ def _cmd_sat_export(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_sat_check(args: argparse.Namespace) -> CommandResult:
+    from .sat import check_model_against_cnf, parse_dimacs, parse_model_text
+
     cnf = parse_dimacs(Path(args.file).read_text())
     assignment = parse_model_text(Path(args.model).read_text())
     if check_model_against_cnf(cnf, assignment):
@@ -92,6 +98,8 @@ def _cmd_sat_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
+    from .graphs import gallai_ramsey_number
+
     target = args.target.upper()
     tmax = args.tmax if args.tmax is not None else args.r + 5
     value = gallai_ramsey_number(target, args.r, tmax, _options(args))
@@ -100,8 +108,6 @@ def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
     return CommandResult(0, f"gr={value}")
 
 
-# The geometry handlers below import euclid, and with it numpy, only when they run,
-# so the combinatorial commands (and the workers they fork) never load numpy.
 def _cmd_embed_lattice(args: argparse.Namespace) -> CommandResult:
     from .euclid import affine_rank, format_configuration, grid_lattice_embedding
 

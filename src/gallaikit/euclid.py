@@ -463,7 +463,6 @@ def rainbow_segment(
     d: float,
     c: tuple[float, float],
     dpt: tuple[float, float],
-    max_iter: int | None = None,
 ) -> SegmentResult:
     """Two points at distance d with distinct oracle colors, from a rainbow witness.
 
@@ -471,12 +470,15 @@ def rainbow_segment(
     longer than 2d, returning early when a step changes color; once within
     2d it takes the apex on the perpendicular bisector at distance d from
     both endpoints (of the two apexes, the lexicographically larger one)
-    and pairs it with whichever endpoint disagrees.  Never needs more than
-    ceil(|c dpt| / d) + 1 iterations; max_iter defaults to that bound and
-    exceeding it raises RuntimeError.  d, both endpoints and |c dpt| / d
-    must be finite, and |c dpt| / d at most MAX_SEGMENT_STEPS, since an
-    oracle that changes color only near dpt makes the walk take every
-    step; anything else raises ValueError before the walk.
+    and pairs it with whichever endpoint disagrees.  Each step shortens the
+    segment by d, so in exact arithmetic a walk from |c dpt| > 2d takes at
+    most ceil(|c dpt| / d) - 2 steps, and the apex is one more iteration.
+    d, both endpoints and |c dpt| / d must be finite, and |c dpt| / d at
+    most MAX_SEGMENT_STEPS, since an oracle that changes color only near
+    dpt makes the walk take every step; anything else raises ValueError
+    before the walk.  In floating point a step near the resolution of the
+    coordinates rounds to less than d, or to nothing, so a walk that would
+    need more than ceil(|c dpt| / d) + 1 iterations raises ValueError.
     """
     if not 0 < d < math.inf:
         raise ValueError("d must be positive and finite")
@@ -492,13 +494,14 @@ def rainbow_segment(
     col_other = oracle(*other)
     if col_cur == col_other:
         raise ValueError("oracle must give the two starting points distinct colors")
-    if max_iter is None:
-        max_iter = math.ceil(steps) + 1
+    limit = math.ceil(steps)  # walk steps, leaving one iteration for the apex
     iterations = 0
     while math.dist(cur, other) > 2 * d:
         iterations += 1
-        if iterations > max_iter:
-            raise RuntimeError(f"exceeded max_iter={max_iter} iterations")
+        if iterations > limit:
+            raise ValueError(
+                f"the walk did not end within {limit} steps: d is too small for these coordinates"
+            )
         length = math.dist(cur, other)
         nxt = (
             cur[0] + (other[0] - cur[0]) * d / length,
@@ -508,8 +511,6 @@ def rainbow_segment(
             return SegmentResult(cur, nxt, iterations)
         cur = nxt
     iterations += 1
-    if iterations > max_iter:
-        raise RuntimeError(f"exceeded max_iter={max_iter} iterations")
     length = math.dist(cur, other)
     mid = ((cur[0] + other[0]) / 2.0, (cur[1] + other[1]) / 2.0)
     height = math.sqrt(max(d * d - (length / 2.0) ** 2, 0.0))
@@ -644,6 +645,8 @@ def format_configuration(config: Configuration) -> str:
 def parse_configuration(text: str) -> Configuration:
     """Strict parser for the configuration text format."""
     (dim, count), body = split_strict(text, "config", 2, "configuration")
+    if dim < 0:
+        raise CertificateError(f"dimension must be non-negative, got {dim}")
     if len(body) != count:
         raise CertificateError(f"expected {count} point lines, found {len(body)}")
     points = []

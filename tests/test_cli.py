@@ -1,6 +1,7 @@
 """Command-line behavior: dispatch, exit codes, stable stdout, file round trips."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -260,6 +261,13 @@ class TestRainbowSegment:
         assert result.exit_code == 2
         assert result.summary.startswith("error: |c dpt| / d must be at most 1000000")
 
+    def test_step_below_coordinate_resolution_exit_two(self):
+        argv = ["rainbow-segment", "--d", "0.05", "--cx", "1e15", "--cy", "0",
+                "--dx", "1.00000000000001e15", "--dy", "0", "--oracle", "strip"]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.summary.startswith("error: the walk did not end within 200 steps")
+
     @pytest.mark.parametrize(
         "flag, value", [("--d", "inf"), ("--d", "nan"), ("--dx", "inf"), ("--cx", "nan")]
     )
@@ -324,3 +332,44 @@ class TestHarness:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    ALL_COMMANDS = [
+        [], ["grid-search"], ["grid-verify"], ["sat-export"], ["sat-check"], ["gr-search"], ["embed"],
+        ["embed", "lattice"], ["embed", "simplex"], ["gadget-verify"], ["strip-falsify"], ["rainbow-segment"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argvs, expected",
+        [
+            ([[*cmd, flag] for cmd in ALL_COMMANDS for flag in ("--version", "--help")], []),
+            ([["grid-search", "3", "3", "2"]], ["dataclasses", "grid", "search"]),
+            ([["grid-verify", "{missing}"]], ["dataclasses", "grid", "search"]),
+            ([["sat-export", "2", "2", "2", "--out", "{out}"]], ["dataclasses", "grid", "sat"]),
+            ([["sat-check", "{missing}", "--model", "{missing}"]], ["dataclasses", "grid", "sat"]),
+            ([["gr-search", "c4", "2"]], ["dataclasses", "graphs", "grid", "search"]),
+            ([["embed", "simplex", "3"]], ["dataclasses", "euclid", "grid", "numpy"]),
+        ],
+        ids=["version-help", "grid-search", "grid-verify", "sat-export", "sat-check", "gr-search", "embed"],
+    )
+    def test_each_command_loads_only_its_layers(self, tmp_path, argvs, expected):
+        # In a fresh interpreter: the gallaikit layers, dataclasses and numpy that
+        # sys.modules holds after the commands ran.
+        paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out.cnf")}
+        argvs = [[tok.format(**paths) for tok in argv] for argv in argvs]
+        script = (
+            "import json, sys\n"
+            "from gallaikit.cli import run\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert run(argv).exit_code in (0, 2), argv\n"
+            "names = [m for m in ('dataclasses', 'numpy') if m in sys.modules]\n"
+            "names += [m[len('gallaikit.'):] for m in sys.modules if m.startswith('gallaikit.')]\n"
+            "print(json.dumps(sorted(set(names) - {'cli'})))\n"
+        )
+        src = str(Path(gallaikit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == expected

@@ -464,9 +464,39 @@ class TestRainbowSegment:
                 rainbow_segment(oracle, 1.0, start, dpt)
         assert calls == []
 
-    def test_defensive_iteration_cap(self):
-        with pytest.raises(RuntimeError, match="max_iter"):
-            rainbow_segment(halfplane_oracle, 1.0, (-50.0, 0.0), (50.0, 0.0), max_iter=3)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.01, 10.0),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.integers(2, 5),
+    )
+    def test_iterations_within_bound_random(self, d, c, dpt, r):
+        oracle = strip_oracle(r, 1.0)
+        if oracle(*c) == oracle(*dpt):
+            return
+        res = rainbow_segment(oracle, d, c, dpt)
+        assert res.iterations <= math.ceil(math.dist(c, dpt) / d) + 1
+        assert oracle(*res.p) != oracle(*res.q)
+
+    @pytest.mark.parametrize("d", [1.0, 0.37, 3.0])
+    @pytest.mark.parametrize("far", [10.0**3, 10.0**5])
+    def test_iterations_within_bound_far_apart(self, d, far):
+        # the color changes only on the last step, so the walk takes every step
+        c, dpt = (-far, 0.25 * far), (0.5 * d, 0.0)
+        res = rainbow_segment(halfplane_oracle, d, c, dpt)
+        dist = math.dist(c, dpt)
+        assert res.iterations <= math.ceil(dist / d) + 1
+        assert res.iterations >= math.ceil(dist / d) - 3
+        assert abs(math.dist(res.p, res.q) - d) <= 1e-6 * d
+
+    def test_step_below_coordinate_resolution_rejected(self):
+        # at x = 1e15 floats are 0.125 apart, so a step of 0.05 rounds to nothing
+        oracle = strip_oracle(3, 1.0)
+        c, dpt = (1e15, 0.0), (1e15 + 10.0, 0.0)
+        assert oracle(*c) != oracle(*dpt)
+        with pytest.raises(ValueError, match="within 200 steps"):
+            rainbow_segment(oracle, 0.05, c, dpt)
 
     def test_strip_oracle_witnesses(self):
         oracle = strip_oracle(2, 1.0)
@@ -753,6 +783,7 @@ class TestConfigurationFormat:
             "config 2 1\np inf 0\n",
             "config 2 1\np 0 nan\n",
             "config 2 1\np 1e400 0\n",
+            "config -1 2\n\n0\n",  # a blank line has dim + 1 = 0 fields
         ],
     )
     def test_malformed_configurations_rejected(self, text):
