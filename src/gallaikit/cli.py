@@ -42,11 +42,11 @@ def _cmd_grid_search(args: argparse.Namespace) -> CommandResult:
     from .search import Outcome, format_search_certificate, search_good_coloring
 
     out = search_good_coloring(args.n, args.m, args.r, _options(args))
-    summary = f"outcome {out.kind.value} {args.n} {args.m} {args.r} nodes={out.nodes_visited}"
+    text = format_search_certificate(out, args.n, args.m, args.r)
     if args.out:
-        Path(args.out).write_text(format_search_certificate(out, args.n, args.m, args.r))
+        Path(args.out).write_text(text)
     code = 0 if out.kind in (Outcome.FOUND, Outcome.EXHAUSTED) else 1
-    return CommandResult(code, summary)
+    return CommandResult(code, text.partition("\n")[0])
 
 
 def _cmd_grid_verify(args: argparse.Namespace) -> CommandResult:

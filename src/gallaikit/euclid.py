@@ -26,6 +26,7 @@ import numpy as np
 from .grid import CertificateError, split_strict
 
 DEFAULT_TOL = 1e-9
+RANK_TOL = 1e-6  # singular values at or below this count as zero in affine_rank
 
 #: side lengths of the 30-60-90 triangle with unit hypotenuse
 GADGET_SIDES = (0.5, math.sqrt(3) / 2, 1.0)
@@ -77,9 +78,6 @@ class Configuration:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
 
     def coords_array(self) -> np.ndarray:
         return np.array([p.coords for p in self.points], dtype=float)
@@ -179,14 +177,14 @@ def regular_simplex(k: int, side: float) -> Configuration:
     return Configuration(points)
 
 
-def affine_rank(config: Configuration, tol: float = 1e-6) -> int:
-    """Dimension of the affine span, via singular values above tol."""
+def affine_rank(config: Configuration) -> int:
+    """Dimension of the affine span, via singular values above RANK_TOL."""
     pts = config.coords_array()
     if len(pts) == 1:
         return 0
     diffs = pts[1:] - pts[0]
     singular = np.linalg.svd(diffs, compute_uv=False)
-    return int((singular > tol).sum())
+    return int((singular > RANK_TOL).sum())
 
 
 @dataclass(frozen=True)
@@ -262,13 +260,12 @@ class PairEmbedding:
 
     Point {i, j} has value 1/sqrt(2) in coordinates i and j and zero
     elsewhere; two points are at distance 1 when their pairs share a
-    vertex and sqrt(2) otherwise.  edge_map sends each point label to its
-    vertex pair, so any point coloring induces an edge coloring of K_t.
+    vertex and sqrt(2) otherwise.  The keys of points are the vertex
+    pairs, so any point coloring induces an edge coloring of K_t.
     """
 
     t: int
     points: Mapping[tuple[int, int], LabeledPoint]
-    edge_map: Mapping[str, tuple[int, int]]
 
     def point(self, i: int, j: int) -> LabeledPoint:
         return self.points[(i, j)]
@@ -283,15 +280,12 @@ def simplex_midpoint_embedding(t: int) -> PairEmbedding:
         raise ValueError("t must be at least 2")
     value = 1 / math.sqrt(2)
     points = {}
-    edge_map = {}
     for i, j in combinations(range(1, t + 1), 2):
         coords = [0.0] * t
         coords[i - 1] = value
         coords[j - 1] = value
-        label = f"m{i}_{j}"
-        points[(i, j)] = LabeledPoint(label, tuple(coords))
-        edge_map[label] = (i, j)
-    return PairEmbedding(t, points, edge_map)
+        points[(i, j)] = LabeledPoint(f"m{i}_{j}", tuple(coords))
+    return PairEmbedding(t, points)
 
 
 def strip_color(r: int, a: float, p: tuple[float, float]) -> int:
@@ -329,16 +323,11 @@ def strip_oracle(r: int, a: float) -> ColoringOracle:
 
 @dataclass(frozen=True)
 class FalsificationReport:
-    """Monte-Carlo tally; first_counterexample is ((cx, cy), angle) of the first hit."""
+    """Monte-Carlo tally of monochromatic and rainbow placements."""
 
     trials: int
     mono_hits: int
     rainbow_hits: int
-    first_counterexample: tuple[tuple[float, float], float] | None
-
-    def __post_init__(self) -> None:
-        if (self.mono_hits + self.rainbow_hits == 0) != (self.first_counterexample is None):
-            raise ValueError("first_counterexample must be recorded exactly when hits occurred")
 
 
 _BLOCK = 1 << 16  # trials drawn and tested per step of the strip falsifier
@@ -351,14 +340,12 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     Trial i is a placement drawn from one seeded PCG64 stream
     (numpy.random.default_rng(seed)): its rotation angle, uniform in
     [0, pi), is draw i; its center x, uniform in the fundamental domain
-    [0, r*a), is draw trials + i; its center y, uniform in [0, 1), is draw
-    2*trials + i.  Reports are therefore reproducible bit for bit and
-    independent of how the work is split.  Trials are drawn and tested in
-    blocks of 65,536, so memory is bounded by the block size and not by
-    `trials`; center y affects no color and is drawn only for the first
-    hit.  Corner colors come from the strip coloring; for
-    a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow, so
-    the expected hit counts are zero.
+    [0, r*a), is draw trials + i.  The strip coloring depends on x alone,
+    so the center's y is never drawn.  Reports are therefore reproducible
+    bit for bit and independent of how the work is split.  Trials are
+    drawn and tested in blocks of 65,536, so memory is bounded by the
+    block size and not by `trials`.  For a <= b <= sqrt(3)*a no placement
+    can be monochromatic or rainbow, so both hit counts are zero.
 
     A corner's color is read from a table indexed by floor(x/a).  Every
     corner lies within (a + b)/2 of its center x, which lies in [0, r*a],
@@ -385,7 +372,7 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:
-        return FalsificationReport(0, 0, 0, None)
+        return FalsificationReport(0, 0, 0)
     return _falsify_strip_blocks(r, a, b, trials, seed)
 
 
@@ -403,7 +390,6 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
     half_b = b / 2.0
     colors = _corner_colors(r, a, b)
     mono_hits = rainbow_hits = 0
-    first = None
     for start in range(0, trials, _BLOCK):
         size = min(_BLOCK, trials - start)
         theta = angles.uniform(0.0, math.pi, size)
@@ -413,20 +399,14 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
         right = cx + ux
         left = cx - ux
         c0, c1, c2, c3 = map(colors, (right + vx, right - vx, left + vx, left - vx))
-        hits = (c0 == c1) & (c0 == c2) & (c0 == c3)
-        mono_hits += int(np.count_nonzero(hits))
+        mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
+        mono_hits += int(np.count_nonzero(mono))
         if r >= 4:
             rainbow = (
                 (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
             )
             rainbow_hits += int(np.count_nonzero(rainbow))
-            hits |= rainbow
-        if first is None and hits.any():
-            idx = int(np.argmax(hits))
-            centers_y = np.random.Generator(np.random.PCG64(seed).advance(2 * trials + start + idx))
-            cy = centers_y.uniform(0.0, 1.0, 1)
-            first = ((float(cx[idx]), float(cy[0])), float(theta[idx]))
-    return FalsificationReport(trials, mono_hits, rainbow_hits, first)
+    return FalsificationReport(trials, mono_hits, rainbow_hits)
 
 
 def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -478,7 +458,9 @@ def rainbow_segment(
     dpt makes the walk take every step; anything else raises ValueError
     before the walk.  In floating point a step near the resolution of the
     coordinates rounds to less than d, or to nothing, so a walk that would
-    need more than ceil(|c dpt| / d) + 1 iterations raises ValueError.
+    need more than ceil(|c dpt| / d) + 1 iterations raises ValueError, and
+    so does a pair whose distance differs from d by more than a relative
+    1e-9.
     """
     if not 0 < d < math.inf:
         raise ValueError("d must be positive and finite")
@@ -508,7 +490,7 @@ def rainbow_segment(
             cur[1] + (other[1] - cur[1]) * d / length,
         )
         if oracle(*nxt) != col_cur:
-            return SegmentResult(cur, nxt, iterations)
+            return _at_distance(cur, nxt, d, iterations)
         cur = nxt
     iterations += 1
     length = math.dist(cur, other)
@@ -520,8 +502,16 @@ def rainbow_segment(
         (mid[0] - height * normal[0], mid[1] - height * normal[1]),
     )
     if oracle(*apex) != col_cur:
-        return SegmentResult(apex, cur, iterations)
-    return SegmentResult(apex, other, iterations)
+        return _at_distance(apex, cur, d, iterations)
+    return _at_distance(apex, other, d, iterations)
+
+
+def _at_distance(p: tuple[float, float], q: tuple[float, float], d: float, iterations: int) -> SegmentResult:
+    """rainbow_segment's result, or ValueError when rounding left p and q not d apart."""
+    got = math.dist(p, q)
+    if not math.isclose(got, d, rel_tol=1e-9):
+        raise ValueError(f"the pair found is {got!r} apart, not d={d!r}: these coordinates cannot resolve d")
+    return SegmentResult(p, q, iterations)
 
 
 def triangle_gadget() -> tuple[Configuration, list[tuple[str, str, str]]]:

@@ -16,7 +16,6 @@ are rigidly structured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
@@ -26,24 +25,11 @@ from .search import Outcome, SearchOptions, SearchOutcome, backtrack
 TARGETS = ("C4", "P4")
 
 
-class WitnessKind(Enum):
-    RAINBOW_K3 = "RainbowK3"
-    MONO_C4 = "MonoC4"
-    MONO_P4 = "MonoP4"
-
-
 @dataclass(frozen=True)
 class SubgraphWitness:
-    """A located pattern: vertices in traversal order plus its color data.
+    """A located pattern: its vertices in traversal order; the coloring holds its colors."""
 
-    color_info is the shared color for monochromatic witnesses and the
-    triple of distinct edge colors (in edge order (u,v), (u,w), (v,w)) for
-    rainbow triangles.
-    """
-
-    kind: WitnessKind
     vertices: tuple[int, ...]
-    color_info: int | tuple[int, int, int]
 
 
 class EdgeColoring:
@@ -100,7 +86,7 @@ def find_rainbow_triangle(ec: EdgeColoring) -> SubgraphWitness | None:
     for u, v, w in combinations(range(1, ec.t + 1), 3):
         a, b, c = mat[u][v], mat[u][w], mat[v][w]
         if a != b and a != c and b != c:
-            return SubgraphWitness(WitnessKind.RAINBOW_K3, (u, v, w), (a, b, c))
+            return SubgraphWitness((u, v, w))
     return None
 
 
@@ -130,14 +116,14 @@ def find_mono_subgraph(ec: EdgeColoring, target: str) -> SubgraphWitness | None:
             for w, x, y, z in _cycles_of(quad):
                 c = mat[w][x]
                 if mat[x][y] == c and mat[y][z] == c and mat[z][w] == c:
-                    return SubgraphWitness(WitnessKind.MONO_C4, (w, x, y, z), c)
+                    return SubgraphWitness((w, x, y, z))
         return None
     for quad in combinations(range(1, ec.t + 1), 4):
         for i0, i1, i2, i3 in _P4_ORDERS:
             p0, p1, p2, p3 = quad[i0], quad[i1], quad[i2], quad[i3]
             c = mat[p0][p1]
             if mat[p1][p2] == c and mat[p2][p3] == c:
-                return SubgraphWitness(WitnessKind.MONO_P4, (p0, p1, p2, p3), c)
+                return SubgraphWitness((p0, p1, p2, p3))
     return None
 
 
@@ -169,8 +155,6 @@ def search_good_edge_coloring(
     rainbow_check = r >= 3
     want_c4 = target == "C4"
 
-    upto = [(2 << h) - 2 for h in range(r + 1)]  # upto[h]: the bits of colors 1..h
-
     def fits(pos: int, hi: int) -> int:
         # colors for edge pos that complete no rainbow triangle and no mono target
         u, v, ubit, vbit = slot_info[pos]
@@ -185,7 +169,7 @@ def search_good_edge_coloring(
                 for c2 in range(1, hi + 1):
                     same |= nc_u[c2] & nc_v[c2]
                 split = common & ~same
-        ok = upto[hi]
+        ok = (2 << hi) - 2  # the bits of colors 1..hi
         for c in range(1, hi + 1):
             cu = nc_u[c]
             cv = nc_v[c]

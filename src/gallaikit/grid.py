@@ -111,15 +111,15 @@ class GridColoring:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Combined detector output; is_good is true exactly when both witnesses are absent."""
+    """Combined detector output: the least witness of each kind, or None."""
 
     mono_witness: GridRectangle | None
     rainbow_witness: GridRectangle | None
-    is_good: bool
 
-    def __post_init__(self) -> None:
-        if self.is_good != (self.mono_witness is None and self.rainbow_witness is None):
-            raise ValueError("is_good must equal the absence of both witnesses")
+    @property
+    def is_good(self) -> bool:
+        """True exactly when both witnesses are absent."""
+        return self.mono_witness is None and self.rainbow_witness is None
 
 
 def find_mono_rectangle(g: GridColoring) -> GridRectangle | None:
@@ -171,7 +171,7 @@ def verify_good(g: GridColoring) -> VerificationReport:
     """Run both detectors and combine them into a report."""
     mono = find_mono_rectangle(g)
     rainbow = find_rainbow_rectangle(g)
-    return VerificationReport(mono, rainbow, mono is None and rainbow is None)
+    return VerificationReport(mono, rainbow)
 
 
 def format_grid_certificate(g: GridColoring) -> str:

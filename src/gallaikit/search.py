@@ -398,12 +398,11 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     row_sym = opts.row_order_symmetry
     rainbow_possible = r >= 4
     all_colors = range(1, r + 1)
-    upto = [(2 << h) - 2 for h in range(r + 1)]  # upto[h]: the bits of colors 1..h
 
     def fits(pos: int, hi: int) -> int:
         # colors that finish no mono or rainbow rectangle with a row above
         _, j, row_i, masks_i, above, before = slot_info[pos]
-        ok = upto[hi]
+        ok = (2 << hi) - 2  # the bits of colors 1..hi
         for row2, masks2 in above:
             b = row2[j]
             if masks2[b] & masks_i[b]:

@@ -658,17 +658,14 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
     from gallaikit.euclid import FalsificationReport
 
     if trials == 0:
-        return FalsificationReport(0, 0, 0, None)
+        return FalsificationReport(0, 0, 0)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi, trials)
     cx = rng.uniform(0.0, r * a, trials)
-    cy = rng.uniform(0.0, 1.0, trials)
     half_a = a / 2.0
     half_b = b / 2.0
     ux = half_a * np.cos(theta)
-    uy = half_a * np.sin(theta)
     vx = -half_b * np.sin(theta)
-    vy = half_b * np.cos(theta)
     corner_x = (cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx)
     colors = [np.floor(x / a).astype(np.int64) % r for x in corner_x]
     c0, c1, c2, c3 = colors
@@ -676,12 +673,7 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
     rainbow = (
         (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
     )
-    hits = mono | rainbow
-    first = None
-    if hits.any():
-        idx = int(np.argmax(hits))
-        first = ((float(cx[idx]), float(cy[idx])), float(theta[idx]))
-    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()), first)
+    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()))
 
 
 def reference_gadget_sweep(triples: list[tuple[str, str, str]]):

@@ -268,6 +268,13 @@ class TestRainbowSegment:
         assert result.exit_code == 2
         assert result.summary.startswith("error: the walk did not end within 200 steps")
 
+    def test_pair_not_at_distance_d_exit_two(self):
+        argv = ["rainbow-segment", "--d", "0.18", "--cx", "1e15", "--cy", "0",
+                "--dx", "1.00000000000001e15", "--dy", "0", "--oracle", "strip"]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.summary == "error: the pair found is 0.125 apart, not d=0.18: these coordinates cannot resolve d"
+
     @pytest.mark.parametrize(
         "flag, value", [("--d", "inf"), ("--d", "nan"), ("--dx", "inf"), ("--cx", "nan")]
     )
@@ -332,6 +339,30 @@ class TestHarness:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout",
+        [
+            (["grid-search", "2", "2", "200000"], 0, "outcome found 2 2 200000 nodes=5\n"),
+            (["gr-search", "c4", "200000", "--tmax", "4"], 1, "gr=none tmax=4\n"),
+        ],
+    )
+    def test_many_colors_in_bounded_memory(self, argv, code, stdout):
+        # In a fresh interpreter capped at 512 MiB of address space: a search
+        # with first-use colors reaches at most one color per slot, so its
+        # memory must not grow with the square of r.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from gallaikit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(gallaikit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (code, stdout), done.stderr[-2000:]
 
     ALL_COMMANDS = [
         [], ["grid-search"], ["grid-verify"], ["sat-export"], ["sat-check"], ["gr-search"], ["embed"],

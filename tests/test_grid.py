@@ -99,12 +99,6 @@ class TestVerifyGood:
         report = verify_good(grid([[1, 2], [2, 1]], 2))
         assert report.is_good and report.mono_witness is None and report.rainbow_witness is None
 
-    def test_inconsistent_report_rejected(self):
-        from gallaikit.grid import VerificationReport
-
-        with pytest.raises(ValueError, match="is_good"):
-            VerificationReport(GridRectangle(1, 2, 1, 2), None, True)
-
     def test_bad_grid_reports_witness(self):
         report = verify_good(grid([[1, 1], [1, 1]], 1))
         assert not report.is_good
