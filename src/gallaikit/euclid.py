@@ -634,7 +634,7 @@ def format_configuration(config: Configuration) -> str:
 
 def parse_configuration(text: str) -> Configuration:
     """Strict parser for the configuration text format."""
-    (dim, count), body = split_strict(text, "config", 2, "configuration")
+    (dim, count), body = split_strict(text, "config", (int, int), "configuration")
     if dim < 0:
         raise CertificateError(f"dimension must be non-negative, got {dim}")
     if len(body) != count:

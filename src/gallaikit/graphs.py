@@ -149,8 +149,8 @@ def search_good_edge_coloring(
         opts = SearchOptions()
     edges = [(u, v) for u, v in combinations(range(1, t + 1), 2)]
     slot_info = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    # nc[u][c]: bitmask of vertices joined to u by an assigned edge of color c
-    nc = [[0] * (r + 1) for _ in range(t + 1)]
+    # nc[u][c]: bitmask of vertices joined to u by an assigned edge of color c (first-use: c <= edges)
+    nc = [[0] * (min(r, len(edges)) + 1) for _ in range(t + 1)]
     amask = [0] * (t + 1)
     rainbow_check = r >= 3
     want_c4 = target == "C4"
@@ -256,7 +256,7 @@ def format_edge_coloring(ec: EdgeColoring) -> str:
 
 def parse_edge_coloring(text: str) -> EdgeColoring:
     """Strict parser for the kgraph certificate format."""
-    (t, r), body = split_strict(text, "kgraph", 2, "kgraph certificate")
+    (t, r), body = split_strict(text, "kgraph", (int, int), "kgraph certificate")
     # compare with the file's line count before building anything of header size
     expected = t * (t - 1) // 2 if t > 0 else 0
     if len(body) != expected:

@@ -9,17 +9,18 @@ share one color (monochromatic) or carry four pairwise-distinct colors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 
 class CertificateError(ValueError):
     """A certificate file deviates from its documented text format."""
 
 
-def split_strict(text: str, keyword: str, fields: int, name: str) -> tuple[list[int], list[str]]:
-    """Split a strict text file into its header's integer fields and its body lines.
+def split_strict(text: str, keyword: str, readers: Sequence[Callable[[str], Any]], name: str) -> tuple[list, list[str]]:
+    """Split a strict text file into its header's fields and its body lines.
 
-    The header is `keyword` followed by `fields` integers.  Trailing
+    The header is `keyword` followed by one field per reader, and each
+    reader turns its token into a value or raises ValueError.  Trailing
     whitespace and trailing blank lines are dropped; an empty file raises
     `empty <name>` and any other header raises `bad <keyword> header`.
     """
@@ -29,10 +30,10 @@ def split_strict(text: str, keyword: str, fields: int, name: str) -> tuple[list[
     if not lines:
         raise CertificateError(f"empty {name}")
     head = lines[0].split()
-    if len(head) != fields + 1 or head[0] != keyword:
+    if len(head) != len(readers) + 1 or head[0] != keyword:
         raise CertificateError(f"bad {keyword} header: {lines[0]!r}")
     try:
-        values = [int(tok) for tok in head[1:]]
+        values = [read(tok) for read, tok in zip(readers, head[1:])]
     except ValueError as exc:
         raise CertificateError(f"bad {keyword} header: {lines[0]!r}") from exc
     return values, lines[1:]
@@ -183,7 +184,7 @@ def format_grid_certificate(g: GridColoring) -> str:
 
 def parse_grid_certificate(text: str) -> GridColoring:
     """Strict parser for the grid certificate format; trailing whitespace is tolerated."""
-    (n, m, r), rows = split_strict(text, "grid", 3, "grid certificate")
+    (n, m, r), rows = split_strict(text, "grid", (int, int, int), "grid certificate")
     if len(rows) != n:
         raise CertificateError(f"expected {n} rows, found {len(rows)}")
     cells = []

@@ -1,7 +1,7 @@
 """The backtracking driver shared by both engines, and the grid engine on top of it.
 
 `backtrack` assigns colors to an ordered list of slots, one node per tried
-color, with first-use color symmetry, a node budget and, with
+color, with first-use color numbering, a node budget and, with
 `worker_hint >= 2`, subtrees explored in forked workers.  An engine
 supplies the local check as two callbacks: `fits(pos, hi)` returns, once
 per slot visit, the bitmask of colors in 1..hi that slot pos may take, and
@@ -12,9 +12,18 @@ The grid engine assigns cells in row-major order and rejects a color as
 soon as it would complete a monochromatic or rainbow rectangle with
 earlier cells.  It keeps a column bitmask per (row, color), so the mono
 test is one AND per row above and the rainbow test a few AND-NOTs per
-row.  Two optional symmetry reductions quotient the search space without
-changing the Found/Exhausted verdict: first-use color numbering and
-lexicographically nondecreasing rows.
+row.  It visits only colorings whose colors are numbered by first use and
+whose rows are lexicographically nondecreasing.  By the lex-leader
+argument (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates
+for search problems", KR 1996) this changes no Found/Exhausted verdict.
+Renaming colors and permuting rows map good colorings to good colorings.
+Read a coloring as its cells in row-major order and take the least member
+of an orbit.  Its rows are nondecreasing: otherwise swapping two adjacent
+rows that are out of order gives a smaller member.  It numbers its colors
+by first use: otherwise swapping the first color that skips ahead with the
+least color not yet used gives a smaller member.  So every orbit of good
+colorings meets the reduced space.  The same argument with colors alone
+covers the K_t engine.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .grid import (
     GridColoring,
     format_grid_certificate,
     parse_grid_certificate,
+    split_strict,
     verify_good,
 )
 
@@ -49,12 +59,10 @@ class SearchOptions:
     may fork, capped at the usable cores; with two or more, the tree is cut
     at a fixed depth and the subtrees below the cut are explored in
     parallel.  Verdicts, witnesses and nodes_visited never depend on it.
-    row_order_symmetry has no effect on graph searches.
+    Each engine always applies its symmetry reductions (module docstring).
     """
 
     node_budget: int | None = None
-    color_symmetry: bool = True
-    row_order_symmetry: bool = True
     worker_hint: int | None = None
 
     def __post_init__(self) -> None:
@@ -265,6 +273,7 @@ def backtrack(
     place: Callable[[int, int], None],
     unplace: Callable[[int, int], None],
     floor: Callable[[int], int] | None = None,
+    first_use: bool = True,
 ) -> tuple[Outcome, int, list[int] | None]:
     """Assign colors 1..r to slots 0..slots-1 in order; return (verdict, nodes, colors).
 
@@ -276,16 +285,16 @@ def backtrack(
     it, and unplace(pos, c) undoes that.  floor(pos), if given, is the least
     color slot pos may take.  The first full assignment is the witness: an
     engine that must reject a leaf does so through fits at the last slot.
-    The driver owns the rest: first-use color symmetry (a slot may open at
-    most one new color), a node per tried color, the node budget, and the
-    cut into subtrees for forked workers.
+    With first_use a slot may open at most one new color, so no color
+    exceeds min(r, slots); an engine that may not rename colors passes
+    False.  The driver owns the rest: a node per tried color, the node
+    budget, and the cut into subtrees for forked workers.
     Every color in floor..hi counts as a node, also the ones fits rejected,
     so the counts are those of trying each color in turn; a budget overrun
     reports budget + 1 nodes.  A Found verdict carries the
     lexicographically least assignment, and the counts never depend on
     opts.worker_hint.  Every exit leaves the engine with nothing assigned.
     """
-    color_sym = opts.color_symmetry
     colors = [0] * slots
     # a parallel run lists (colors, max_used, nodes so far) at the cut
     prefixes: list[tuple[list[int], int, int]] = []
@@ -303,7 +312,7 @@ def backtrack(
                 colors[pos] = c
                 pos += 1
             base = pos
-            hi = max_used + 1 if color_sym and max_used < r else r
+            hi = max_used + 1 if first_use and max_used < r else r
             c = floor(pos) - 1 if floor is not None else 0
             left = fits(pos, hi) & -(2 << c)  # colors from c + 1 (the floor) up
             while True:
@@ -320,7 +329,7 @@ def backtrack(
                     unplace(pos, c)
                     left = left_at[pos]
                     max_used = used_before[pos]
-                    hi = max_used + 1 if color_sym and max_used < r else r
+                    hi = max_used + 1 if first_use and max_used < r else r
                     continue
                 low = left & -left
                 left ^= low
@@ -345,7 +354,7 @@ def backtrack(
                 used_before[pos - 1] = max_used
                 if c > max_used:
                     max_used = c
-                    hi = max_used + 1 if color_sym and max_used < r else r
+                    hi = max_used + 1 if first_use and max_used < r else r
                 c = floor(pos) - 1 if floor is not None else 0
                 left = fits(pos, hi) & -(2 << c)
         finally:
@@ -384,8 +393,10 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     if n < 1 or m < 1 or r < 1:
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
     cells = [[0] * m for _ in range(n)]
+    # first-use numbering places no color above top
+    top = min(r, n * m)
     # col_masks[i][c]: bitmask of the columns where row i holds color c
-    col_masks = [[0] * (r + 1) for _ in range(n)]
+    col_masks = [[0] * (top + 1) for _ in range(n)]
     # per slot in row-major order: (row, column, the row, its masks, (row, masks) for each
     # row above, the bits of the columns before this one)
     slot_info = [
@@ -395,9 +406,8 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     ]
     # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1
     ge_at = [-1] * n
-    row_sym = opts.row_order_symmetry
     rainbow_possible = r >= 4
-    all_colors = range(1, r + 1)
+    all_colors = range(1, top + 1)
 
     def fits(pos: int, hi: int) -> int:
         # colors that finish no mono or rainbow rectangle with a row above
@@ -429,7 +439,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         i, j, row_i, masks_i, above, _ = slot_info[pos]
         row_i[j] = c
         masks_i[c] |= 1 << j
-        if row_sym and i and ge_at[i] < 0 and c > above[-1][0][j]:
+        if i and ge_at[i] < 0 and c > above[-1][0][j]:
             ge_at[i] = pos
 
     def unplace(pos: int, c: int) -> None:
@@ -444,7 +454,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         i, j, _, _, above, _ = slot_info[pos]
         return above[-1][0][j] if i and ge_at[i] < 0 else 1
 
-    kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor if row_sym else None)
+    kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor)
     witness = None
     if colors is not None:
         witness = GridColoring(n, m, r, [colors[i * m:(i + 1) * m] for i in range(n)])
@@ -480,40 +490,28 @@ def format_search_certificate(result: SearchOutcome[GridColoring], n: int, m: in
     return head + "\n"
 
 
+def _nodes(tok: str) -> int:
+    # the `nodes=<count>` field of a search certificate header
+    if not tok.startswith("nodes="):
+        raise ValueError(tok)
+    return int(tok[len("nodes="):])
+
+
 def parse_search_certificate(text: str) -> tuple[SearchOutcome[GridColoring], int, int, int]:
     """Strict parser for the search certificate format; returns (outcome, n, m, r).
 
     The exact inverse of format_search_certificate: parsing its text for
     (out, n, m, r) gives back (out, n, m, r).
     """
-    lines = text.splitlines()
-    if not lines:
-        raise CertificateError("empty search certificate")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "outcome":
-        raise CertificateError(f"bad outcome header: {lines[0]!r}")
-    kinds = {o.value: o for o in Outcome}
-    if head[1] not in kinds:
-        raise CertificateError(f"unknown outcome kind: {head[1]!r}")
-    kind = kinds[head[1]]
-    try:
-        n, m, r = int(head[2]), int(head[3]), int(head[4])
-    except ValueError as exc:
-        raise CertificateError(f"bad outcome header: {lines[0]!r}") from exc
-    if not head[5].startswith("nodes="):
-        raise CertificateError(f"bad outcome header: {lines[0]!r}")
-    try:
-        nodes = int(head[5][len("nodes="):])
-    except ValueError as exc:
-        raise CertificateError(f"bad outcome header: {lines[0]!r}") from exc
+    header = (Outcome, int, int, int, _nodes)
+    (kind, n, m, r, nodes), body = split_strict(text, "outcome", header, "search certificate")
     if min(n, m, r) < 1 or nodes < 0:
-        raise CertificateError(f"bad outcome header: {lines[0]!r}")
-    rest = "\n".join(lines[1:])
+        raise CertificateError(f"bad outcome header: {text.splitlines()[0]!r}")
     witness = None
     if kind is Outcome.FOUND:
-        witness = parse_grid_certificate(rest)
+        witness = parse_grid_certificate("\n".join(body))
         if (witness.n, witness.m, witness.r) != (n, m, r):
             raise CertificateError("witness dimensions disagree with the outcome header")
-    elif rest.strip():
+    elif body:
         raise CertificateError("unexpected content after non-found outcome header")
     return SearchOutcome(kind, witness, nodes), n, m, r

@@ -345,12 +345,14 @@ class TestHarness:
         [
             (["grid-search", "2", "2", "200000"], 0, "outcome found 2 2 200000 nodes=5\n"),
             (["gr-search", "c4", "200000", "--tmax", "4"], 1, "gr=none tmax=4\n"),
+            (["grid-search", "10", "10", "10000000"], 0, "outcome found 10 10 10000000 nodes=229\n"),
+            (["gr-search", "c4", "10000000", "--tmax", "6"], 1, "gr=none tmax=6\n"),
         ],
     )
     def test_many_colors_in_bounded_memory(self, argv, code, stdout):
         # In a fresh interpreter capped at 512 MiB of address space: a search
         # with first-use colors reaches at most one color per slot, so its
-        # memory must not grow with the square of r.
+        # tables and loops are sized by the instance and do not grow with r.
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"

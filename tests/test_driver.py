@@ -52,8 +52,9 @@ class Toy:
         return self.values[pos - 1] if pos else 1
 
 
-def run(toy, slots, r, floor=None, **opts):
-    result = backtrack(slots, r, SearchOptions(**opts), toy.fits, toy.place, toy.unplace, floor)
+def run(toy, slots, r, floor=None, color_symmetry=True, **opts):
+    opts = SearchOptions(**opts)
+    result = backtrack(slots, r, opts, toy.fits, toy.place, toy.unplace, floor, first_use=color_symmetry)
     assert toy.placed == 0 and not any(toy.values)
     return result
 

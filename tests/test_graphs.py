@@ -166,15 +166,6 @@ class TestEngine:
         assert search_good_edge_coloring(6, 3, "P4").kind is Outcome.EXHAUSTED
         assert search_good_edge_coloring(7, 3, "P4").kind is Outcome.EXHAUSTED
 
-    def test_k7_exhaustion_independent_of_color_symmetry(self):
-        # without first-use numbering the traversal covers every color
-        # relabeling (about six times the nodes) and must agree
-        sym = search_good_edge_coloring(7, 3, "C4")
-        raw = search_good_edge_coloring(7, 3, "C4", SearchOptions(color_symmetry=False))
-        assert sym.kind is Outcome.EXHAUSTED
-        assert raw.kind is Outcome.EXHAUSTED
-        assert raw.nodes_visited > sym.nodes_visited
-
     def test_preconditions(self):
         with pytest.raises(ValueError):
             search_good_edge_coloring(2, 3, "C4")

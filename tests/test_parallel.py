@@ -36,8 +36,8 @@ def assert_no_children_left():
         (7, 3, "C4", {"node_budget": 5_000}, Outcome.BUDGET_EXCEEDED),
         # budget overrun while the parent lists the prefixes
         (7, 3, "C4", {"node_budget": 100}, Outcome.BUDGET_EXCEEDED),
-        (6, 3, "C4", {"color_symmetry": False}, Outcome.FOUND),
-        (7, 4, "P4", {"color_symmetry": False, "node_budget": 20_000}, Outcome.BUDGET_EXCEEDED),
+        (6, 3, "C4", {}, Outcome.FOUND),
+        (7, 4, "P4", {"node_budget": 5_000}, Outcome.BUDGET_EXCEEDED),
     ],
 )
 def test_edge_engine_matches_sequential(t, r, target, opts, kind):
@@ -52,9 +52,10 @@ def test_edge_engine_matches_sequential(t, r, target, opts, kind):
         (4, 9, 3, {}, Outcome.FOUND),
         (4, 10, 3, {"node_budget": 50_000}, Outcome.BUDGET_EXCEEDED),
         (3, 7, 2, {}, Outcome.EXHAUSTED),
-        (4, 6, 2, {"row_order_symmetry": False}, Outcome.FOUND),
-        (3, 4, 3, {"color_symmetry": False, "row_order_symmetry": False}, Outcome.FOUND),
-        (3, 7, 2, {"color_symmetry": False, "row_order_symmetry": False}, Outcome.EXHAUSTED),
+        (4, 6, 2, {}, Outcome.FOUND),
+        (3, 4, 3, {}, Outcome.FOUND),
+        # a budget of exactly the node count
+        (3, 7, 2, {"node_budget": 16_567}, Outcome.EXHAUSTED),
     ],
 )
 def test_grid_engine_matches_sequential(n, m, r, opts, kind):
@@ -70,10 +71,10 @@ def test_grid_engine_matches_sequential(n, m, r, opts, kind):
         # the prefix listing alone counts more nodes than the witness's count
         (partial(search_good_edge_coloring, 5, 3, "C4"), {}),
         (partial(search_good_edge_coloring, 8, 5, "C4"), {}),
-        (partial(search_good_edge_coloring, 6, 3, "C4"), {"color_symmetry": False}),
+        (partial(search_good_edge_coloring, 6, 3, "C4"), {}),
         (partial(search_good_coloring, 3, 4, 3), {}),
         (partial(search_good_coloring, 4, 9, 3), {}),
-        (partial(search_good_coloring, 4, 6, 2), {"row_order_symmetry": False}),
+        (partial(search_good_coloring, 4, 6, 2), {}),
     ],
 )
 def test_budget_boundary_matches_sequential(search, fixed):

@@ -29,38 +29,46 @@ def assert_agrees_at_every_budget(engine, reference, flatten, label):
         want = reference(budget)
         out = engine(budget)
         assert (out.kind.value, flatten(out), out.nodes_visited) == want, (label, budget)
-    return kind
+    return kind, colors  # the unbudgeted verdict and witness
 
 
-@pytest.mark.parametrize("color_symmetry, row_order_symmetry", list(product((True, False), repeat=2)))
+# The engines always apply their symmetry reductions, so their counts are pinned
+# against the reference with all of them.  The parameters choose the reductions of
+# a second reference run, which must give the same verdict and witness: the least
+# good coloring of all is the least member of its orbit, so no reduction skips it.
+REDUCTIONS = list(product((True, False), repeat=2))
+
+
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry", REDUCTIONS)
 def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry):
     kinds = set()
     for (n, m), r in product(GRIDS, range(1, 5)):
 
         def engine(budget):
-            opts = SearchOptions(budget, color_symmetry, row_order_symmetry)
-            return search_good_coloring(n, m, r, opts)
+            return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, budget)
+            return reference_grid_search(n, m, r, True, True, budget)
 
-        kinds.add(assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r)))
+        want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
+        assert reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, None)[:2] == want, (n, m, r)
+        kinds.add(want[0])
     assert kinds == {"found", "exhausted"}
 
 
-@pytest.mark.parametrize("color_symmetry, row_order_symmetry", list(product((True, False), repeat=2)))
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry", REDUCTIONS)
 def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_order_symmetry):
     # past 12 cells, rainbow rectangles reject colors that the first witness needs
     for n, m, r in ((4, 5, 4), (5, 5, 4), (5, 6, 4), (6, 6, 4), (4, 6, 5), (5, 5, 5)):
 
         def engine(budget):
-            opts = SearchOptions(budget, color_symmetry, row_order_symmetry)
-            return search_good_coloring(n, m, r, opts)
+            return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, budget)
+            return reference_grid_search(n, m, r, True, True, budget)
 
-        assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
+        want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
+        assert reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, None)[:2] == want, (n, m, r)
 
 
 @pytest.mark.parametrize("target, color_symmetry", list(product(("C4", "P4"), (True, False))))
@@ -69,12 +77,14 @@ def test_edge_engine_matches_reference(target, color_symmetry):
     for t, r in product(range(3, 7), range(1, 5)):
 
         def engine(budget):
-            return search_good_edge_coloring(t, r, target, SearchOptions(budget, color_symmetry))
+            return search_good_edge_coloring(t, r, target, SearchOptions(budget))
 
         def reference(budget):
-            return reference_edge_search(t, r, target, color_symmetry, budget)
+            return reference_edge_search(t, r, target, True, budget)
 
-        kinds.add(assert_agrees_at_every_budget(engine, reference, flat_edges, (t, r)))
+        want = assert_agrees_at_every_budget(engine, reference, flat_edges, (t, r))
+        assert reference_edge_search(t, r, target, color_symmetry, None)[:2] == want, (t, r)
+        kinds.add(want[0])
     assert kinds == {"found", "exhausted"}
 
 
