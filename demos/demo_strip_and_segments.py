@@ -12,11 +12,12 @@ produces two differently-colored points at any requested distance.
 
 import math
 
-from gallaikit.euclid import falsify_strip, halfplane_oracle, rainbow_segment, strip_color, strip_oracle
+from gallaikit.euclid import falsify_strip, halfplane_oracle, rainbow_segment, strip_oracle
 
 print("== Strip coloring basics ==")
+color = strip_oracle(3, 1.0)
 for p in [(0.0, 0.0), (2.5, 7.0), (-0.5, 0.0)]:
-    print(f"strip_color(3, 1, {p}) = {strip_color(3, 1.0, p)}")
+    print(f"strip_oracle(3, 1){p} = {color(*p)}")
 
 print()
 print("== Monte-Carlo falsification (expected: zero hits) ==")

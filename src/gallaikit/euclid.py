@@ -8,9 +8,12 @@ constructive rainbow-segment walk, and the nine-point gadget whose finite
 enumeration establishes that every coloring of 3-space contains a
 monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 
-All arithmetic is double precision; distance comparisons use absolute
-tolerance 1e-9, which is comfortable for the coordinate magnitudes
-involved (small combinations of 1/2, 1/sqrt(2), sqrt(3)/4).
+All arithmetic is double precision.  Points are tuples of Python floats
+and every distance is math.dist of two of them; numpy runs only the array
+sweeps (the affine rank, the strip falsifier and the gadget enumeration).
+Distance comparisons use absolute tolerance 1e-9, which is comfortable
+for the coordinate magnitudes involved (small combinations of 1/2,
+1/sqrt(2), sqrt(3)/4).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 from .grid import CertificateError, split_strict
 
 DEFAULT_TOL = 1e-9
-RANK_TOL = 1e-6  # singular values at or below this count as zero in affine_rank
 
 #: side lengths of the 30-60-90 triangle with unit hypotenuse
 GADGET_SIDES = (0.5, math.sqrt(3) / 2, 1.0)
@@ -79,14 +81,6 @@ class Configuration:
     def __len__(self) -> int:
         return len(self.points)
 
-    def coords_array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float)
-
-    def distance_matrix(self) -> np.ndarray:
-        pts = self.coords_array()
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
-
     def __repr__(self) -> str:
         return f"Configuration({len(self.points)} points in dim {self.dim})"
 
@@ -104,6 +98,8 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     The two configurations may live in different ambient dimensions.  The
     search tries assignments in point order with early pruning on the
     first mismatched distance, so the returned bijection is deterministic.
+    The distances compared are those distance() returns, so the bijection
+    keeps every distance() within tol.
 
     Before searching, it sorts the pairwise distances of each side and
     returns None when the j-th entries of the two lists differ by more than
@@ -120,10 +116,8 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
     k = len(a)
-    # nested lists of Python floats: the same values as the arrays, without
-    # a numpy scalar per comparison
-    da = a.distance_matrix().tolist()
-    db = b.distance_matrix().tolist()
+    da = [[math.dist(p.coords, q.coords) for q in a.points] for p in a.points]
+    db = [[math.dist(p.coords, q.coords) for q in b.points] for p in b.points]
     # the lower triangles: every pairwise distance once
     sorted_a, sorted_b = [], []
     for i in range(1, k):
@@ -178,13 +172,21 @@ def regular_simplex(k: int, side: float) -> Configuration:
 
 
 def affine_rank(config: Configuration) -> int:
-    """Dimension of the affine span, via singular values above RANK_TOL."""
-    pts = config.coords_array()
-    if len(pts) == 1:
-        return 0
+    """Dimension of the affine span: the numerical rank of the differences to the first point.
+
+    The differences are divided by their largest absolute entry, so the
+    singular values neither overflow nor underflow, and numpy's default
+    cutoff is relative to the largest of them, so the rank does not depend
+    on the scale of the configuration.
+    """
+    pts = np.array([p.coords for p in config.points], dtype=float)
+    if np.abs(pts).max(initial=0.0) > np.finfo(float).max / 2:
+        pts /= 2  # so no difference overflows; halving numbers this large is exact
     diffs = pts[1:] - pts[0]
-    singular = np.linalg.svd(diffs, compute_uv=False)
-    return int((singular > RANK_TOL).sum())
+    scale = np.abs(diffs).max(initial=0.0)
+    if scale == 0.0:
+        return 0
+    return int(np.linalg.matrix_rank(diffs / scale))
 
 
 @dataclass(frozen=True)
@@ -241,12 +243,10 @@ def grid_lattice_embedding(r: int, a: float, b: float) -> LatticeEmbedding:
         raise ValueError("side lengths must be positive")
     rows = 2 * r + 5
     cols = 11 * r + 1
-    row_simplex = regular_simplex(rows - 1, a).coords_array()
-    col_simplex = regular_simplex(cols - 1, b).coords_array()
-    # lists of Python floats: the same values as the arrays, without a numpy
-    # scalar per coordinate
-    row_offsets = (row_simplex - row_simplex[0]).tolist()
-    col_offsets = (col_simplex - col_simplex[0]).tolist()
+    row_offsets, col_offsets = (
+        [list(map(sub, p.coords, simplex.points[0].coords)) for p in simplex.points]
+        for simplex in (regular_simplex(rows - 1, a), regular_simplex(cols - 1, b))
+    )
     points = {}
     for i, row in enumerate(row_offsets, 1):
         for j, col in enumerate(col_offsets, 1):
@@ -288,37 +288,23 @@ def simplex_midpoint_embedding(t: int) -> PairEmbedding:
     return PairEmbedding(t, points)
 
 
-def strip_color(r: int, a: float, p: tuple[float, float]) -> int:
-    """Color of a planar point under the vertical strip coloring.
-
-    The plane splits into strips i*a <= x < (i+1)*a colored i mod r, so
-    the result is floor(x/a) mod r as a value in {0, ..., r-1}; the
-    mathematical mod fixes the convention for negative x.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    x = float(p[0])
-    return math.floor(x / a) % r
-
-
 def halfplane_oracle(x: float, y: float) -> int:
     """Two-coloring of the plane: color 1 left of the y-axis, color 2 elsewhere."""
     return 1 if x < 0.0 else 2
 
 
 def strip_oracle(r: int, a: float) -> ColoringOracle:
-    """The strip coloring packaged as a point oracle."""
+    """The vertical strip coloring as a point oracle.
+
+    The plane splits into strips i*a <= x < (i+1)*a colored i mod r, so
+    the color of (x, y) is floor(x/a) mod r as a value in {0, ..., r-1};
+    the mathematical mod fixes the convention for negative x.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if a <= 0:
-        raise ValueError("a must be positive")
-
-    def oracle(x: float, y: float) -> int:
-        return strip_color(r, a, (x, y))
-
-    return oracle
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
+    return lambda x, y: math.floor(x / a) % r
 
 
 @dataclass(frozen=True)

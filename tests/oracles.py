@@ -712,15 +712,15 @@ def reference_gadget_sweep(triples: list[tuple[str, str, str]]):
 
 def reference_congruent(a, b, tol: float = 1e-9) -> dict[str, str] | None:
     """`congruent` as it was before the sorted-distance pre-check: backtracking alone."""
+    import math
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
     k = len(a)
-    # nested lists of Python floats: the same values as the arrays, without
-    # a numpy scalar per comparison
-    da = a.distance_matrix().tolist()
-    db = b.distance_matrix().tolist()
+    da = [[math.dist(p.coords, q.coords) for q in a.points] for p in a.points]
+    db = [[math.dist(p.coords, q.coords) for q in b.points] for p in b.points]
     mapping = [-1] * k
     used = [False] * k
 

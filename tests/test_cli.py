@@ -183,6 +183,11 @@ class TestEmbed:
     def test_bad_parameters_exit_two(self):
         assert run(["embed", "simplex", "1"]).exit_code == 2
 
+    @pytest.mark.parametrize("a, b", [("1e-7", "1"), ("1e12", "1e12"), ("1e308", "1e308")])
+    def test_affine_rank_does_not_depend_on_scale(self, a, b):
+        result = run(["embed", "lattice", "1", a, b])
+        assert result.summary == "lattice r=1 rows=7 cols=12 points=84 ambient=19 affine_rank=17"
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -248,6 +253,14 @@ class TestRainbowSegment:
             ]
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_strip_width_exit_two(self, value):
+        argv = ["rainbow-segment", "--d", "1", "--cx", "0.2", "--cy", "0", "--dx", "7.4", "--dy", "1",
+                "--oracle", "strip", "--strip-a", value]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.summary == "error: a must be positive and finite"
 
     def test_same_color_endpoints_exit_two(self):
         result = run(

@@ -26,7 +26,6 @@ from gallaikit.euclid import (
     rainbow_segment,
     regular_simplex,
     simplex_midpoint_embedding,
-    strip_color,
     strip_oracle,
     triangle_gadget,
     verify_triangle_gadget,
@@ -149,6 +148,34 @@ class TestCongruent:
                 distance(p, q) for p, q in combinations(b.points, 2)
             )
             assert all(abs(x - y) <= TOL for x, y in zip(da, db))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_configurations(), st.randoms(use_true_random=False), st.floats(1e-12, 0.5))
+    def test_found_bijection_keeps_every_distance(self, a, rnd, tol):
+        # a shuffled copy with permuted, flipped and shifted axes (exact on integer
+        # coordinates), and a jittered one that may or may not stay within tol
+        axes = list(range(a.dim))
+        rnd.shuffle(axes)
+        signs = [rnd.choice((-1.0, 1.0)) for _ in axes]
+        shift = [float(rnd.randint(-3, 3)) for _ in axes]
+        order = list(a.points)
+        rnd.shuffle(order)
+        for jitter, must_match in ((0.0, True), (tol, False)):
+            b = Configuration(
+                LabeledPoint(
+                    f"q{k}",
+                    [s * p.coords[x] + t + rnd.uniform(-jitter, jitter) for x, s, t in zip(axes, signs, shift)],
+                )
+                for k, p in enumerate(order)
+            )
+            mapping = congruent(a, b, tol)
+            assert mapping is not None or not must_match
+            if mapping is None:
+                continue
+            image = {p.label: p for p in b.points}
+            assert sorted(mapping.values()) == sorted(image)
+            for p, q in combinations(a.points, 2):
+                assert abs(distance(p, q) - distance(image[mapping[p.label]], image[mapping[q.label]])) <= tol
 
 
 class TestSortedDistancePreCheck:
@@ -281,11 +308,38 @@ class TestLatticeEmbedding:
             quad = emb.rectangle_configuration(i, i2, j, j2)
             assert congruent(quad, reference, TOL) is not None
 
+    @pytest.mark.parametrize(
+        "a, b", [(s, s) for s in (1e-310, 1e-200, 1e-7, 1.0, 1e12, 1e200, 1e308)] + [(1e-7, 1.0), (1.0, 1e12)]
+    )
+    def test_affine_rank_does_not_depend_on_scale(self, a, b):
+        for r in (1, 2):
+            assert affine_rank(grid_lattice_embedding(r, a, b).configuration()) == 13 * r + 4
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             grid_lattice_embedding(0, 1.0, 1.0)
         with pytest.raises(ValueError):
             grid_lattice_embedding(1, 1.0, -2.0)
+
+
+class TestAffineRank:
+    def test_known_families(self):
+        for t in (3, 4, 6):
+            assert affine_rank(simplex_midpoint_embedding(t).configuration()) == t - 1
+        assert affine_rank(triangle_gadget()[0]) == 3
+        assert affine_rank(Configuration([pt("a", 2.0, -1.0)])) == 0
+        assert affine_rank(Configuration([pt("a", 2.0, -1.0), pt("b", 2.0, -1.0)])) == 0
+
+    def test_collinear_up_to_rounding(self):
+        # 0.1 * 3 != 0.3 in floats, so the third point is off the line by one rounding
+        assert affine_rank(Configuration([pt("a", 0.0, 0.0), pt("b", 0.1, 0.2), pt("c", 0.3, 0.6)])) == 1
+
+    def test_differences_beyond_the_float_range(self):
+        # 1e308 - (-1e308) overflows, so the points are halved first
+        assert affine_rank(Configuration([pt("a", -1e308), pt("b", 1e308)])) == 1
+        line = [pt("a", -1e308, 0.0), pt("b", 1e308, 0.0), pt("c", 0.0, 0.0)]
+        assert affine_rank(Configuration(line)) == 1
+        assert affine_rank(Configuration([*line[:2], pt("c", 0.0, 1e300)])) == 2
 
 
 class TestPairEmbedding:
@@ -328,21 +382,20 @@ class TestPairEmbedding:
 
 class TestStripColor:
     def test_origin(self):
-        assert strip_color(3, 1.0, (0.0, 0.0)) == 0
+        assert strip_oracle(3, 1.0)(0.0, 0.0) == 0
 
     def test_interior_point(self):
-        assert strip_color(3, 1.0, (2.5, 7.0)) == 2
+        assert strip_oracle(3, 1.0)(2.5, 7.0) == 2
 
     def test_negative_x_uses_mathematical_mod(self):
-        assert strip_color(3, 1.0, (-0.5, 0.0)) == 2
+        assert strip_oracle(3, 1.0)(-0.5, 0.0) == 2
 
     def test_depends_only_on_x(self):
         rng = random.Random(3)
+        color = strip_oracle(4, 0.7)
         for _ in range(100):
             x = rng.uniform(-10, 10)
-            assert strip_color(4, 0.7, (x, rng.uniform(-5, 5))) == strip_color(
-                4, 0.7, (x, rng.uniform(-5, 5))
-            )
+            assert color(x, rng.uniform(-5, 5)) == color(x, rng.uniform(-5, 5))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -356,13 +409,19 @@ class TestStripColor:
         # stay away from strip boundaries where float rounding could flip the bin
         if abs(x / a - round(x / a)) < 1e-6:
             return
-        assert strip_color(r, a, (x, y1)) == strip_color(r, a, (x + r * a, y2))
+        color = strip_oracle(r, a)
+        assert color(x, y1) == color(x + r * a, y2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            strip_color(0, 1.0, (0.0, 0.0))
+            strip_oracle(0, 1.0)
         with pytest.raises(ValueError):
-            strip_color(3, 0.0, (0.0, 0.0))
+            strip_oracle(3, 0.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_nonfinite_width_rejected(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            strip_oracle(3, a)
 
 
 class TestFalsifyStrip:
