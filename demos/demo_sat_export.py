@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Encode grid-avoidance instances as CNF and check models.
 
-Each cell gets one boolean per color; monochromatic rectangles are ruled
-out with one clause per rectangle and color, and rainbow rectangles with
-equality-selector variables: some corner pair of every rectangle must be
-selected, and a selected pair is forced to share a color.  The formula is
+Each cell gets one boolean per color, and monochromatic rectangles are
+ruled out with one clause per rectangle and color.  From four colors on,
+rainbow rectangles are ruled out with equality-selector variables: some
+corner pair of every rectangle must be selected, and a selected pair is
+forced to share a color.  Below four colors no rectangle can be rainbow,
+so those formulas have no selectors.  Either way the formula is
 satisfiable exactly when a good coloring exists.
 """
 
@@ -19,7 +21,7 @@ from gallaikit.sat import (
 )
 from itertools import combinations
 
-print("== A tiny instance: 2 x 2 grid, 2 colors ==")
+print("== A tiny instance: 2 x 2 grid, 2 colors (no selectors) ==")
 cnf = encode_grid_cnf(2, 2, 2)
 print(format_dimacs(cnf), end="")
 
@@ -35,10 +37,11 @@ def induced_assignment(g):
         for j in range(1, g.m + 1):
             for c in range(1, g.r + 1):
                 asn[color_var(g.m, g.r, i, j, c)] = g.color(i, j) == c
-    for p, q in combinations(range(1, g.n * g.m + 1), 2):
-        pi, pj = divmod(p - 1, g.m)
-        qi, qj = divmod(q - 1, g.m)
-        asn[selector_var(g.n, g.m, g.r, p, q)] = g.color(pi + 1, pj + 1) == g.color(qi + 1, qj + 1)
+    if g.r >= 4:
+        for p, q in combinations(range(1, g.n * g.m + 1), 2):
+            pi, pj = divmod(p - 1, g.m)
+            qi, qj = divmod(q - 1, g.m)
+            asn[selector_var(g.n, g.m, g.r, p, q)] = g.color(pi + 1, pj + 1) == g.color(qi + 1, qj + 1)
     return asn
 
 
@@ -49,6 +52,15 @@ print()
 print("== Decoding a model back to a coloring ==")
 decoded = decode_model(2, 2, 2, induced_assignment(good))
 print("decoded cells:", [list(row) for row in decoded.cells])
+
+print()
+print("== Four colors add the selector layer ==")
+cnf4 = encode_grid_cnf(2, 2, 4)
+rainbow_clause = next(clause for clause in cnf4.clauses if len(clause) == 6)
+print(f"2 x 2 grid with 4 colors: {cnf4.num_vars} variables (16 colors + 6 selectors), {len(cnf4.clauses)} clauses")
+print("rainbow clause over the six corner-pair selectors:", rainbow_clause)
+rainbow = GridColoring(2, 2, 4, [[1, 2], [3, 4]])
+print("rainbow coloring satisfies formula:", check_model_against_cnf(cnf4, induced_assignment(rainbow)))
 
 print()
 print("== Size of a full-scale export ==")

@@ -298,13 +298,22 @@ def strip_oracle(r: int, a: float) -> ColoringOracle:
 
     The plane splits into strips i*a <= x < (i+1)*a colored i mod r, so
     the color of (x, y) is floor(x/a) mod r as a value in {0, ..., r-1};
-    the mathematical mod fixes the convention for negative x.
+    the mathematical mod fixes the convention for negative x.  A point
+    where x/a is not finite (it overflows, or x is not finite) has no strip
+    and raises ValueError.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
-    return lambda x, y: math.floor(x / a) % r
+
+    def color(x: float, y: float) -> int:
+        strip = x / a
+        if not math.isfinite(strip):
+            raise ValueError(f"x/a is not finite at x={x!r}, a={a!r}")
+        return math.floor(strip) % r
+
+    return color
 
 
 @dataclass(frozen=True)

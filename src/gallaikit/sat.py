@@ -1,27 +1,37 @@
 """Propositional encodings of grid-avoidance instances.
 
 A formula produced here is satisfiable exactly when a good n x m r-coloring
-exists.  Cell colors use one boolean per (cell, color); rainbow avoidance
-is expressed through equality-selector variables e(p, q): a rectangle
-clause demands that some corner pair is equal, and one-directional
-channeling clauses make a true selector force the equality.  No solver is
-bundled; the module emits standard DIMACS text and re-checks any claimed
-model.
+exists.  Cell colors use one boolean per (cell, color).  From four colors
+on, rainbow avoidance is expressed through equality-selector variables
+e(p, q): a rectangle clause demands that some corner pair is equal, and
+one-directional channeling clauses make a true selector force the
+equality.  Below four colors no rectangle can be rainbow, so the formula
+has no selectors.  No solver is bundled; the module emits standard DIMACS
+text and re-checks any claimed model.
 
 DIMACS export is byte-stable: the same instance always gives the same
 text, and the tests pin SHA-256 digests of `sat-export` files.  The
 per-literal work of encoding, formatting, parsing and model checking runs
 inside C-level builtins (join, split, map, list.index, set operations);
 tests/oracles.py keeps a per-literal reference that the tests compare with.
+Encoding and parsing build one list per clause, all tracked by the cyclic
+garbage collector, whose full passes would walk the whole growing formula;
+those two functions run with the collector paused, and re-enable it on the
+way out only if it was enabled on the way in.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, combinations, repeat
-from typing import Mapping
+from typing import Callable, Mapping, ParamSpec, TypeVar
 
 from .grid import CertificateError, GridColoring, verify_good
+
+P = ParamSpec("P")
+T = TypeVar("T")
 
 
 @dataclass
@@ -58,7 +68,8 @@ def selector_var(n: int, m: int, r: int, p: int, q: int) -> int:
     """Variable id of the equality selector e(p, q) for cell ids p < q.
 
     Selectors are numbered after all color variables, in lexicographic
-    order of the pair (p, q).
+    order of the pair (p, q).  encode_grid_cnf uses them only for r >= 4;
+    below r = 4 the numbers lie past its num_vars and no clause uses them.
     """
     if not 1 <= p < q <= n * m:
         raise ValueError(f"bad cell pair ({p}, {q})")
@@ -68,6 +79,23 @@ def selector_var(n: int, m: int, r: int, p: int, q: int) -> int:
     return nm * r + rank
 
 
+def _collector_paused(func: Callable[P, T]) -> Callable[P, T]:
+    """func run with the cyclic garbage collector off, restored to its state on entry."""
+
+    @wraps(func)
+    def paused(*args: P.args, **kwargs: P.kwargs) -> T:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
     """Encode "a good n x m r-coloring exists" as CNF.
 
@@ -76,12 +104,17 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
     channeling (a true e(p, q) forces cells p and q to share each color in
     both directions), then per rectangle the r monochromatic-avoidance
     clauses and one rainbow-avoidance clause over its six pair selectors.
+    For r < 4 the selectors, their channeling and the rainbow clauses are
+    left out and num_vars is n*m*r: four corners cannot take four distinct
+    colors from fewer than four, so rainbow avoidance is vacuous there and
+    the formula stays satisfiable exactly when a good coloring exists.
     """
     if n < 2 or m < 2 or r < 1:
         raise ValueError(f"require n, m >= 2 and r >= 1, got {(n, m, r)}")
     nm = n * m
     top = nm * r  # the last color variable; selectors follow
-    num_vars = top + nm * (nm - 1) // 2
+    rainbow = r >= 4
+    num_vars = top + nm * (nm - 1) // 2 if rainbow else top
     colors = range(1, r + 1)
     clauses: list[list[int]] = []
     append = clauses.append
@@ -94,14 +127,15 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
         append(list(range(base + 1, base + r + 1)))
         clauses.extend([-base - a, -base - b] for a, b in color_pairs)
 
-    e = top  # selectors are numbered consecutively in pair order
-    for p_base in range(0, top, r):
-        for q_base in range(p_base + r, top, r):
-            e += 1
-            not_e = -e
-            for c in colors:
-                append([not_e, -p_base - c, q_base + c])
-                append([not_e, -q_base - c, p_base + c])
+    if rainbow:
+        e = top  # selectors are numbered consecutively in pair order
+        for p_base in range(0, top, r):
+            for q_base in range(p_base + r, top, r):
+                e += 1
+                not_e = -e
+                for c in colors:
+                    append([not_e, -p_base - c, q_base + c])
+                    append([not_e, -q_base - c, p_base + c])
 
     # selector_var(n, m, r, p + 1, q + 1) == sel[p] + q for 0-based cells p < q
     sel = [top + p * nm - p * (p + 1) // 2 - p for p in range(nm)]
@@ -112,14 +146,18 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
                 for tr, br in zip(range(tl + 1, row + m), range(bl + 1, row2 + m)):
                     x_tl, x_tr, x_bl, x_br = tl * r, tr * r, bl * r, br * r
                     clauses.extend([-x_tl - c, -x_tr - c, -x_bl - c, -x_br - c] for c in colors)
-                    s_tl, s_tr = sel[tl], sel[tr]
-                    append([s_tl + tr, s_tl + bl, s_tl + br, s_tr + bl, s_tr + br, sel[bl] + br])
+                    if rainbow:
+                        s_tl, s_tr = sel[tl], sel[tr]
+                        append([s_tl + tr, s_tl + bl, s_tl + br, s_tr + bl, s_tr + br, sel[bl] + br])
 
     comments = [
         f"grid n={n} m={m} r={r}",
         f"varmap x(i,j,c)=((i-1)*{m}+(j-1))*{r}+c for 1<=i<={n} 1<=j<={m} 1<=c<={r}",
-        f"varmap e(p,q)={nm * r}+rank(p,q) for cell ids p<q (p=(i-1)*{m}+j), pairs in lexicographic order",
     ]
+    if rainbow:
+        comments.append(
+            f"varmap e(p,q)={nm * r}+rank(p,q) for cell ids p<q (p=(i-1)*{m}+j), pairs in lexicographic order"
+        )
     return CnfDocument(num_vars, clauses, comments)
 
 
@@ -225,6 +263,7 @@ def _token_values(tokens: list[str], special: dict[str, int]) -> dict[str, int |
     return values
 
 
+@_collector_paused
 def parse_dimacs(text: str) -> CnfDocument:
     """Strict DIMACS reader; clause count and variable bounds must match the header."""
     lines, tokens = _split_head(text, "cp")

@@ -444,7 +444,8 @@ def formula_coloring_model_count(cnf: CnfDocument, n: int, m: int, r: int) -> tu
 # The SAT layer's encoder, DIMACS writer and reader, model checker and
 # model reader as they stood before their bulk rewrite, kept verbatim as the
 # reference: one Python step per literal and per token.  Only the names
-# changed; documents come back as ReferenceCnf, which keeps the
+# changed, and the encoder, like the bulk one, leaves out selectors below
+# four colors; documents come back as ReferenceCnf, which keeps the
 # clause-by-clause validation.
 
 def cell_index(n: int, m: int, i: int, j: int) -> int:
@@ -479,11 +480,14 @@ def reference_encode_grid_cnf(n: int, m: int, r: int) -> ReferenceCnf:
     channeling (a true e(p, q) forces cells p and q to share each color in
     both directions), then per rectangle the r monochromatic-avoidance
     clauses and one rainbow-avoidance clause over its six pair selectors.
+    For r < 4 no rectangle can be rainbow: selectors, channeling and
+    rainbow clauses are left out.
     """
     if n < 2 or m < 2 or r < 1:
         raise ValueError(f"require n, m >= 2 and r >= 1, got {(n, m, r)}")
     nm = n * m
-    num_vars = nm * r + nm * (nm - 1) // 2
+    rainbow = r >= 4
+    num_vars = nm * r + (nm * (nm - 1) // 2 if rainbow else 0)
     clauses: list[list[int]] = []
 
     for i in range(1, n + 1):
@@ -492,15 +496,16 @@ def reference_encode_grid_cnf(n: int, m: int, r: int) -> ReferenceCnf:
             clauses.append(xs)
             clauses.extend([-a, -b] for a, b in combinations(xs, 2))
 
-    for p, q in combinations(range(1, nm + 1), 2):
-        e = selector_var(n, m, r, p, q)
-        pi, pj = divmod(p - 1, m)
-        qi, qj = divmod(q - 1, m)
-        for c in range(1, r + 1):
-            xp = color_var(m, r, pi + 1, pj + 1, c)
-            xq = color_var(m, r, qi + 1, qj + 1, c)
-            clauses.append([-e, -xp, xq])
-            clauses.append([-e, -xq, xp])
+    if rainbow:
+        for p, q in combinations(range(1, nm + 1), 2):
+            e = selector_var(n, m, r, p, q)
+            pi, pj = divmod(p - 1, m)
+            qi, qj = divmod(q - 1, m)
+            for c in range(1, r + 1):
+                xp = color_var(m, r, pi + 1, pj + 1, c)
+                xq = color_var(m, r, qi + 1, qj + 1, c)
+                clauses.append([-e, -xp, xq])
+                clauses.append([-e, -xq, xp])
 
     for i, i2 in combinations(range(1, n + 1), 2):
         for j, j2 in combinations(range(1, m + 1), 2):
@@ -519,15 +524,19 @@ def reference_encode_grid_cnf(n: int, m: int, r: int) -> ReferenceCnf:
                         -color_var(m, r, i2, j2, c),
                     ]
                 )
-            clauses.append(
-                [selector_var(n, m, r, p, q) for p, q in combinations(sorted(corner_cells), 2)]
-            )
+            if rainbow:
+                clauses.append(
+                    [selector_var(n, m, r, p, q) for p, q in combinations(sorted(corner_cells), 2)]
+                )
 
     comments = [
         f"grid n={n} m={m} r={r}",
         f"varmap x(i,j,c)=((i-1)*{m}+(j-1))*{r}+c for 1<=i<={n} 1<=j<={m} 1<=c<={r}",
-        f"varmap e(p,q)={nm * r}+rank(p,q) for cell ids p<q (p=(i-1)*{m}+j), pairs in lexicographic order",
     ]
+    if rainbow:
+        comments.append(
+            f"varmap e(p,q)={nm * r}+rank(p,q) for cell ids p<q (p=(i-1)*{m}+j), pairs in lexicographic order"
+        )
     return ReferenceCnf(num_vars, clauses, comments)
 
 

@@ -106,9 +106,9 @@ class TestSatCommands:
         cnf_path = str(tmp_path / "grid.cnf")
         result = run(["sat-export", "2", "2", "2", "--out", cnf_path])
         assert result.exit_code == 0
-        assert result.summary == "cnf 2 2 2 vars=14 clauses=35"
+        assert result.summary == "cnf 2 2 2 vars=8 clauses=10"
         cnf = parse_dimacs((tmp_path / "grid.cnf").read_text())
-        assert cnf.num_vars == 14
+        assert cnf.num_vars == 8
 
         good = GridColoring(2, 2, 2, [[1, 2], [2, 1]])
         asn = assignment_from_coloring(good)
@@ -261,6 +261,13 @@ class TestRainbowSegment:
         result = run(argv)
         assert result.exit_code == 2
         assert result.summary == "error: a must be positive and finite"
+
+    def test_strip_overflow_exit_two(self):
+        argv = ["rainbow-segment", "--d", "1", "--cx", "1e10", "--cy", "0", "--dx", "10000000005", "--dy", "0",
+                "--oracle", "strip", "--strip-a", "1e-300"]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.summary == "error: x/a is not finite at x=10000000000.0, a=1e-300"
 
     def test_same_color_endpoints_exit_two(self):
         result = run(

@@ -423,6 +423,12 @@ class TestStripColor:
         with pytest.raises(ValueError, match="positive and finite"):
             strip_oracle(3, a)
 
+    @pytest.mark.parametrize("x", [1e10, -1e10, math.inf, math.nan])
+    def test_point_without_a_finite_strip_rejected(self, x):
+        # 1e10 / 1e-300 overflows to inf, which has no floor
+        with pytest.raises(ValueError, match="x/a is not finite"):
+            strip_oracle(3, 1e-300)(x, 0.0)
+
 
 class TestFalsifyStrip:
     def test_zero_trials(self):

@@ -1,5 +1,6 @@
 """CNF encoding, decoding, model checking, and DIMACS round trips."""
 
+import gc
 import time
 from itertools import combinations
 
@@ -74,10 +75,21 @@ class TestEncoding:
         assert len(mono) == r  # single rectangle
 
     def test_rainbow_clause_lists_six_selectors(self):
-        cnf = encode_grid_cnf(2, 2, 2)
-        base = 2 * 2 * 2
+        cnf = encode_grid_cnf(2, 2, 4)
+        base = 2 * 2 * 4
         rainbow = [cl for cl in cnf.clauses if all(l > base for l in cl)]
         assert rainbow == [[base + 1, base + 2, base + 3, base + 4, base + 5, base + 6]]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 5), (3, 4), (4, 6)])
+    def test_no_selectors_below_four_colors(self, n, m, r):
+        cnf = encode_grid_cnf(n, m, r)
+        assert cnf.num_vars == n * m * r
+        assert max(abs(lit) for clause in cnf.clauses for lit in clause) <= n * m * r
+        assert all(len(clause) != 6 for clause in cnf.clauses)
+        assert not any(comment.startswith("varmap e(") for comment in cnf.comments)
+        # selector numbers stay defined, past num_vars
+        assert selector_var(n, m, r, 1, 2) == n * m * r + 1
 
     def test_one_color_two_by_two_unsatisfiable(self):
         cnf = encode_grid_cnf(2, 2, 1)
@@ -105,7 +117,7 @@ class TestEncoding:
 
     def test_model_counts_match_direct_good_coloring_counts(self):
         # the encoding is faithful down to the number of solutions
-        for n, m, r in [(2, 2, 2), (2, 2, 4), (2, 3, 3), (3, 3, 2)]:
+        for n, m, r in [(2, 2, 2), (2, 2, 4), (2, 3, 3), (3, 3, 2), (2, 4, 2), (3, 3, 3)]:
             cnf = encode_grid_cnf(n, m, r)
             count, _ = formula_coloring_model_count(cnf, n, m, r)
             assert count == count_good_naive(n, m, r), (n, m, r)
@@ -211,6 +223,27 @@ class TestCnfDocument:
             CnfDocument(2, [[0]])
 
 
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_encode_and_parse(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            text = format_dimacs(encode_grid_cnf(3, 3, 4))
+            assert gc.isenabled() is enabled
+            parse_dimacs(text)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_state_restored_when_parse_raises(self):
+        assert gc.isenabled()
+        text = format_dimacs(encode_grid_cnf(3, 3, 4))
+        with pytest.raises(CertificateError, match="header promises"):
+            parse_dimacs(text[: text.rindex("\n", 0, -1) + 1])
+        assert gc.isenabled()
+
+
 class TestDimacs:
     def test_round_trip(self):
         cnf = encode_grid_cnf(2, 3, 2)
@@ -224,7 +257,7 @@ class TestDimacs:
         lines = text.splitlines()
         assert lines[0] == "c grid n=2 m=2 r=2"
         assert any(line.startswith("c varmap x(i,j,c)") for line in lines)
-        assert "p cnf 14 35" in lines
+        assert "p cnf 8 10" in lines
 
     def test_multiline_clauses_accepted(self):
         parsed = parse_dimacs("p cnf 3 2\n1 -2\n3 0 2\n-1 0\n")

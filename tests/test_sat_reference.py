@@ -62,7 +62,7 @@ def test_encoding_and_text_match_the_reference(n, m):
 @pytest.mark.parametrize(
     "size, digest",
     [
-        ((4, 9, 3), "efc7920047111bac9a3327d22c3292554e71bcd8a4c57207c958668a6c1c034d"),
+        ((4, 9, 3), "ad1b56d6f16d6f76ae6732d9be404459f4a754d2da2c4bc1a955f23a6d7fe0e8"),
         ((5, 10, 4), "ab7c05a6f3d9a53a333f868d6cf41c88621a0dc87261e33f4df5cd1c95d00e17"),
     ],
 )
