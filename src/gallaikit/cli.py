@@ -99,10 +99,14 @@ def _cmd_sat_check(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
     from .graphs import gallai_ramsey_number
+    from .search import Undecided
 
     target = args.target.upper()
     tmax = args.tmax if args.tmax is not None else args.r + 5
-    value = gallai_ramsey_number(target, args.r, tmax, _options(args))
+    try:
+        value = gallai_ramsey_number(target, args.r, tmax, _options(args))
+    except Undecided as exc:
+        return CommandResult(1, f"gr=undecided t={exc.size}")
     if value is None:
         return CommandResult(1, f"gr=none tmax={tmax}")
     return CommandResult(0, f"gr={value}")

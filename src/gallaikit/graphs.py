@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
 from .grid import CertificateError, split_strict
-from .search import Outcome, SearchOptions, SearchOutcome, backtrack
+from .search import Outcome, SearchOptions, SearchOutcome, Undecided, backtrack
 
 TARGETS = ("C4", "P4")
 
@@ -233,8 +233,8 @@ def gallai_ramsey_number(
 ) -> int | None:
     """Least t <= t_max whose every r-coloring contains a rainbow K3 or mono target.
 
-    Returns None when every t <= t_max still admits a good coloring, or
-    when a node budget prevents certifying exhaustion at some t.
+    Returns None when every t <= t_max still admits a good coloring.
+    Raises Undecided(t) if a node budget prevents deciding size t.
     """
     if r < 1 or t_max < 3:
         raise ValueError(f"require r >= 1 and t_max >= 3, got {(r, t_max)}")
@@ -243,7 +243,7 @@ def gallai_ramsey_number(
         if out.kind is Outcome.EXHAUSTED:
             return t
         if out.kind is Outcome.BUDGET_EXCEEDED:
-            return None
+            raise Undecided(t)
     return None
 
 

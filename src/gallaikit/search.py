@@ -32,7 +32,7 @@ import marshal
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Generic, Sequence, TypeVar
 
 from .grid import (
     CertificateError,
@@ -70,6 +70,14 @@ class SearchOptions:
             raise ValueError("node_budget must be positive")
         if self.worker_hint is not None and self.worker_hint < 1:
             raise ValueError("worker_hint must be positive")
+
+
+class Undecided(RuntimeError):
+    """A node budget stopped a threshold scan before it decided size `size`."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__(f"node budget exhausted while deciding size {size}")
+        self.size = size
 
 
 W = TypeVar("W")
@@ -130,41 +138,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _send(fd: int, obj: Any) -> None:
-    data = marshal.dumps(obj)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, size: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = os.read(fd, size - len(buf))
-        if not chunk:
-            raise EOFError
-        buf += chunk
-    return bytes(buf)
-
-
-def _recv(fd: int) -> Any:
-    size = int.from_bytes(_read_exact(fd, 8), "little")
-    return marshal.loads(_read_exact(fd, size))
-
-
 def _worker_loop(task_fd: int, result_fd: int, explore: Callable[[int, int | None], tuple]) -> None:
     # Runs in a forked child until the parent closes the task pipe or kills it.
+    # Each record is one marshal dump; the buffered writer sends a large one whole.
     try:
+        tasks, results = open(task_fd, "rb"), open(result_fd, "wb")
         while True:
             try:
-                index, cap = _recv(task_fd)
+                index, cap = marshal.load(tasks)
             except EOFError:
                 break
             try:
                 result: Any = explore(index, cap)
             except Exception as exc:
                 result = f"{type(exc).__name__}: {exc}"
-            _send(result_fd, result)
+            marshal.dump(result, results)
+            results.flush()
     finally:
         os._exit(0)
 
@@ -192,7 +181,9 @@ def explore_subtrees(
     witness in prefix order wins, and a budget overrun reports budget + 1
     nodes.  It forks worker_count(hint, usable cores, prefixes) workers,
     and kills and reaps every one before it returns or raises.  A worker
-    that raises makes this raise RuntimeError.
+    that raises makes this raise RuntimeError.  Tasks (index, cap) and
+    results pass as marshal records on pipe files; a worker gets a task
+    only once its last result was read, so a pipe holds one record at most.
     """
     # select and signal are imported here so that sequential runs never load them
     import select
@@ -205,8 +196,8 @@ def explore_subtrees(
     cutoff = count  # a subtree at or past this index cannot change the result
     next_task = 0
     pids: list[int] = []
-    channels: list[tuple[int, int]] = []  # (task fd, result fd) per worker
-    busy: dict[int, tuple[tuple[int, int], int]] = {}  # result fd -> (channel, subtree)
+    channels: list[tuple[BinaryIO, BinaryIO]] = []  # (task writer, result reader) per worker
+    busy: dict[BinaryIO, tuple[tuple[BinaryIO, BinaryIO], int]] = {}  # result reader -> (channel, subtree)
     try:
         for _ in range(worker_count(hint, _usable_cores(), count)):
             task_r, task_w = os.pipe()
@@ -214,19 +205,21 @@ def explore_subtrees(
             pid = os.fork()
             if pid == 0:
                 # keep only this worker's own ends, so that no pipe outlives the parent
-                for fd in (task_w, result_r, *(fd for channel in channels for fd in channel)):
+                for fd in (task_w, result_r, *(f.fileno() for channel in channels for f in channel)):
                     os.close(fd)
                 _worker_loop(task_r, result_w, explore)
             pids.append(pid)
             os.close(task_r)
             os.close(result_w)
-            channels.append((task_w, result_r))
+            # an unbuffered task writer never writes on close (a task fits one pipe
+            # write); a buffered reader suits select since a pipe holds one record
+            channels.append((open(task_w, "wb", buffering=0), open(result_r, "rb")))
         idle = channels[::-1]
         while committed < count:
             while idle and next_task < cutoff:
                 channel = idle.pop()
                 cap = None if budget is None else budget - prefix_nodes[next_task] - spent
-                _send(channel[0], (next_task, cap))
+                marshal.dump((next_task, cap), channel[0])
                 busy[channel[1]] = (channel, next_task)
                 next_task += 1
             ready, _, _ = select.select(list(busy), [], [])
@@ -234,7 +227,7 @@ def explore_subtrees(
                 channel, index = busy.pop(result_r)
                 idle.append(channel)
                 try:
-                    result = _recv(result_r)
+                    result = marshal.load(result_r)
                 except EOFError:
                     raise RuntimeError("search worker exited without a result") from None
                 if isinstance(result, str):
@@ -257,8 +250,8 @@ def explore_subtrees(
         return Outcome.EXHAUSTED, total, None
     finally:
         for task_w, result_r in channels:
-            os.close(task_w)
-            os.close(result_r)
+            task_w.close()
+            result_r.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
@@ -468,14 +461,14 @@ def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = N
 
     Scans m upward; a good n x m coloring restricts to a good n x (m-1)
     coloring, so the first Exhausted width is the threshold.  Raises
-    RuntimeError if a node budget prevents deciding some width.
+    Undecided(m) if a node budget prevents deciding width m.
     """
     if n < 2 or r < 1 or m_max < 2:
         raise ValueError(f"require n >= 2, r >= 1, m_max >= 2, got {(n, r, m_max)}")
     for m in range(1, m_max + 1):
         out = search_good_coloring(n, m, r, opts)
         if out.kind is Outcome.BUDGET_EXCEEDED:
-            raise RuntimeError(f"node budget exhausted while deciding width m={m}")
+            raise Undecided(m)
         if out.kind is Outcome.EXHAUSTED:
             return m
     return None

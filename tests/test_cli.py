@@ -152,7 +152,7 @@ class TestGrSearch:
     def test_budget_cap_gives_none(self):
         result = run(["gr-search", "c4", "3", "--budget", "50"])
         assert result.exit_code == 1
-        assert result.summary == "gr=none tmax=8"
+        assert result.summary == "gr=undecided t=6"
 
     def test_tmax_too_small(self):
         result = run(["gr-search", "c4", "3", "--tmax", "5"])

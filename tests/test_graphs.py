@@ -16,7 +16,7 @@ from gallaikit.graphs import (
     parse_edge_coloring,
     search_good_edge_coloring,
 )
-from gallaikit.search import Outcome, SearchOptions
+from gallaikit.search import Outcome, SearchOptions, Undecided
 
 from oracles import (
     naive_good_edge_coloring_exists,
@@ -194,7 +194,8 @@ class TestGallaiRamseyNumbers:
         assert gallai_ramsey_number("C4", 3, 5) is None
 
     def test_budget_prevents_certification(self):
-        assert gallai_ramsey_number("C4", 3, 10, SearchOptions(node_budget=50)) is None
+        with pytest.raises(Undecided):
+            gallai_ramsey_number("C4", 3, 10, SearchOptions(node_budget=50))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

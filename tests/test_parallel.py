@@ -135,3 +135,44 @@ def test_results_commit_in_prefix_order():
     assert explore_subtrees([1, 1, 2], 3, 46, 2, explore) == (Outcome.BUDGET_EXCEEDED, 47, None)
     assert explore_subtrees([1, 1, 2], 3, 47, 2, explore) == (Outcome.FOUND, 47, [7])
     assert_no_children_left()
+
+
+def test_result_larger_than_the_pipe_buffer_commits():
+    # about 1 MB of marshal data, far more than a pipe buffers
+    witness = list(range(200_000))
+
+    def explore(index, cap):
+        return (5, False, witness) if index == 1 else (3, False, None)
+
+    assert explore_subtrees([1, 1, 2], 3, None, 2, explore) == (Outcome.FOUND, 1 + 3 + 5, witness)
+    assert_no_children_left()
+
+
+def found_in_subtree_one(index, cap):
+    return 1, False, [index] if index == 1 else None
+
+
+def broken_subtree(index, cap):
+    raise ValueError("subtree is broken")
+
+
+def dead_worker(index, cap):
+    os._exit(3)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+# a pipe file left open warns as it is collected, and the warning is unraisable there
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize(
+    "explore, error",
+    [(found_in_subtree_one, None), (broken_subtree, "subtree is broken"), (dead_worker, "without a result")],
+)
+def test_every_exit_closes_the_pipes(explore, error):
+    before = len(os.listdir("/proc/self/fd"))
+    if error is None:
+        assert explore_subtrees([0, 0, 0], 0, None, 2, explore) == (Outcome.FOUND, 2, [1])
+    else:
+        with pytest.raises(RuntimeError, match=error):
+            explore_subtrees([0, 0, 0], 0, None, 2, explore)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert_no_children_left()

@@ -9,6 +9,7 @@ from gallaikit.grid import CertificateError, verify_good
 from gallaikit.search import (
     Outcome,
     SearchOptions,
+    Undecided,
     format_search_certificate,
     minimal_forcing_m,
     parse_search_certificate,
@@ -83,6 +84,12 @@ class TestMinimalForcing:
     def test_budget_aborts_rather_than_guessing(self):
         with pytest.raises(RuntimeError):
             minimal_forcing_m(3, 2, 10, SearchOptions(node_budget=10))
+
+    def test_budget_names_the_undecided_width(self):
+        # widths 1 and 2 are decided within ten nodes, width 3 is not
+        with pytest.raises(Undecided) as caught:
+            minimal_forcing_m(3, 2, 10, SearchOptions(node_budget=10))
+        assert caught.value.size == 3
 
     def test_two_rows_four_colors_never_forced(self):
         # engine and the column-type multiset oracle agree: with two rows and
