@@ -9,8 +9,9 @@ enumeration establishes that every coloring of 3-space contains a
 monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 
 All arithmetic is double precision.  Points are tuples of Python floats
-and every distance is math.dist of two of them; numpy runs only the array
-sweeps (the affine rank, the strip falsifier and the gadget enumeration).
+and every distance is math.dist of two of them; numpy runs only the affine
+rank and the strip falsifier, which import it when they run.  The gadget
+enumeration runs on the shared search driver.
 Distance comparisons use absolute tolerance 1e-9, which is comfortable
 for the coordinate magnitudes involved (small combinations of 1/2,
 1/sqrt(2), sqrt(3)/4).
@@ -22,11 +23,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .grid import CertificateError, split_strict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -179,6 +181,8 @@ def affine_rank(config: Configuration) -> int:
     cutoff is relative to the largest of them, so the rank does not depend
     on the scale of the configuration.
     """
+    import numpy as np
+
     pts = np.array([p.coords for p in config.points], dtype=float)
     if np.abs(pts).max(initial=0.0) > np.finfo(float).max / 2:
         pts /= 2  # so no difference overflows; halving numbers this large is exact
@@ -325,7 +329,7 @@ class FalsificationReport:
     rainbow_hits: int
 
 
-_BLOCK = 1 << 16  # trials drawn and tested per step of the strip falsifier
+_BLOCK = 1 << 13  # trials per step of the strip falsifier; a step's 64 KiB arrays stay in L2 cache
 _TABLE_COLORS = 127  # the most colors the strip falsifier's int8 table holds
 
 
@@ -338,7 +342,7 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     [0, r*a), is draw trials + i.  The strip coloring depends on x alone,
     so the center's y is never drawn.  Reports are therefore reproducible
     bit for bit and independent of how the work is split.  Trials are
-    drawn and tested in blocks of 65,536, so memory is bounded by the
+    drawn and tested in blocks of 8,192, so memory is bounded by the
     block size and not by `trials`.  For a <= b <= sqrt(3)*a no placement
     can be monochromatic or rainbow, so both hit counts are zero.
 
@@ -379,6 +383,8 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
     (cx - ux) +- vx, the same sums in the same order as cx + ux + vx, so
     sharing cx + ux and cx - ux keeps every bit.
     """
+    import numpy as np
+
     angles = np.random.Generator(np.random.PCG64(seed))
     centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials))
     half_a = a / 2.0
@@ -414,6 +420,8 @@ def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndar
     L exceeds both ends of the range falsify_strip's docstring derives
     for k, so the lookup never raises.
     """
+    import numpy as np
+
     if r > _TABLE_COLORS:
         return lambda x: np.floor(x / a).astype(np.int64) % r
     reach = math.ceil((a + b) / (2.0 * a))
@@ -558,63 +566,55 @@ class GadgetReport:
 def verify_triangle_gadget() -> GadgetReport:
     """Check that every restricted coloring of the gadget contains a mono or rainbow triple.
 
-    Enumerates all colorings of the seven free points C, A1..A6 with colors
-    from {1..9} (nine colors represent any coloring of nine points up to
-    renaming), with A fixed to 1, B fixed to 2, and C != 2; those fixings
-    encode the symmetry reductions under which the full statement follows.
-    The 8 * 9^6 colorings form one array with an axis per free point: C
-    has the axis (1, 3, ..., 9) and each A_i the axis (1..9).  Each triple
-    is tested on the axes of its own points only and OR-ed into the
-    coverage array by broadcasting: first the 18 triples without C into
-    the 9^6 hexagon grid, then that grid, repeated along the C axis, with
-    the two triples through C.  This is exact, because a triple's verdict
-    depends on its three points' colors alone, so repeating it along the
-    other axes gives its value on every coloring, and every coloring keeps
-    its own coverage bit.
+    The free points C, A1..A6 take colors 1..9 (nine colors represent any
+    coloring of nine points up to renaming), with A = 1, B = 2 and C != 2;
+    those fixings encode the symmetry reductions under which the full
+    statement follows.  search.backtrack assigns C, A1..A6 in that order; at
+    the last point of each triple it rejects the color of the other two if
+    they agree (mono) and every color but theirs if they differ (rainbow).
+    A triple's verdict depends on its own colors alone, so a rejected color
+    covers every extension, and Exhausted proves all 8 * 9^6 colorings
+    covered.  Found carries the lexicographically least uncovered (C, A1..A6),
+    the first in row-major order over the increasing axes C = (1, 3, ..., 9)
+    and A_i = (1..9).
     """
     _, triples = triangle_gadget()
-    return _sweep_gadget(triples)
+    return _search_gadget(triples)[0]
 
 
 _GADGET_FIXED = {"A": 1, "B": 2}
-#: the colors each free point ranges over, in axis order
-_GADGET_AXES = {"C": (1, 3, 4, 5, 6, 7, 8, 9), **{f"A{k}": range(1, 10) for k in range(1, 7)}}
+#: the free points in search order: C takes 8 colors, each A_i all 9
+_GADGET_SLOTS = ("C", "A1", "A2", "A3", "A4", "A5", "A6")
 
 
-def _sweep_gadget(triples: list[tuple[str, str, str]]) -> GadgetReport:
-    """verify_triangle_gadget's sweep over a given list of gadget triples.
+def _search_gadget(triples: list[tuple[str, str, str]]) -> tuple[GadgetReport, int]:
+    """verify_triangle_gadget's search over a given list of gadget triples, and its node count."""
+    from .search import SearchOptions, backtrack
 
-    A free point's colors lie along its own axis and have length 1 on the
-    others, so an expression in a triple's colors broadcasts over exactly
-    the axes of its points.
-    """
-    colors: dict[str, object] = dict(_GADGET_FIXED)
-    for axis, (label, values) in enumerate(_GADGET_AXES.items()):
-        view = [1] * len(_GADGET_AXES)
-        view[axis] = -1
-        colors[label] = np.array(values, dtype=np.int8).reshape(view)
-
-    def verdict(triple: tuple[str, str, str]) -> np.ndarray:
-        cp, cq, cs = (colors[lab] for lab in triple)
-        return ((cp == cq) & (cq == cs)) | ((cp != cq) & (cp != cs) & (cq != cs))
-
-    sizes = [len(values) for values in _GADGET_AXES.values()]
-    hexagon = np.zeros([1] + sizes[1:], dtype=bool)
-    through_c = np.zeros(sizes[:1] + [1] * (len(sizes) - 1), dtype=bool)
+    colors = dict(_GADGET_FIXED)
+    order = {label: pos for pos, label in enumerate((*_GADGET_FIXED, *_GADGET_SLOTS), -2)}
+    # checks[pos]: the other two points of each triple whose last point is slot pos
+    checks: list[list[list[str]]] = [[] for _ in _GADGET_SLOTS]
     for triple in triples:
-        if "C" in triple:
-            through_c = through_c | verdict(triple)
-        else:
-            hexagon |= verdict(triple)
-    covered = hexagon | through_c
-    holds = bool(covered.all())
-    first_uncovered = None
-    if not holds:
-        index = np.unravel_index(int(np.argmin(covered)), covered.shape)
-        first_uncovered = dict(_GADGET_FIXED)
-        for (label, values), k in zip(_GADGET_AXES.items(), index):
-            first_uncovered[label] = values[k]
-    return GadgetReport(holds, int(covered.size), len(triples), first_uncovered)
+        *others, last = sorted(triple, key=order.__getitem__)
+        checks[order[last]].append(others)
+
+    def fits(pos: int, hi: int) -> int:
+        ok = (2 << hi) - (6 if pos == 0 else 2)  # colors 1..hi, without 2 for C
+        for p, q in checks[pos]:
+            cp, cq = colors[p], colors[q]
+            ok &= ~(1 << cp) if cp == cq else (1 << cp) | (1 << cq)
+        return ok
+
+    def place(pos: int, c: int) -> None:
+        colors[_GADGET_SLOTS[pos]] = c
+
+    def unplace(pos: int, c: int) -> None:
+        del colors[_GADGET_SLOTS[pos]]
+
+    _, nodes, found = backtrack(len(_GADGET_SLOTS), 9, SearchOptions(), fits, place, unplace, first_use=False)
+    first_uncovered = None if found is None else {**_GADGET_FIXED, **dict(zip(_GADGET_SLOTS, found))}
+    return GadgetReport(first_uncovered is None, 8 * 9**6, len(triples), first_uncovered), nodes
 
 
 def format_configuration(config: Configuration) -> str:

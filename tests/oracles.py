@@ -650,10 +650,10 @@ def reference_parse_model_text(text: str) -> dict[int, bool]:
 
 # ---------------------------------------------------------------- geometry sweeps
 #
-# The two numpy sweeps of euclid before they were streamed, kept as the
-# reference for the blocked strip kernel and the per-triple gadget
-# broadcast.  numpy is imported inside them so that the grid, graph and SAT
-# tests load no numpy through this module.
+# Two whole-array numpy sweeps, kept as the reference for the blocked strip
+# kernel and for the gadget search on the driver, with which they share no
+# code.  numpy is imported inside them so that the grid, graph and SAT tests
+# load no numpy through this module.
 
 def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
     """Whole-array strip falsifier: every trial's arrays are alive at once.

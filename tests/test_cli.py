@@ -400,9 +400,14 @@ class TestHarness:
             ([["sat-export", "2", "2", "2", "--out", "{out}"]], ["dataclasses", "grid", "sat"]),
             ([["sat-check", "{missing}", "--model", "{missing}"]], ["dataclasses", "grid", "sat"]),
             ([["gr-search", "c4", "2"]], ["dataclasses", "graphs", "grid", "search"]),
-            ([["embed", "simplex", "3"]], ["dataclasses", "euclid", "grid", "numpy"]),
+            ([["embed", "lattice", "1", "1", "1"]], ["dataclasses", "euclid", "grid", "numpy"]),
+            ([["embed", "simplex", "3"]], ["dataclasses", "euclid", "grid"]),
+            ([["gadget-verify"]], ["dataclasses", "euclid", "grid", "search"]),
         ],
-        ids=["version-help", "grid-search", "grid-verify", "sat-export", "sat-check", "gr-search", "embed"],
+        ids=[
+            "version-help", "grid-search", "grid-verify", "sat-export", "sat-check", "gr-search", "embed",
+            "embed-simplex", "gadget-verify",
+        ],
     )
     def test_each_command_loads_only_its_layers(self, tmp_path, argvs, expected):
         # In a fresh interpreter: the gallaikit layers, dataclasses and numpy that
