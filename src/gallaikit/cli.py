@@ -98,17 +98,20 @@ def _cmd_sat_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_gr_search(args: argparse.Namespace) -> CommandResult:
-    from .graphs import gallai_ramsey_number
+    from .graphs import format_edge_coloring, gallai_ramsey_scan
     from .search import Undecided
 
     target = args.target.upper()
     tmax = args.tmax if args.tmax is not None else args.r + 5
     try:
-        value = gallai_ramsey_number(target, args.r, tmax, _options(args))
+        value, good = gallai_ramsey_scan(target, args.r, tmax, _options(args))
     except Undecided as exc:
         return CommandResult(1, f"gr=undecided t={exc.size}")
     if value is None:
         return CommandResult(1, f"gr=none tmax={tmax}")
+    if args.out:
+        # the good K_{gr-1} coloring that shows gr is not smaller
+        Path(args.out).write_text(format_edge_coloring(good))
     return CommandResult(0, f"gr={value}")
 
 
@@ -224,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["c4", "p4"])
     p.add_argument("r", type=int)
     p.add_argument("--tmax", type=int, default=None, help="largest t to try (default r+5)")
+    p.add_argument("--out", default=None, help="write the good K_{gr-1} coloring here (kgraph format)")
     p.set_defaults(handler=_cmd_gr_search)
 
     p = with_version(sub.add_parser("embed", help="build one of the point-family embeddings"))

@@ -5,10 +5,11 @@ monochromatic copy of a target subgraph (the 4-cycle C4 or the
 four-vertex path P4).  The edge engine runs the shared driver
 `search.backtrack` over the edges in lexicographic order.  Its `fits`
 returns, once per edge visit, the colors that complete no rainbow
-triangle and no monochromatic target with the assigned edges: it finds
-the common neighbours whose two edges differ once, and each color then
-costs one AND-NOT for the rainbow test and a bitmask scan for the target.
-Its `place` assigns without checking.  Rainbow-triangle pruning is what
+triangle and no monochromatic target with the assigned edges.  It first
+walks the common neighbours of the edge's ends: each "split" neighbour,
+one whose two edges differ, leaves only those two colors.  Only the
+colors that survive go on to the bitmask scan for the target.  Its
+`place` assigns without checking.  Rainbow-triangle pruning is what
 makes exhaustion tractable, since colorings without rainbow triangles
 are rigidly structured.
 """
@@ -140,6 +141,16 @@ def search_good_edge_coloring(
     target among assigned edges prunes immediately.  The reference
     searches in tests/oracles.py share no code with this engine and pin
     its verdicts, witnesses and node counts on small instances.
+
+    The rainbow test narrows before the target test.  A color c for the
+    edge uv closes a rainbow triangle uvw exactly when uw and vw are
+    assigned with colors a != b and c is neither a nor b: if a == b,
+    then uv, uw and vw hold at most two colors whatever c is.  So the
+    colors that close no rainbow triangle are those in {a, b} for every
+    such "split" neighbour w, and fits intersects those pairs.  The
+    target test then sees only those colors, and the mask fits returns is
+    the one a color-by-color check of both tests would give, so the order
+    of the tests changes no verdict, witness or node count.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -148,72 +159,80 @@ def search_good_edge_coloring(
     if opts is None:
         opts = SearchOptions()
     edges = [(u, v) for u, v in combinations(range(1, t + 1), 2)]
-    slot_info = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    # col[u][w]: the color of edge uw, live only while amask says uw is assigned
+    col = [[0] * (t + 1) for _ in range(t + 1)]
     # nc[u][c]: bitmask of vertices joined to u by an assigned edge of color c (first-use: c <= edges)
     nc = [[0] * (min(r, len(edges)) + 1) for _ in range(t + 1)]
     amask = [0] * (t + 1)
+    slot_info = [(u, v, 1 << u, 1 << v, col[u], col[v], nc[u], nc[v]) for u, v in edges]
     rainbow_check = r >= 3
     want_c4 = target == "C4"
 
     def fits(pos: int, hi: int) -> int:
-        # colors for edge pos that complete no rainbow triangle and no mono target
-        u, v, ubit, vbit = slot_info[pos]
-        nc_u = nc[u]
-        nc_v = nc[v]
-        # split: common neighbours w whose edges uw and vw differ
-        split = 0
-        if rainbow_check:
-            common = amask[u] & amask[v]
-            if common:
-                same = 0
-                for c2 in range(1, hi + 1):
-                    same |= nc_u[c2] & nc_v[c2]
-                split = common & ~same
+        # colors for edge pos that complete no rainbow triangle, then no mono target
+        u, v, ubit, vbit, col_u, col_v, nc_u, nc_v = slot_info[pos]
         ok = (2 << hi) - 2  # the bits of colors 1..hi
-        for c in range(1, hi + 1):
+        if rainbow_check:
+            # a split neighbour w (uw colored a, vw colored b != a) leaves only a and b;
+            # below three colors no triangle is rainbow and every color goes on
+            common = amask[u] & amask[v]
+            while common:
+                low = common & -common
+                common ^= low
+                w = low.bit_length() - 1
+                a = col_u[w]
+                b = col_v[w]
+                if a != b:
+                    ok &= 1 << a | 1 << b
+                    if not ok:
+                        return 0
+        # the target test, on the surviving colors from low to high.  Edge uv is
+        # not assigned yet, so v is in no nc_u[c] and u in no nc_v[c].
+        others = ~(ubit | vbit)
+        rest = ok
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
             cu = nc_u[c]
             cv = nc_v[c]
-            if split & ~(cu | cv):
-                ok ^= 1 << c  # a split neighbour with neither edge colored c: rainbow
-            elif want_c4:
+            if want_c4:
                 # a cycle u-v-x-y: x a c-neighbour of v, y one of u and of x
-                xs = cv & ~ubit
-                ys = cu & ~vbit
-                if ys:
+                if cu:
+                    xs = cv
                     while xs:
-                        low = xs & -xs
-                        if nc[low.bit_length() - 1][c] & ys:
-                            ok ^= 1 << c
+                        x = xs & -xs
+                        if nc[x.bit_length() - 1][c] & cu:
+                            ok ^= low
                             break
-                        xs ^= low
+                        xs ^= x
             else:
-                # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge
-                a_set = cu & ~vbit
-                b_set = cv & ~ubit
-                if a_set and b_set and (a_set != b_set or a_set & (a_set - 1)):
-                    ok ^= 1 << c
+                # P4: edge (u, v) as middle edge a-u-v-b, then as an end edge v-u-a-x or u-v-b-x
+                if cu and cv and (cu != cv or cu & (cu - 1)):
+                    ok ^= low
                     continue
-                ends = a_set | b_set
-                others = ~(ubit | vbit)
+                ends = cu | cv
                 while ends:
-                    low = ends & -ends
-                    if nc[low.bit_length() - 1][c] & others:
-                        ok ^= 1 << c
+                    x = ends & -ends
+                    if nc[x.bit_length() - 1][c] & others:
+                        ok ^= low
                         break
-                    ends ^= low
+                    ends ^= x
         return ok
 
     def place(pos: int, c: int) -> None:
-        u, v, ubit, vbit = slot_info[pos]
-        nc[u][c] |= vbit
-        nc[v][c] |= ubit
+        u, v, ubit, vbit, col_u, col_v, nc_u, nc_v = slot_info[pos]
+        col_u[v] = c
+        col_v[u] = c
+        nc_u[c] |= vbit
+        nc_v[c] |= ubit
         amask[u] |= vbit
         amask[v] |= ubit
 
     def unplace(pos: int, c: int) -> None:
-        u, v, ubit, vbit = slot_info[pos]
-        nc[u][c] &= ~vbit
-        nc[v][c] &= ~ubit
+        u, v, ubit, vbit, _, _, nc_u, nc_v = slot_info[pos]
+        nc_u[c] &= ~vbit
+        nc_v[c] &= ~ubit
         amask[u] &= ~vbit
         amask[v] &= ~ubit
 
@@ -236,15 +255,30 @@ def gallai_ramsey_number(
     Returns None when every t <= t_max still admits a good coloring.
     Raises Undecided(t) if a node budget prevents deciding size t.
     """
+    return gallai_ramsey_scan(target, r, t_max, opts)[0]
+
+
+def gallai_ramsey_scan(
+    target: str, r: int, t_max: int, opts: SearchOptions | None = None
+) -> tuple[int | None, EdgeColoring | None]:
+    """gallai_ramsey_number's value together with the last good coloring the scan found.
+
+    The scan tries t = 3, 4, ... and stops at the first Exhausted t.  So
+    when the value is t, the coloring is a good K_{t-1} coloring (t >= 4,
+    since one color on K_3 is always good); when it is None, the coloring
+    is a good K_{t_max} coloring.
+    """
     if r < 1 or t_max < 3:
         raise ValueError(f"require r >= 1 and t_max >= 3, got {(r, t_max)}")
+    good = None
     for t in range(3, t_max + 1):
         out = search_good_edge_coloring(t, r, target, opts)
         if out.kind is Outcome.EXHAUSTED:
-            return t
+            return t, good
         if out.kind is Outcome.BUDGET_EXCEEDED:
             raise Undecided(t)
-    return None
+        good = out.witness
+    return None, good
 
 
 def format_edge_coloring(ec: EdgeColoring) -> str:

@@ -12,11 +12,12 @@ import pytest
 import gallaikit
 from gallaikit.cli import main, run
 from gallaikit.euclid import parse_configuration
+from gallaikit.graphs import find_mono_subgraph, find_rainbow_triangle, parse_edge_coloring
 from gallaikit.grid import GridColoring, format_grid_certificate
 from gallaikit.sat import parse_dimacs
 from gallaikit.search import Outcome, parse_search_certificate
 
-from oracles import assignment_from_coloring
+from oracles import assignment_from_coloring, naive_mono_target_exists, naive_rainbow_triangle_exists
 
 
 def write(tmp_path, name, text):
@@ -161,6 +162,24 @@ class TestGrSearch:
 
     def test_unknown_target_exit_two(self):
         assert run(["gr-search", "k4", "3"]).exit_code == 2
+
+    @pytest.mark.parametrize("target, gr", [("c4", 7), ("p4", 6)])
+    def test_out_writes_the_good_coloring_below_gr(self, tmp_path, target, gr):
+        path = tmp_path / "K"
+        result = run(["gr-search", target, "3", "--out", str(path)])
+        assert (result.exit_code, result.summary) == (0, f"gr={gr}")
+        good = parse_edge_coloring(path.read_text())
+        assert (good.t, good.r) == (gr - 1, 3)
+        assert find_rainbow_triangle(good) is None
+        assert find_mono_subgraph(good, target.upper()) is None
+        assert not naive_rainbow_triangle_exists(good)
+        assert not naive_mono_target_exists(good, target.upper())
+
+    @pytest.mark.parametrize("extra", [["--tmax", "5"], ["--budget", "50"]])
+    def test_out_written_only_when_gr_is_decided(self, tmp_path, extra):
+        path = tmp_path / "K"
+        assert run(["gr-search", "c4", "3", *extra, "--out", str(path)]).exit_code == 1
+        assert not path.exists()
 
 
 class TestEmbed:

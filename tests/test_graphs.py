@@ -1,5 +1,6 @@
 """Edge-coloring detectors, the Gallai-Ramsey engine, and kgraph certificates."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -13,6 +14,7 @@ from gallaikit.graphs import (
     find_rainbow_triangle,
     format_edge_coloring,
     gallai_ramsey_number,
+    gallai_ramsey_scan,
     parse_edge_coloring,
     search_good_edge_coloring,
 )
@@ -166,6 +168,30 @@ class TestEngine:
         assert search_good_edge_coloring(6, 3, "P4").kind is Outcome.EXHAUSTED
         assert search_good_edge_coloring(7, 3, "P4").kind is Outcome.EXHAUSTED
 
+    # (t, r, target): kind, nodes, SHA-256 of the witness's kgraph text.  These are
+    # past the reach of the reference search; the counts do not depend on the
+    # worker hint.
+    PINS = {
+        (6, 3, "P4"): (Outcome.EXHAUSTED, 716, None),
+        (7, 4, "P4"): (Outcome.EXHAUSTED, 8_342, None),
+        (8, 5, "C4"): (
+            Outcome.FOUND,
+            81_267,
+            "0b2fd0a429d8f5c588fd29645a5b9c65e6cb676d4e36f984e0ae180274ff11b1",
+        ),
+        (9, 6, "P4"): (Outcome.EXHAUSTED, 1_056_193, None),
+    }
+
+    @pytest.mark.parametrize("hint", [None, 2])
+    @pytest.mark.parametrize("instance", list(PINS), ids=lambda k: "K{}-r{}-{}".format(*k))
+    def test_pinned_counts_and_witnesses(self, instance, hint):
+        t, r, target = instance
+        out = search_good_edge_coloring(t, r, target, SearchOptions(worker_hint=hint))
+        digest = None
+        if out.witness is not None:
+            digest = hashlib.sha256(format_edge_coloring(out.witness).encode()).hexdigest()
+        assert (out.kind, out.nodes_visited, digest) == self.PINS[instance]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             search_good_edge_coloring(2, 3, "C4")
@@ -197,7 +223,17 @@ class TestGallaiRamseyNumbers:
         with pytest.raises(Undecided):
             gallai_ramsey_number("C4", 3, 10, SearchOptions(node_budget=50))
 
+    @pytest.mark.parametrize("target, r, t_max", [("C4", 3, 8), ("P4", 3, 8), ("C4", 3, 5), ("P4", 2, 8)])
+    def test_scan_returns_the_good_coloring_below_the_value(self, target, r, t_max):
+        value, good = gallai_ramsey_scan(target, r, t_max)
+        assert value == gallai_ramsey_number(target, r, t_max)
+        assert (good.t, good.r) == ((value - 1) if value is not None else t_max, r)
+        assert find_rainbow_triangle(good) is None
+        assert find_mono_subgraph(good, target) is None
+
     def test_preconditions(self):
+        with pytest.raises(ValueError):
+            gallai_ramsey_scan("C4", 3, 2)
         with pytest.raises(ValueError):
             gallai_ramsey_number("C4", 0, 10)
         with pytest.raises(ValueError):

@@ -88,6 +88,20 @@ def test_edge_engine_matches_reference(target, color_symmetry):
     assert kinds == {"found", "exhausted"}
 
 
+@pytest.mark.parametrize("target, kind, nodes", [("C4", "found", 6_749), ("P4", "exhausted", 8_342)])
+def test_edge_engine_matches_reference_past_six_vertices(target, kind, nodes):
+    # on K7 with four colors most edge visits have a split neighbour, so the
+    # rainbow test narrows the colors before the target test sees them
+    def engine(budget):
+        return search_good_edge_coloring(7, 4, target, SearchOptions(budget))
+
+    def reference(budget):
+        return reference_edge_search(7, 4, target, True, budget)
+
+    assert assert_agrees_at_every_budget(engine, reference, flat_edges, (7, 4))[0] == kind
+    assert engine(None).nodes_visited == nodes
+
+
 def test_reference_counts_by_hand():
     # K4 with one color: edges (1,2), (1,3), (1,4) form a star, not a P4, and the
     # fourth edge (2,3) closes 4-1-2-3, so the search exhausts after 4 nodes
