@@ -10,10 +10,23 @@ undo it).  The K_t edge engine lives in `graphs`.
 
 The grid engine assigns cells in row-major order and rejects a color as
 soon as it would complete a monochromatic or rainbow rectangle with
-earlier cells.  It keeps a column bitmask per (row, color), so the mono
-test is one AND per row above and the rainbow test a few AND-NOTs per
-row.  It visits only colorings whose colors are numbered by first use and
-whose rows are lexicographically nondecreasing.  By the lex-leader
+earlier cells.  Below four colors no rectangle is rainbow, and the engine
+keeps a column bitmask per (row, color), so the mono test is one AND per
+row above.  From four colors on it keeps a pair state for each pair of
+rows k < i: one bit for each unordered pair {x, y} of colors, x = y
+allowed, that rows k and i hold in one column so far.  Placing a cell ORs
+one bit into the state of each row above, and unplacing restores the
+states saved for that slot.  The test of cell (i, j) reads, for each row
+k above, allowed[state][b] with b the color of cell (k, j); the table is
+cached per search and made from the state's set bits on first use.  It
+is exact: a color c closes a mono rectangle with row k iff c = b and the
+state holds {b, b}, and a rainbow one iff c != b and some pair {x, y},
+x != y, of the state avoids b and does not contain c.  So the allowed
+colors are b, unless the state holds {b, b}, together with the
+intersection of the state's pairs that avoid b.
+
+The grid engine visits only colorings whose colors are numbered by first
+use and whose rows are lexicographically nondecreasing.  By the lex-leader
 argument (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates
 for search problems", KR 1996) this changes no Found/Exhausted verdict.
 Renaming colors and permuting rows map good colorings to good colorings.
@@ -32,6 +45,7 @@ import marshal
 import os
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Any, BinaryIO, Callable, Generic, Sequence, TypeVar
 
 from .grid import (
@@ -57,8 +71,10 @@ class SearchOptions:
     node_budget caps the number of decision nodes (tentative color
     assignments).  worker_hint is the number of worker processes a search
     may fork, capped at the usable cores; with two or more, the tree is cut
-    at a fixed depth and the subtrees below the cut are explored in
-    parallel.  Verdicts, witnesses and nodes_visited never depend on it.
+    into prefixes and the subtrees below them are explored in parallel.
+    The first LEAD_PREFIXES prefixes are cut at depth LEAD_DEPTH, the rest
+    at SPLIT_DEPTH.  Verdicts, witnesses and nodes_visited never depend on
+    it.
     Each engine always applies its symmetry reductions (module docstring).
     """
 
@@ -385,67 +401,133 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         opts = SearchOptions()
     if n < 1 or m < 1 or r < 1:
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
-    cells = [[0] * m for _ in range(n)]
     # first-use numbering places no color above top
     top = min(r, n * m)
-    # col_masks[i][c]: bitmask of the columns where row i holds color c
-    col_masks = [[0] * (top + 1) for _ in range(n)]
-    # per slot in row-major order: (row, column, the row, its masks, (row, masks) for each
-    # row above, the bits of the columns before this one)
-    slot_info = [
-        (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), (1 << j) - 1)
-        for i in range(n)
-        for j in range(m)
-    ]
     # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1
     ge_at = [-1] * n
-    rainbow_possible = r >= 4
-    all_colors = range(1, top + 1)
 
-    def fits(pos: int, hi: int) -> int:
-        # colors that finish no mono or rainbow rectangle with a row above
-        _, j, row_i, masks_i, above, before = slot_info[pos]
-        ok = (2 << hi) - 2  # the bits of colors 1..hi
-        for row2, masks2 in above:
-            b = row2[j]
-            if masks2[b] & masks_i[b]:
-                ok &= ~(1 << b)  # b would close a mono rectangle
-            if rainbow_possible:
-                # columns j2 < j where row2 and row i differ and neither holds b
-                free = before & ~(masks2[b] | masks_i[b])
-                if free:
-                    for x in all_colors:
-                        free &= ~(masks2[x] & masks_i[x])
-                    if free:
-                        # each such column leaves only b and its own two colors, so
-                        # besides b only the first one's two colors can fit, and
-                        # only if they occur in every such column
-                        j2 = (free & -free).bit_length() - 1
-                        keep = 1 << b
-                        for x in (row2[j2], row_i[j2]):
-                            if not free & ~(masks2[x] | masks_i[x]):
-                                keep |= 1 << x
-                        ok &= keep
-        return ok
+    if r < 4:
+        # a rectangle with three colors or fewer is never rainbow
+        cells = [[0] * m for _ in range(n)]
+        # col_masks[i][c]: bitmask of the columns where row i holds color c
+        col_masks = [[0] * (top + 1) for _ in range(n)]
+        # per slot in row-major order: (row, column, the row, its masks, (row, masks)
+        # for each row above)
+        slot_info = [
+            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i]))) for i in range(n) for j in range(m)
+        ]
 
-    def place(pos: int, c: int) -> None:
-        i, j, row_i, masks_i, above, _ = slot_info[pos]
-        row_i[j] = c
-        masks_i[c] |= 1 << j
-        if i and ge_at[i] < 0 and c > above[-1][0][j]:
-            ge_at[i] = pos
+        def fits(pos: int, hi: int) -> int:
+            # colors that finish no mono rectangle with a row above
+            _, j, _, masks_i, above = slot_info[pos]
+            ok = (2 << hi) - 2  # the bits of colors 1..hi
+            for row2, masks2 in above:
+                b = row2[j]
+                if masks2[b] & masks_i[b]:
+                    ok &= ~(1 << b)  # b would close a mono rectangle
+            return ok
 
-    def unplace(pos: int, c: int) -> None:
-        i, j, row_i, masks_i, _, _ = slot_info[pos]
-        row_i[j] = 0
-        masks_i[c] &= ~(1 << j)
-        if ge_at[i] == pos:
-            ge_at[i] = -1
+        def place(pos: int, c: int) -> None:
+            i, j, row_i, masks_i, above = slot_info[pos]
+            row_i[j] = c
+            masks_i[c] |= 1 << j
+            if i and ge_at[i] < 0 and c > above[-1][0][j]:
+                ge_at[i] = pos
 
-    def floor(pos: int) -> int:
-        # sorted rows: while row i ties row i-1, its cells may not fall below it
-        i, j, _, _, above, _ = slot_info[pos]
-        return above[-1][0][j] if i and ge_at[i] < 0 else 1
+        def unplace(pos: int, c: int) -> None:
+            i, j, row_i, masks_i, _ = slot_info[pos]
+            row_i[j] = 0
+            masks_i[c] &= ~(1 << j)
+            if ge_at[i] == pos:
+                ge_at[i] = -1
+
+        def floor(pos: int) -> int:
+            # sorted rows: while row i ties row i-1, its cells may not fall below it
+            i, j, _, _, above = slot_info[pos]
+            return above[-1][0][j] if i and ge_at[i] < 0 else 1
+
+    else:
+        # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, its column)
+        cols = [[0] * n for _ in range(m)]
+        slot_info = [(i, cols[j]) for i in range(n) for j in range(m)]
+        # pair_state[i][k]: the pair state of rows k < i over the columns placed in row i
+        pair_state = [[0] * i for i in range(n)]
+        saved: list[list[int]] = [[]] * (n * m)  # pair_state[i] before each slot was placed
+        # the pair {x, y}, x <= y, is bit tri[y] + x of a state: pairs are numbered by
+        # their larger color, so a state over few colors stays small however large r is
+        tri = [y * (y + 1) // 2 for y in range(top + 1)]
+        # pair_bits[c][x]: the bit of the pair {c, x}, made up to the largest x met so far
+        pair_bits: list[list[int]] = [[] for _ in range(top + 1)]
+        # allowed[state][b]: the colors that row i may take below b, the color of row k,
+        # under the state of rows k and i; made up to the largest b met so far.  Two
+        # disjoint pairs would be a rainbow rectangle, so the pairs x != y of a state
+        # pairwise meet, and few states occur.
+        allowed: dict[int, list[int]] = {}
+
+        def allowed_at(state: int, b: int) -> int:
+            # b unless the state holds {b, b}, and every color in all the state's
+            # pairs {x, y}, x != y, that avoid b (module docstring)
+            mono = 0
+            pairs = []
+            rest = state
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                idx = low.bit_length() - 1
+                y = (isqrt(8 * idx + 1) - 1) // 2
+                x = idx - tri[y]
+                if x == y:
+                    mono |= 1 << x
+                else:
+                    pairs.append(1 << x | 1 << y)
+            table = allowed.setdefault(state, [])
+            for b2 in range(len(table), b + 1):
+                bit = 1 << b2
+                keep = -1
+                for pair in pairs:
+                    if not pair & bit:
+                        keep &= pair
+                table.append((keep | bit) & ~(mono & bit))
+            return table[b]
+
+        def fits(pos: int, hi: int) -> int:
+            # colors that finish no mono or rainbow rectangle with a row above
+            i, col = slot_info[pos]
+            ok = (2 << hi) - 2  # the bits of colors 1..hi
+            for state, b in zip(pair_state[i], col):
+                try:
+                    ok &= allowed[state][b]
+                except (KeyError, IndexError):  # a state or a b not met before
+                    ok &= allowed_at(state, b)
+            return ok
+
+        def place(pos: int, c: int) -> None:
+            i, col = slot_info[pos]
+            col[i] = c
+            states = saved[pos] = pair_state[i]
+            bits = pair_bits[c]
+            new = []
+            for state, a in zip(states, col):
+                try:
+                    new.append(state | bits[a])
+                except IndexError:  # a color placed since c's bits were made
+                    bits.extend(1 << (tri[c] + x if x <= c else tri[x] + c) for x in range(len(bits), a + 1))
+                    new.append(state | bits[a])
+            pair_state[i] = new
+            if i and ge_at[i] < 0 and c > col[i - 1]:
+                ge_at[i] = pos
+
+        def unplace(pos: int, c: int) -> None:
+            i, col = slot_info[pos]
+            col[i] = 0
+            pair_state[i] = saved[pos]
+            if ge_at[i] == pos:
+                ge_at[i] = -1
+
+        def floor(pos: int) -> int:
+            # sorted rows: while row i ties row i-1, its cells may not fall below it
+            i, col = slot_info[pos]
+            return col[i - 1] if i and ge_at[i] < 0 else 1
 
     kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor)
     witness = None

@@ -248,19 +248,18 @@ def naive_good_edge_coloring_exists(t: int, r: int, target: str) -> bool:
 
 # ------------------------------------------------------- reference search
 
-def _grid_partial_bad(flat: list[int], m: int) -> bool:
-    """Does the assigned prefix of a row-major grid hold a mono or rainbow rectangle?"""
-    k = len(flat)
-    rows = -(-k // m)
-    for i in range(rows):
-        for i2 in range(i + 1, rows):
-            for j in range(m):
-                for j2 in range(j + 1, m):
-                    if i2 * m + j2 >= k:
-                        continue
-                    corners = {flat[i * m + j], flat[i * m + j2], flat[i2 * m + j], flat[i2 * m + j2]}
-                    if len(corners) in (1, 4):
-                        return True
+def _grid_new_bad(flat: list[int], m: int) -> bool:
+    """Does the newest cell of a row-major prefix close a mono or rainbow rectangle?
+
+    The newest cell comes last in row-major order, so it is the lower right
+    corner of every rectangle it closes.
+    """
+    i2, j2 = divmod(len(flat) - 1, m)
+    for i in range(i2):
+        for j in range(j2):
+            corners = {flat[i * m + j], flat[i * m + j2], flat[i2 * m + j], flat[-1]}
+            if len(corners) in (1, 4):
+                return True
     return False
 
 
@@ -341,7 +340,7 @@ def reference_grid_search(
         above = flat[(i - 1) * m:(i - 1) * m + j + 1]
         return above[j] if flat[i * m:k] == above[:j] else 1
 
-    return reference_search(n * m, r, lambda flat: _grid_partial_bad(flat, m), floor, color_symmetry, budget)
+    return reference_search(n * m, r, lambda flat: _grid_new_bad(flat, m), floor, color_symmetry, budget)
 
 
 def reference_edge_search(

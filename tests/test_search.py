@@ -1,7 +1,9 @@
 """Grid search engine: verdicts, symmetry safety, determinism, certificates."""
 
 import dataclasses
+import hashlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -69,6 +71,40 @@ def test_full_scale_instance_respects_budget():
     # engine must come back with an honest budget verdict
     out = search_good_coloring(13, 45, 4, SearchOptions(node_budget=20_000))
     assert out.kind is Outcome.BUDGET_EXCEEDED
+
+
+# From four colors on the engine also prunes rainbow rectangles through its pair
+# states; these counts pin that test at the scale of the benchmark.
+@pytest.mark.parametrize("hint", [None, 2])
+@pytest.mark.parametrize(
+    "n, m, r, budget, nodes, digest",
+    [
+        (5, 10, 4, None, 417_837, "cc176a3ef532fc8d04927cd3c5ee7c16993eaf7e832be5cd81abff6c55a153a4"),
+        (6, 7, 4, 400_000, 35_361, None),
+        (6, 9, 5, 300_000, 55_318, None),
+    ],
+    ids=["5x10r4", "6x7r4", "6x9r5"],
+)
+def test_rainbow_pruning_counts_at_benchmark_scale(n, m, r, budget, nodes, digest, hint):
+    out = search_good_coloring(n, m, r, SearchOptions(node_budget=budget, worker_hint=hint))
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, nodes)
+    assert verify_good(out.witness).is_good
+    if digest is not None:
+        text = format_search_certificate(out, n, m, r)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_many_colors_stay_cheap():
+    # the pair states number pairs by their larger color and the engine makes its
+    # tables only for the colors it meets, so r = 10**7 costs what the 100 cells cost
+    tracemalloc.start()
+    try:
+        out = search_good_coloring(10, 10, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 229)
+    assert peak < 256 * 1024
 
 
 class TestMinimalForcing:
