@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .grid import CertificateError, split_strict
+from .grid import CertificateError, read_uint, split_strict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -629,9 +629,7 @@ def format_configuration(config: Configuration) -> str:
 
 def parse_configuration(text: str) -> Configuration:
     """Strict parser for the configuration text format."""
-    (dim, count), body = split_strict(text, "config", (int, int), "configuration")
-    if dim < 0:
-        raise CertificateError(f"dimension must be non-negative, got {dim}")
+    (dim, count), body = split_strict(text, "config", (read_uint, read_uint), "configuration")
     if len(body) != count:
         raise CertificateError(f"expected {count} point lines, found {len(body)}")
     points = []

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
-from .grid import CertificateError, split_strict
-from .search import Outcome, SearchOptions, SearchOutcome, Undecided, backtrack
+from .grid import CertificateError, read_uint, read_uint_table, split_strict
+from .search import SearchOptions, SearchOutcome, backtrack, threshold_scan
 
 TARGETS = ("C4", "P4")
 
@@ -270,15 +270,7 @@ def gallai_ramsey_scan(
     """
     if r < 1 or t_max < 3:
         raise ValueError(f"require r >= 1 and t_max >= 3, got {(r, t_max)}")
-    good = None
-    for t in range(3, t_max + 1):
-        out = search_good_edge_coloring(t, r, target, opts)
-        if out.kind is Outcome.EXHAUSTED:
-            return t, good
-        if out.kind is Outcome.BUDGET_EXCEEDED:
-            raise Undecided(t)
-        good = out.witness
-    return None, good
+    return threshold_scan(range(3, t_max + 1), lambda t: search_good_edge_coloring(t, r, target, opts))
 
 
 def format_edge_coloring(ec: EdgeColoring) -> str:
@@ -290,24 +282,18 @@ def format_edge_coloring(ec: EdgeColoring) -> str:
 
 def parse_edge_coloring(text: str) -> EdgeColoring:
     """Strict parser for the kgraph certificate format."""
-    (t, r), body = split_strict(text, "kgraph", (int, int), "kgraph certificate")
+    (t, r), body = split_strict(text, "kgraph", (read_uint, read_uint), "kgraph certificate")
     # compare with the file's line count before building anything of header size
-    expected = t * (t - 1) // 2 if t > 0 else 0
+    expected = t * (t - 1) // 2
     if len(body) != expected:
         raise CertificateError(f"expected {expected} edge lines, found {len(body)}")
-    colors = {}
-    for line, (u, v) in zip(body, combinations(range(1, t + 1), 2)):
-        parts = line.split()
-        if len(parts) != 3:
-            raise CertificateError(f"bad edge line: {line!r}")
-        try:
-            pu, pv, c = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise CertificateError(f"bad edge line: {line!r}") from exc
-        if (pu, pv) != (u, v):
-            raise CertificateError(f"edge line {line!r} out of order, expected edge ({u}, {v})")
-        colors[(u, v)] = c
+    fields = read_uint_table(body, 3, "edge")
+    edges = list(combinations(range(1, t + 1), 2))
+    named = list(zip(fields[0::3], fields[1::3]))
+    if named != edges:
+        k = next(k for k, (pair, edge) in enumerate(zip(named, edges)) if pair != edge)
+        raise CertificateError(f"edge line {body[k]!r} out of order, expected edge {edges[k]}")
     try:
-        return EdgeColoring(t, r, colors)
+        return EdgeColoring(t, r, dict(zip(edges, fields[2::3])))
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc

@@ -8,7 +8,9 @@ share one color (monochromatic) or carry four pairwise-distinct colors
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Sequence
 
 
@@ -16,20 +18,56 @@ class CertificateError(ValueError):
     """A certificate file deviates from its documented text format."""
 
 
+# a non-negative integer exactly as str() writes it: ASCII digits, no sign, no leading zero
+_UINT = "(?:0|[1-9][0-9]*)"
+_UINT_RE = re.compile(_UINT)
+# such integers, each after the first preceded by one space or one line feed
+_UINTS_RE = re.compile(f"{_UINT}(?:[ \n]{_UINT})*")
+
+
+def read_uint(tok: str) -> int:
+    """The non-negative int that str() writes as tok; raises ValueError on any other text."""
+    if _UINT_RE.fullmatch(tok) is None:
+        raise ValueError(f"not a non-negative integer: {tok!r}")
+    return int(tok)
+
+
+def read_uint_table(lines: list[str], width: int, what: str) -> list[int]:
+    """The fields of body lines from split_strict in reading order, each line `width` read_uint tokens.
+
+    Fields are separated by single spaces.  One regex match checks the
+    distinct fields and one map converts them, so the work per field is a
+    dict lookup.  A line of any other form raises
+    CertificateError(`bad <what> line: <line>`).
+    """
+    if not lines:
+        return []
+    fields = " ".join(lines).split(" ")
+    distinct = list(set(fields))
+    spaces = set(map(str.count, lines, repeat(" ")))
+    if _UINTS_RE.fullmatch("\n".join(distinct)) is None or spaces != {width - 1}:
+        bad = next(line for line in lines if _UINTS_RE.fullmatch(line) is None or line.count(" ") != width - 1)
+        raise CertificateError(f"bad {what} line: {bad!r}")
+    value = dict(zip(distinct, map(int, distinct)))
+    return list(map(value.__getitem__, fields))
+
+
 def split_strict(text: str, keyword: str, readers: Sequence[Callable[[str], Any]], name: str) -> tuple[list, list[str]]:
     """Split a strict text file into its header's fields and its body lines.
 
-    The header is `keyword` followed by one field per reader, and each
-    reader turns its token into a value or raises ValueError.  Trailing
-    whitespace and trailing blank lines are dropped; an empty file raises
-    `empty <name>` and any other header raises `bad <keyword> header`.
+    Lines end at line feeds only, and fields are separated by single
+    spaces.  The header is `keyword` followed by one field per reader, and
+    each reader turns its token into a value or raises ValueError.
+    Trailing whitespace (a carriage return too) and trailing blank lines
+    are dropped; an empty file raises `empty <name>` and any other header
+    raises `bad <keyword> header`.
     """
-    lines = [line.rstrip() for line in text.splitlines()]
+    lines = [line.rstrip() for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise CertificateError(f"empty {name}")
-    head = lines[0].split()
+    head = lines[0].split(" ")
     if len(head) != len(readers) + 1 or head[0] != keyword:
         raise CertificateError(f"bad {keyword} header: {lines[0]!r}")
     try:
@@ -184,16 +222,11 @@ def format_grid_certificate(g: GridColoring) -> str:
 
 def parse_grid_certificate(text: str) -> GridColoring:
     """Strict parser for the grid certificate format; trailing whitespace is tolerated."""
-    (n, m, r), rows = split_strict(text, "grid", (int, int, int), "grid certificate")
+    (n, m, r), rows = split_strict(text, "grid", (read_uint,) * 3, "grid certificate")
     if len(rows) != n:
         raise CertificateError(f"expected {n} rows, found {len(rows)}")
-    cells = []
-    for line in rows:
-        try:
-            cells.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise CertificateError(f"bad row line: {line!r}") from exc
+    cells = read_uint_table(rows, m, "row")
     try:
-        return GridColoring(n, m, r, cells)
+        return GridColoring(n, m, r, [cells[i * m:(i + 1) * m] for i in range(n)])
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc

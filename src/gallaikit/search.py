@@ -46,13 +46,14 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Any, BinaryIO, Callable, Generic, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Generic, Iterable, Sequence, TypeVar
 
 from .grid import (
     CertificateError,
     GridColoring,
     format_grid_certificate,
     parse_grid_certificate,
+    read_uint,
     split_strict,
     verify_good,
 )
@@ -538,22 +539,28 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     return SearchOutcome(kind, witness, nodes)
 
 
-def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = None) -> int | None:
-    """Least m <= m_max such that no good n x m r-coloring exists, or None.
+def threshold_scan(sizes: Iterable[int], search: Callable[[int], SearchOutcome[W]]) -> tuple[int | None, W | None]:
+    """(first Exhausted size, witness of the size before it), or (None, last witness).
 
-    Scans m upward; a good n x m coloring restricts to a good n x (m-1)
-    coloring, so the first Exhausted width is the threshold.  Raises
-    Undecided(m) if a node budget prevents deciding width m.
+    A good instance restricts to a good instance one size smaller, so the first
+    Exhausted size is the threshold.  Raises Undecided(size) if a node budget stops a size.
     """
+    witness = None
+    for size in sizes:
+        out = search(size)
+        if out.kind is Outcome.BUDGET_EXCEEDED:
+            raise Undecided(size)
+        if out.kind is Outcome.EXHAUSTED:
+            return size, witness
+        witness = out.witness
+    return None, witness
+
+
+def minimal_forcing_m(n: int, r: int, m_max: int, opts: SearchOptions | None = None) -> int | None:
+    """Least m <= m_max with no good n x m r-coloring, or None; Undecided(m) if a budget stops width m."""
     if n < 2 or r < 1 or m_max < 2:
         raise ValueError(f"require n >= 2, r >= 1, m_max >= 2, got {(n, r, m_max)}")
-    for m in range(1, m_max + 1):
-        out = search_good_coloring(n, m, r, opts)
-        if out.kind is Outcome.BUDGET_EXCEEDED:
-            raise Undecided(m)
-        if out.kind is Outcome.EXHAUSTED:
-            return m
-    return None
+    return threshold_scan(range(1, m_max + 1), lambda m: search_good_coloring(n, m, r, opts))[0]
 
 
 def format_search_certificate(result: SearchOutcome[GridColoring], n: int, m: int, r: int) -> str:
@@ -569,7 +576,7 @@ def _nodes(tok: str) -> int:
     # the `nodes=<count>` field of a search certificate header
     if not tok.startswith("nodes="):
         raise ValueError(tok)
-    return int(tok[len("nodes="):])
+    return read_uint(tok[len("nodes="):])
 
 
 def parse_search_certificate(text: str) -> tuple[SearchOutcome[GridColoring], int, int, int]:
@@ -578,10 +585,10 @@ def parse_search_certificate(text: str) -> tuple[SearchOutcome[GridColoring], in
     The exact inverse of format_search_certificate: parsing its text for
     (out, n, m, r) gives back (out, n, m, r).
     """
-    header = (Outcome, int, int, int, _nodes)
+    header = (Outcome, read_uint, read_uint, read_uint, _nodes)
     (kind, n, m, r, nodes), body = split_strict(text, "outcome", header, "search certificate")
-    if min(n, m, r) < 1 or nodes < 0:
-        raise CertificateError(f"bad outcome header: {text.splitlines()[0]!r}")
+    if min(n, m, r) < 1:
+        raise CertificateError("bad outcome header: " + repr(text.partition("\n")[0]))
     witness = None
     if kind is Outcome.FOUND:
         witness = parse_grid_certificate("\n".join(body))

@@ -264,21 +264,21 @@ def _grid_new_bad(flat: list[int], m: int) -> bool:
 
 
 def _edge_new_bad(col: dict[tuple[int, int], int], t: int, target: str, u: int, v: int) -> bool:
-    """Does the newest edge (u, v) close a rainbow triangle or mono target with assigned edges?"""
+    """Does the newest edge (u, v) close a rainbow triangle or mono target with assigned edges?
 
-    def color(a: int, b: int) -> int | None:
-        return col.get((min(a, b), max(a, b)))
-
+    col holds the color of every assigned edge under both of its orientations.
+    """
+    color = col.get
     others = [x for x in range(1, t + 1) if x not in (u, v)]
     for w in others:
-        cs = (color(u, v), color(u, w), color(v, w))
+        cs = (color((u, v)), color((u, w)), color((v, w)))
         if None not in cs and len(set(cs)) == 3:
             return True
     for x, y in permutations(others, 2):
         for a, b, c, d in ((x, u, v, y), (u, v, x, y), (x, y, u, v), (x, v, u, y), (v, u, x, y), (x, y, v, u)):
-            walk = [color(a, b), color(b, c), color(c, d)]
+            walk = [color((a, b)), color((b, c)), color((c, d))]
             if target == "C4":
-                walk.append(color(d, a))
+                walk.append(color((d, a)))
             if None not in walk and len(set(walk)) == 1:
                 return True
     return False
@@ -350,7 +350,10 @@ def reference_edge_search(
     edges = list(combinations(range(1, t + 1), 2))
 
     def bad(colors: list[int]) -> bool:
-        return _edge_new_bad(dict(zip(edges, colors)), t, target, *edges[len(colors) - 1])
+        col = {}
+        for (a, b), c in zip(edges, colors):
+            col[a, b] = col[b, a] = c
+        return _edge_new_bad(col, t, target, *edges[len(colors) - 1])
 
     return reference_search(len(edges), r, bad, lambda colors: 1, color_symmetry, budget)
 

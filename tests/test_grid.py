@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gallaikit.euclid import parse_configuration
+from gallaikit.graphs import parse_edge_coloring
 from gallaikit.grid import (
     CertificateError,
     GridColoring,
@@ -17,6 +19,7 @@ from gallaikit.grid import (
     parse_grid_certificate,
     verify_good,
 )
+from gallaikit.search import parse_search_certificate
 
 from oracles import naive_find_mono, naive_find_rainbow, naive_k22_scan
 
@@ -223,6 +226,30 @@ class TestCertificates:
     def test_malformed_certificates_rejected(self, text):
         with pytest.raises(CertificateError):
             parse_grid_certificate(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_grid_certificate, "grid 1 2 2\n+1 0_2\n"),  # a sign and a digit separator
+        (parse_grid_certificate, "grid \u0661 2 2\n1 2\n"),  # an Arabic-Indic digit one
+        (parse_grid_certificate, "grid 1 2 2\x1c1 2\n"),  # a line break other than \n
+        (parse_grid_certificate, "grid 1 2 2\n01 2\n"),  # a leading zero
+        (parse_grid_certificate, "grid 1 2 2\n1\u30002\n"),  # a separator other than one space
+        (parse_search_certificate, "outcome exhausted 2 2 1 nodes=1_0\n"),
+        (parse_search_certificate, "outcome exhausted 2 2 1 nodes=+1\n"),
+        (parse_edge_coloring, "kgraph 2 1\n1 2 +1\n"),
+        (parse_edge_coloring, "kgraph 2 1\n1\u00a02 1\n"),
+        (parse_configuration, "config 1 01\np 0.5\n"),
+    ],
+)
+def test_noncanonical_integers_and_line_breaks_rejected(parse, text):
+    with pytest.raises(CertificateError):
+        parse(text)
+
+
+def test_carriage_return_is_trailing_whitespace():
+    assert parse_grid_certificate("grid 1 2 2\r\n1 2\r\n") == grid([[1, 2]], 2)
 
 
 class TestHugeColorCounts:

@@ -11,11 +11,13 @@ from gallaikit.grid import CertificateError, verify_good
 from gallaikit.search import (
     Outcome,
     SearchOptions,
+    SearchOutcome,
     Undecided,
     format_search_certificate,
     minimal_forcing_m,
     parse_search_certificate,
     search_good_coloring,
+    threshold_scan,
 )
 
 from oracles import naive_good_exists, two_row_forcing_threshold, two_row_good_exists
@@ -144,6 +146,49 @@ def test_monotone_forcing_spot_checks():
     assert search_good_coloring(3, 7, 2).kind is Outcome.EXHAUSTED
     assert search_good_coloring(3, 8, 2).kind is Outcome.EXHAUSTED
     assert search_good_coloring(4, 7, 2).kind is Outcome.EXHAUSTED
+
+
+class TestThresholdScan:
+    """threshold_scan on toy searches that return a fixed outcome per size."""
+
+    @staticmethod
+    def toy(kinds):
+        # size k is decided as kinds[k]; a Found size's witness is f"w{k}"
+        called = []
+
+        def search(size):
+            called.append(size)
+            kind = kinds[size]
+            return SearchOutcome(kind, f"w{size}" if kind is Outcome.FOUND else None, size)
+
+        return search, called
+
+    def test_first_exhausted_size_comes_with_the_previous_witness(self):
+        F, E = Outcome.FOUND, Outcome.EXHAUSTED
+        search, called = self.toy({2: F, 3: F, 4: E, 5: E})
+        assert threshold_scan(range(2, 6), search) == (4, "w3")
+        assert called == [2, 3, 4]
+
+    def test_exhausted_at_the_first_size(self):
+        search, _ = self.toy({3: Outcome.EXHAUSTED, 4: Outcome.FOUND})
+        assert threshold_scan(range(3, 5), search) == (3, None)
+
+    def test_no_exhausted_size_gives_the_last_witness(self):
+        search, called = self.toy({1: Outcome.FOUND, 2: Outcome.FOUND, 3: Outcome.FOUND})
+        assert threshold_scan(range(1, 4), search) == (None, "w3")
+        assert called == [1, 2, 3]
+
+    def test_budget_stop_names_the_size(self):
+        search, called = self.toy({1: Outcome.FOUND, 2: Outcome.BUDGET_EXCEEDED, 3: Outcome.EXHAUSTED})
+        with pytest.raises(Undecided) as caught:
+            threshold_scan(range(1, 4), search)
+        assert caught.value.size == 2
+        assert called == [1, 2]
+
+    def test_exhausted_size_stops_before_a_budget_size(self):
+        search, called = self.toy({1: Outcome.EXHAUSTED, 2: Outcome.BUDGET_EXCEEDED})
+        assert threshold_scan(range(1, 3), search) == (1, None)
+        assert called == [1]
 
 
 class TestCertificates:
