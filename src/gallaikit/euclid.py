@@ -637,6 +637,10 @@ def parse_configuration(text: str) -> Configuration:
         parts = line.split()
         if len(parts) != dim + 1:
             raise CertificateError(f"bad point line: {line!r}")
+        # float() also reads `1_0` and non-ASCII digits, which the format does not write
+        coords = line.partition(parts[0])[2]
+        if not coords.isascii() or "_" in coords:
+            raise CertificateError(f"bad point line: {line!r}")
         try:
             # LabeledPoint converts the tokens and rejects non-finite values
             points.append(LabeledPoint(parts[0], parts[1:]))

@@ -28,7 +28,7 @@ from functools import wraps
 from itertools import chain, combinations, repeat
 from typing import Callable, Mapping, ParamSpec, TypeVar
 
-from .grid import CertificateError, GridColoring, verify_good
+from .grid import CertificateError, GridColoring, read_uint, verify_good
 
 P = ParamSpec("P")
 T = TypeVar("T")
@@ -253,19 +253,29 @@ def _split_head(text: str, marks: str) -> tuple[list[str], list[str]]:
 
 
 def _token_values(tokens: list[str], special: dict[str, int]) -> dict[str, int | None]:
-    """int() of each distinct token (None where it fails), with `special` tokens preset."""
+    """The int of each distinct token that is a literal, None for any other, with `special` tokens preset.
+
+    A literal is exactly what str() writes for its int (`0|-?[1-9][0-9]*`):
+    int() also reads `+1`, `01`, `-0`, `1_0` and non-ASCII digits, and those
+    do not read back as themselves.
+    """
     values: dict[str, int | None] = dict(special)
     for tok in set(tokens).difference(special):
         try:
-            values[tok] = int(tok)
-        except ValueError:
-            values[tok] = None
+            value = int(tok)
+        except ValueError:  # not a number, or more digits than int() converts
+            value = None
+        values[tok] = value if str(value) == tok else None
     return values
 
 
 @_collector_paused
 def parse_dimacs(text: str) -> CnfDocument:
-    """Strict DIMACS reader; clause count and variable bounds must match the header."""
+    """Strict DIMACS reader; clause count and variable bounds must match the header.
+
+    The header's counts are read by read_uint and each literal must be
+    `0|-?[1-9][0-9]*`, so `+1`, `01`, `-0` and `1_0` are format errors.
+    """
     lines, tokens = _split_head(text, "cp")
     comments: list[str] = []
     header: tuple[int, int] | None = None
@@ -281,12 +291,13 @@ def parse_dimacs(text: str) -> CnfDocument:
             if header is not None:
                 raise CertificateError("duplicate problem line")
             parts = stripped.split()
+            bad = f"bad problem line: {stripped!r}, not `p cnf <num_vars> <num_clauses>`"
             if len(parts) != 4 or parts[1] != "cnf":
-                raise CertificateError(f"bad problem line: {stripped!r}")
+                raise CertificateError(bad)
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (read_uint(parts[2]), read_uint(parts[3]))
             except ValueError as exc:
-                raise CertificateError(f"bad problem line: {stripped!r}") from exc
+                raise CertificateError(bad) from exc
             continue
         if header is None:
             raise CertificateError("clause data before the problem line")
@@ -331,7 +342,7 @@ def parse_dimacs(text: str) -> CnfDocument:
 
 
 def parse_model_text(text: str) -> dict[int, bool]:
-    """Parse solver model output: whitespace-separated signed ints, optional v prefixes and 0s."""
+    """Parse solver model output: whitespace-separated literals `0|-?[1-9][0-9]*`, optional v prefixes and 0s."""
     lines, tokens = _split_head(text, "sS")
     head_tokens: list[str] = []
     for line in lines:

@@ -26,17 +26,27 @@ colors are b, unless the state holds {b, b}, together with the
 intersection of the state's pairs that avoid b.
 
 The grid engine visits only colorings whose colors are numbered by first
-use and whose rows are lexicographically nondecreasing.  By the lex-leader
-argument (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates
-for search problems", KR 1996) this changes no Found/Exhausted verdict.
-Renaming colors and permuting rows map good colorings to good colorings.
-Read a coloring as its cells in row-major order and take the least member
-of an orbit.  Its rows are nondecreasing: otherwise swapping two adjacent
-rows that are out of order gives a smaller member.  It numbers its colors
-by first use: otherwise swapping the first color that skips ahead with the
-least color not yet used gives a smaller member.  So every orbit of good
-colorings meets the reduced space.  The same argument with colors alone
-covers the K_t engine.
+use, whose rows are lexicographically nondecreasing, and whose columns,
+each read top-down, are lexicographically nondecreasing too (the
+"double-lex" reduction of Flener et al., "Breaking row and column
+symmetries in matrix models", CP 2002).  By the lex-leader argument
+(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
+search problems", KR 1996) this changes no Found/Exhausted verdict.
+Renaming colors and permuting rows or columns map good colorings to good
+colorings.  Read a coloring as its cells in row-major order and take the
+least member of an orbit under rows x columns x colors.  Its rows are
+nondecreasing: otherwise swapping two adjacent rows that are out of order
+gives a smaller member.  Its columns are nondecreasing: if column j-1 is
+greater than column j, swapping them changes no row above the first row
+where the two columns differ, and there puts the smaller cell first, so
+the row-major reading gets smaller.  It numbers its colors by first use:
+otherwise swapping the first color that skips ahead with the least color
+not yet used gives a smaller member.  So every orbit of good colorings
+meets the reduced space.  The least good coloring of all is the least
+member of its own orbit, so it lies in every such reduced space, and
+Found returns it whichever reductions apply: adding one changes node
+counts, never witnesses.  The same argument with colors alone covers the
+K_t engine.
 """
 
 from __future__ import annotations
@@ -404,8 +414,10 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
     # first-use numbering places no color above top
     top = min(r, n * m)
-    # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1
+    # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1;
+    # col_ge_at[j]: the same for column j against column j-1, read top-down
     ge_at = [-1] * n
+    col_ge_at = [-1] * m
 
     if r < 4:
         # a rectangle with three colors or fewer is never rainbow
@@ -434,6 +446,8 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             masks_i[c] |= 1 << j
             if i and ge_at[i] < 0 and c > above[-1][0][j]:
                 ge_at[i] = pos
+            if j and col_ge_at[j] < 0 and c > row_i[j - 1]:
+                col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
             i, j, row_i, masks_i, _ = slot_info[pos]
@@ -441,16 +455,23 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             masks_i[c] &= ~(1 << j)
             if ge_at[i] == pos:
                 ge_at[i] = -1
+            if col_ge_at[j] == pos:
+                col_ge_at[j] = -1
 
         def floor(pos: int) -> int:
-            # sorted rows: while row i ties row i-1, its cells may not fall below it
-            i, j, _, _, above = slot_info[pos]
-            return above[-1][0][j] if i and ge_at[i] < 0 else 1
+            # sorted rows and columns: while row i ties row i-1, its cells may not fall
+            # below that row, and while column j ties column j-1, nor below that column
+            i, j, row_i, _, above = slot_info[pos]
+            low = above[-1][0][j] if i and ge_at[i] < 0 else 1
+            if j and col_ge_at[j] < 0 and row_i[j - 1] > low:
+                return row_i[j - 1]
+            return low
 
     else:
-        # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, its column)
+        # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, column,
+        # the column, the column before it)
         cols = [[0] * n for _ in range(m)]
-        slot_info = [(i, cols[j]) for i in range(n) for j in range(m)]
+        slot_info = [(i, j, cols[j], cols[j - 1]) for i in range(n) for j in range(m)]
         # pair_state[i][k]: the pair state of rows k < i over the columns placed in row i
         pair_state = [[0] * i for i in range(n)]
         saved: list[list[int]] = [[]] * (n * m)  # pair_state[i] before each slot was placed
@@ -493,7 +514,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono or rainbow rectangle with a row above
-            i, col = slot_info[pos]
+            i, _, col, _ = slot_info[pos]
             ok = (2 << hi) - 2  # the bits of colors 1..hi
             for state, b in zip(pair_state[i], col):
                 try:
@@ -503,7 +524,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             return ok
 
         def place(pos: int, c: int) -> None:
-            i, col = slot_info[pos]
+            i, j, col, prev = slot_info[pos]
             col[i] = c
             states = saved[pos] = pair_state[i]
             bits = pair_bits[c]
@@ -517,18 +538,25 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             pair_state[i] = new
             if i and ge_at[i] < 0 and c > col[i - 1]:
                 ge_at[i] = pos
+            if j and col_ge_at[j] < 0 and c > prev[i]:
+                col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
-            i, col = slot_info[pos]
+            i, j, col, _ = slot_info[pos]
             col[i] = 0
             pair_state[i] = saved[pos]
             if ge_at[i] == pos:
                 ge_at[i] = -1
+            if col_ge_at[j] == pos:
+                col_ge_at[j] = -1
 
         def floor(pos: int) -> int:
-            # sorted rows: while row i ties row i-1, its cells may not fall below it
-            i, col = slot_info[pos]
-            return col[i - 1] if i and ge_at[i] < 0 else 1
+            # sorted rows and columns, as in the branch for fewer than four colors
+            i, j, col, prev = slot_info[pos]
+            low = col[i - 1] if i and ge_at[i] < 0 else 1
+            if j and col_ge_at[j] < 0 and prev[i] > low:
+                return prev[i]
+            return low
 
     kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor)
     witness = None

@@ -328,17 +328,34 @@ def reference_search(
 
 
 def reference_grid_search(
-    n: int, m: int, r: int, color_symmetry: bool, row_order_symmetry: bool, budget: int | None
+    n: int,
+    m: int,
+    r: int,
+    color_symmetry: bool,
+    row_order_symmetry: bool,
+    col_order_symmetry: bool,
+    budget: int | None,
 ) -> tuple[str, list[int] | None, int]:
-    """Row-major cells; with row_order_symmetry a row stays >= the row above it."""
+    """Row-major cells; with row_order_symmetry a row stays >= the row above it,
+    and with col_order_symmetry a column, read top-down, stays >= the column to its left."""
 
-    def floor(flat: list[int]) -> int:
+    def row_floor(flat: list[int]) -> int:
         k = len(flat)
         i, j = divmod(k, m)
         if not row_order_symmetry or i == 0:
             return 1
         above = flat[(i - 1) * m:(i - 1) * m + j + 1]
         return above[j] if flat[i * m:k] == above[:j] else 1
+
+    def col_floor(flat: list[int]) -> int:
+        i, j = divmod(len(flat), m)
+        if not col_order_symmetry or j == 0:
+            return 1
+        left = flat[j - 1::m]  # column j-1 down to row i
+        return left[i] if flat[j::m] == left[:i] else 1
+
+    def floor(flat: list[int]) -> int:
+        return max(row_floor(flat), col_floor(flat))
 
     return reference_search(n * m, r, lambda flat: _grid_new_bad(flat, m), floor, color_symmetry, budget)
 
@@ -573,6 +590,14 @@ def reference_format_dimacs(cnf: CnfDocument | ReferenceCnf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_int(tok: str, signed: bool) -> int:
+    """int(tok) if tok is written as str() writes an int, negative only when signed; else ValueError."""
+    digits = tok[1:] if signed and tok[:1] == "-" else tok
+    if not digits or any(ch not in "0123456789" for ch in digits) or (digits[0] == "0" and tok != "0"):
+        raise ValueError(f"not a canonical integer: {tok!r}")
+    return int(tok)
+
+
 def reference_parse_dimacs(text: str) -> ReferenceCnf:
     """Strict DIMACS reader; clause count and variable bounds must match the header."""
     comments: list[str] = []
@@ -589,12 +614,13 @@ def reference_parse_dimacs(text: str) -> ReferenceCnf:
             if header is not None:
                 raise CertificateError("duplicate problem line")
             parts = stripped.split()
+            bad = f"bad problem line: {stripped!r}, not `p cnf <num_vars> <num_clauses>`"
             if len(parts) != 4 or parts[1] != "cnf":
-                raise CertificateError(f"bad problem line: {stripped!r}")
+                raise CertificateError(bad)
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (_canonical_int(parts[2], False), _canonical_int(parts[3], False))
             except ValueError as exc:
-                raise CertificateError(f"bad problem line: {stripped!r}") from exc
+                raise CertificateError(bad) from exc
             continue
         if header is None:
             raise CertificateError("clause data before the problem line")
@@ -606,7 +632,7 @@ def reference_parse_dimacs(text: str) -> ReferenceCnf:
     current: list[int] = []
     for tok in tokens:
         try:
-            lit = int(tok)
+            lit = _canonical_int(tok, True)
         except ValueError as exc:
             raise CertificateError(f"bad clause token: {tok!r}") from exc
         if lit == 0:
@@ -637,7 +663,7 @@ def reference_parse_model_text(text: str) -> dict[int, bool]:
             if tok == "v":
                 continue
             try:
-                lit = int(tok)
+                lit = _canonical_int(tok, True)
             except ValueError as exc:
                 raise CertificateError(f"bad model token: {tok!r}") from exc
             if lit == 0:

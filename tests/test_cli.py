@@ -384,7 +384,7 @@ class TestHarness:
         [
             (["grid-search", "2", "2", "200000"], 0, "outcome found 2 2 200000 nodes=5\n"),
             (["gr-search", "c4", "200000", "--tmax", "4"], 1, "gr=none tmax=4\n"),
-            (["grid-search", "10", "10", "10000000"], 0, "outcome found 10 10 10000000 nodes=229\n"),
+            (["grid-search", "10", "10", "10000000"], 0, "outcome found 10 10 10000000 nodes=109\n"),
             (["gr-search", "c4", "10000000", "--tmax", "6"], 1, "gr=none tmax=6\n"),
         ],
     )

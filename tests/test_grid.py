@@ -19,6 +19,7 @@ from gallaikit.grid import (
     parse_grid_certificate,
     verify_good,
 )
+from gallaikit.sat import parse_dimacs, parse_model_text
 from gallaikit.search import parse_search_certificate
 
 from oracles import naive_find_mono, naive_find_rainbow, naive_k22_scan
@@ -241,6 +242,14 @@ class TestCertificates:
         (parse_edge_coloring, "kgraph 2 1\n1 2 +1\n"),
         (parse_edge_coloring, "kgraph 2 1\n1\u00a02 1\n"),
         (parse_configuration, "config 1 01\np 0.5\n"),
+        (parse_configuration, "config 1 1\np 1_0\n"),  # float() reads 10.0
+        (parse_configuration, "config 1 1\np \u0661\n"),  # float() reads 1.0
+        (parse_dimacs, "p cnf 1_0 1\n1 0\n"),  # a separator in the header
+        (parse_dimacs, "p cnf 1 1\n+1 0\n"),  # a signed literal
+        (parse_dimacs, "p cnf 2 1\n1 -0 2 0\n"),  # -0 is no literal
+        (parse_dimacs, "p cnf 2 1\n1 \u0662 0\n"),  # a non-ASCII digit
+        (parse_model_text, "v +1 -0_2 0"),  # int() reads {1: True, 2: False}
+        (parse_model_text, "v 1 02 0"),  # a leading zero
     ],
 )
 def test_noncanonical_integers_and_line_breaks_rejected(parse, text):

@@ -36,11 +36,15 @@ def assert_agrees_at_every_budget(engine, reference, flatten, label):
 # against the reference with all of them.  The parameters choose the reductions of
 # a second reference run, which must give the same verdict and witness: the least
 # good coloring of all is the least member of its orbit, so no reduction skips it.
-REDUCTIONS = list(product((True, False), repeat=2))
+# A test id names the color and row flags, and ends in -cols when columns are sorted.
+REDUCTIONS = [
+    pytest.param(*flags, id=f"{flags[0]}-{flags[1]}" + ("-cols" if flags[2] else ""))
+    for flags in product((True, False), repeat=3)
+]
 
 
-@pytest.mark.parametrize("color_symmetry, row_order_symmetry", REDUCTIONS)
-def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry):
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry, col_order_symmetry", REDUCTIONS)
+def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry, col_order_symmetry):
     kinds = set()
     for (n, m), r in product(GRIDS, range(1, 5)):
 
@@ -48,20 +52,22 @@ def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry):
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, budget)
+            return reference_grid_search(n, m, r, True, True, True, budget)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
-        assert reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, None)[:2] == want, (n, m, r)
+        second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
+        assert second[:2] == want, (n, m, r)
         kinds.add(want[0])
     assert kinds == {"found", "exhausted"}
 
 
-@pytest.mark.parametrize("color_symmetry, row_order_symmetry", REDUCTIONS)
-def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_order_symmetry):
+@pytest.mark.parametrize("color_symmetry, row_order_symmetry, col_order_symmetry", REDUCTIONS)
+def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_order_symmetry, col_order_symmetry):
     # past 12 cells, rainbow rectangles reject colors that the first witness needs.
     # With five colors or more, one pair state can hold several pairs that avoid b,
     # and on 6 x 8 r=5 and 7 x 9 r=6 the engine must intersect all of them: keeping
-    # only the first one costs 1,725 and 4,134 nodes more.
+    # only the first one costs 391 and 1,027 nodes more (1,486 against 1,095, and
+    # 3,194 against 2,167).
     grids = ((4, 5, 4), (5, 5, 4), (5, 6, 4), (6, 6, 4), (4, 6, 5), (5, 5, 5), (5, 6, 6), (6, 5, 5), (6, 8, 5), (7, 9, 6))
     for n, m, r in grids:
 
@@ -69,10 +75,11 @@ def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, budget)
+            return reference_grid_search(n, m, r, True, True, True, budget)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
-        assert reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, None)[:2] == want, (n, m, r)
+        second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
+        assert second[:2] == want, (n, m, r)
 
 
 @pytest.mark.parametrize("target, color_symmetry", list(product(("C4", "P4"), (True, False))))
@@ -111,4 +118,4 @@ def test_reference_counts_by_hand():
     # fourth edge (2,3) closes 4-1-2-3, so the search exhausts after 4 nodes
     assert reference_edge_search(4, 1, "P4", True, None) == ("exhausted", None, 4)
     # 2x2 with one color: the fourth cell closes the only rectangle
-    assert reference_grid_search(2, 2, 1, True, True, None) == ("exhausted", None, 4)
+    assert reference_grid_search(2, 2, 1, True, True, True, None) == ("exhausted", None, 4)

@@ -145,7 +145,8 @@ def test_dimacs_reader_reports_the_first_error_in_token_order():
         "p cnf 2 1\n0 x 0\n": "empty clause in input",
         "p cnf 2 1\n1 x 0 0\n": "bad clause token: 'x'",
         "p cnf 2 1\n1 0\np cnf 2 1\nx\n": "duplicate problem line",
-        "p cnf 2 1\n1 -0 0\n": "empty clause in input",
+        # -0 is not how str() writes zero, so it is a bad token, not a terminator
+        "p cnf 2 1\n1 -0 0\n": "bad clause token: '-0'",
         "p cnf 2 2\n1 0\n2\n": "final clause is not zero-terminated",
         "1 0\nc late comment\np cnf 1 1\n": "clause data before the problem line",
     }
