@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .grid import CertificateError, read_uint, split_strict
+from .grid import CertificateError, read_uint, require_plain_text, split_strict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -620,7 +620,7 @@ def _search_gadget(triples: list[tuple[str, str, str]]) -> tuple[GadgetReport, i
 def format_configuration(config: Configuration) -> str:
     """Configuration text: `config dim k` then k lines `label x1 ... x_dim`."""
     for p in config.points:
-        if not p.label or any(ch.isspace() for ch in p.label):
+        if not p.label or not p.label.isascii() or any(ch.isspace() for ch in p.label):
             raise ValueError(f"label {p.label!r} cannot be written to the text format")
     lines = [f"config {config.dim} {len(config)}"]
     lines.extend(p.label + " " + " ".join(map(repr, p.coords)) for p in config.points)
@@ -628,18 +628,21 @@ def format_configuration(config: Configuration) -> str:
 
 
 def parse_configuration(text: str) -> Configuration:
-    """Strict parser for the configuration text format."""
+    """Strict parser for the configuration text format.
+
+    The text must be ASCII without \\x0b, \\x0c or \\x1c-\\x1f (`grid.require_plain_text`),
+    and the fields of a point line are separated by single spaces.
+    """
+    require_plain_text(text, "configuration")
     (dim, count), body = split_strict(text, "config", (read_uint, read_uint), "configuration")
     if len(body) != count:
         raise CertificateError(f"expected {count} point lines, found {len(body)}")
     points = []
     for line in body:
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise CertificateError(f"bad point line: {line!r}")
-        # float() also reads `1_0` and non-ASCII digits, which the format does not write
-        coords = line.partition(parts[0])[2]
-        if not coords.isascii() or "_" in coords:
+        parts = line.split(" ")
+        # a tab, a carriage return or a run of spaces would split otherwise; float()
+        # would skip the first two, and it also reads `1_0`, which the format does not write
+        if len(parts) != dim + 1 or parts != line.split() or "_" in line.partition(" ")[2]:
             raise CertificateError(f"bad point line: {line!r}")
         try:
             # LabeledPoint converts the tokens and rejects non-finite values

@@ -52,6 +52,23 @@ def read_uint_table(lines: list[str], width: int, what: str) -> list[int]:
     return list(map(value.__getitem__, fields))
 
 
+# the ASCII characters other than space, tab, CR and LF that str.split() takes for whitespace
+_ODD_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def require_plain_text(text: str, name: str) -> None:
+    """Raise CertificateError if text holds a non-ASCII character or one of _ODD_SEPARATORS.
+
+    Readers that split at any whitespace would otherwise take those for
+    separators: str.split() breaks at \\x1c and at non-ASCII spaces such
+    as U+3000, and no writer here emits them.  isascii() and six `in`
+    scans cost far less than a regex over the text.
+    """
+    if not text.isascii() or any(sep in text for sep in _ODD_SEPARATORS):
+        bad = next(ch for ch in text if not ch.isascii() or ch in _ODD_SEPARATORS)
+        raise CertificateError(f"bad character {bad!r} in {name}")
+
+
 def split_strict(text: str, keyword: str, readers: Sequence[Callable[[str], Any]], name: str) -> tuple[list, list[str]]:
     """Split a strict text file into its header's fields and its body lines.
 

@@ -28,7 +28,7 @@ from functools import wraps
 from itertools import chain, combinations, repeat
 from typing import Callable, Mapping, ParamSpec, TypeVar
 
-from .grid import CertificateError, GridColoring, read_uint, verify_good
+from .grid import CertificateError, GridColoring, read_uint, require_plain_text, verify_good
 
 P = ParamSpec("P")
 T = TypeVar("T")
@@ -275,7 +275,9 @@ def parse_dimacs(text: str) -> CnfDocument:
 
     The header's counts are read by read_uint and each literal must be
     `0|-?[1-9][0-9]*`, so `+1`, `01`, `-0` and `1_0` are format errors.
+    The text must be ASCII without \\x0b, \\x0c or \\x1c-\\x1f (`grid.require_plain_text`).
     """
+    require_plain_text(text, "DIMACS text")
     lines, tokens = _split_head(text, "cp")
     comments: list[str] = []
     header: tuple[int, int] | None = None
@@ -342,7 +344,11 @@ def parse_dimacs(text: str) -> CnfDocument:
 
 
 def parse_model_text(text: str) -> dict[int, bool]:
-    """Parse solver model output: whitespace-separated literals `0|-?[1-9][0-9]*`, optional v prefixes and 0s."""
+    """Parse solver model output: whitespace-separated literals `0|-?[1-9][0-9]*`, optional v prefixes and 0s.
+
+    The text must be ASCII without \\x0b, \\x0c or \\x1c-\\x1f (`grid.require_plain_text`).
+    """
+    require_plain_text(text, "model text")
     lines, tokens = _split_head(text, "sS")
     head_tokens: list[str] = []
     for line in lines:

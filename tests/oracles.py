@@ -360,17 +360,46 @@ def reference_grid_search(
     return reference_search(n * m, r, lambda flat: _grid_new_bad(flat, m), floor, color_symmetry, budget)
 
 
+def _first_use(seq: list[int]) -> list[int]:
+    """seq with its colors renumbered 1, 2, ... in order of first appearance."""
+    names: dict[int, int] = {}
+    return [names.setdefault(c, len(names) + 1) for c in seq]
+
+
+def not_lex_leader(colors: list[int], perm: list[int]) -> bool:
+    """Is colors[:K] > FU(colors o perm)[:K], for the prefix colors of an assignment?
+
+    (colors o perm)[k] = colors[perm[k]], FU renumbers colors by first use,
+    and K is the longest k with perm[0..k-1] all inside the prefix.
+    """
+    K = 0
+    while K < len(perm) and perm[K] < len(colors):
+        K += 1
+    return colors[:K] > _first_use([colors[perm[k]] for k in range(K)])
+
+
 def reference_edge_search(
-    t: int, r: int, target: str, color_symmetry: bool, budget: int | None
+    t: int, r: int, target: str, color_symmetry: bool, vertex_symmetry: bool, budget: int | None
 ) -> tuple[str, list[int] | None, int]:
-    """Edges of K_t in lexicographic order."""
+    """Edges of K_t in lexicographic order.
+
+    With vertex_symmetry a prefix must be the lex leader under each
+    transposition of vertices i and i + 1, acting on the edge positions.
+    """
     edges = list(combinations(range(1, t + 1), 2))
+    swaps = []
+    if vertex_symmetry:
+        for i in range(1, t):
+            rename = {i: i + 1, i + 1: i}
+            swaps.append([edges.index(tuple(sorted((rename.get(a, a), rename.get(b, b))))) for a, b in edges])
 
     def bad(colors: list[int]) -> bool:
         col = {}
         for (a, b), c in zip(edges, colors):
             col[a, b] = col[b, a] = c
-        return _edge_new_bad(col, t, target, *edges[len(colors) - 1])
+        if _edge_new_bad(col, t, target, *edges[len(colors) - 1]):
+            return True
+        return any(not_lex_leader(colors, perm) for perm in swaps)
 
     return reference_search(len(edges), r, bad, lambda colors: 1, color_symmetry, budget)
 
@@ -598,8 +627,16 @@ def _canonical_int(tok: str, signed: bool) -> int:
     return int(tok)
 
 
+def _reject_odd_characters(text: str, name: str) -> None:
+    """CertificateError at the first character above 0x7F or in \\x0b, \\x0c, \\x1c-\\x1f."""
+    for ch in text:
+        if ord(ch) > 0x7F or ch in "\x0b\x0c\x1c\x1d\x1e\x1f":
+            raise CertificateError(f"bad character {ch!r} in {name}")
+
+
 def reference_parse_dimacs(text: str) -> ReferenceCnf:
     """Strict DIMACS reader; clause count and variable bounds must match the header."""
+    _reject_odd_characters(text, "DIMACS text")
     comments: list[str] = []
     header: tuple[int, int] | None = None
     tokens: list[str] = []
@@ -654,6 +691,7 @@ def reference_parse_dimacs(text: str) -> ReferenceCnf:
 
 def reference_parse_model_text(text: str) -> dict[int, bool]:
     """Parse solver model output: whitespace-separated signed ints, optional v prefixes and 0s."""
+    _reject_odd_characters(text, "model text")
     assignment: dict[int, bool] = {}
     for line in text.splitlines():
         stripped = line.strip()

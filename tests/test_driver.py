@@ -1,11 +1,14 @@
 """The shared backtracking driver on toy engines: exact node counts, order, budgets, unwinding."""
 
 import os
+from itertools import product
 from math import comb
 
 import pytest
 
 from gallaikit.search import SPLIT_DEPTH, Outcome, SearchOptions, backtrack
+
+from oracles import not_lex_leader
 
 
 def stirling2(k, j):
@@ -159,3 +162,38 @@ def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
             None,
         )
     assert_no_children_left()
+
+
+def lex_leader_nodes(slots, r, perms):
+    # colors tried below every first-use prefix that no perm rejects, by brute force
+    nodes = 0
+    for k in range(slots):
+        for prefix in product(range(1, r + 1), repeat=k):
+            if any(c > max(prefix[:j], default=0) + 1 for j, c in enumerate(prefix)):
+                continue  # not numbered by first use
+            if any(not_lex_leader(list(prefix[:j]), g) for j in range(1, k + 1) for g in perms):
+                continue
+            nodes += min(r, max(prefix, default=0) + 1)
+    return nodes
+
+
+@pytest.mark.parametrize("hint", HINTS)
+def test_perms_keep_the_lex_leaders(hint):
+    # a transposition and a rotation of the slots; the rotation is not its own
+    # inverse, so the count pins the direction (x o g)[k] = x[g[k]]
+    slots, r = SPLIT_DEPTH + 2, 3
+    perms = [[2, 1, 0, *range(3, slots)], [(k + 1) % slots for k in range(slots)]]
+    toy = Toy(slots)
+    opts = SearchOptions(worker_hint=hint)
+    result = backtrack(slots, r, opts, toy.fits, toy.place, toy.unplace, perms=perms)
+    assert result == (Outcome.EXHAUSTED, lex_leader_nodes(slots, r, perms), None)
+    assert toy.placed == 0
+    assert_no_children_left()
+
+
+def test_perms_need_first_use_colors():
+    toy = Toy(3)
+    with pytest.raises(ValueError, match="first-use"):
+        backtrack(3, 2, SearchOptions(), toy.fits, toy.place, toy.unplace, first_use=False, perms=[[2, 1, 0]])
+    with pytest.raises(ValueError, match="permutation"):
+        backtrack(3, 2, SearchOptions(), toy.fits, toy.place, toy.unplace, perms=[[0, 1, 1]])

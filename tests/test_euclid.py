@@ -857,3 +857,17 @@ class TestConfigurationFormat:
     def test_malformed_configurations_rejected(self, text):
         with pytest.raises(CertificateError):
             parse_configuration(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["p\t1", "p \t1", "p  1", " p 1", "p\r1", "p\x1c1", "p 1\x0b", "p\u30001", "\u00e9 1"],
+    )
+    def test_point_fields_are_separated_by_single_spaces(self, line):
+        # float() skips a tab or a carriage return next to a number; the text is ASCII
+        assert parse_configuration("config 1 1\np 1\n").points[0].coords == (1.0,)
+        with pytest.raises(CertificateError):
+            parse_configuration(f"config 1 1\n{line}\n")
+
+    def test_non_ascii_label_not_written(self):
+        with pytest.raises(ValueError, match="label"):
+            format_configuration(Configuration([pt("\u00e9", 0.0)]))

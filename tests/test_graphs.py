@@ -168,18 +168,18 @@ class TestEngine:
         assert search_good_edge_coloring(6, 3, "P4").kind is Outcome.EXHAUSTED
         assert search_good_edge_coloring(7, 3, "P4").kind is Outcome.EXHAUSTED
 
-    # (t, r, target): kind, nodes, SHA-256 of the witness's kgraph text.  These are
+    # (t, r, target): kind, nodes, SHA-256 of the witness's kgraph text.  K9 is
     # past the reach of the reference search; the counts do not depend on the
     # worker hint.
     PINS = {
-        (6, 3, "P4"): (Outcome.EXHAUSTED, 716, None),
-        (7, 4, "P4"): (Outcome.EXHAUSTED, 8_342, None),
+        (6, 3, "P4"): (Outcome.EXHAUSTED, 161, None),
+        (7, 4, "P4"): (Outcome.EXHAUSTED, 662, None),
         (8, 5, "C4"): (
             Outcome.FOUND,
-            81_267,
+            336,
             "0b2fd0a429d8f5c588fd29645a5b9c65e6cb676d4e36f984e0ae180274ff11b1",
         ),
-        (9, 6, "P4"): (Outcome.EXHAUSTED, 1_056_193, None),
+        (9, 6, "P4"): (Outcome.EXHAUSTED, 7_303, None),
     }
 
     @pytest.mark.parametrize("hint", [None, 2])
@@ -215,6 +215,16 @@ class TestGallaiRamseyNumbers:
         assert not naive_good_edge_coloring_exists(5, 2, "P4")
         assert naive_good_edge_coloring_exists(4, 2, "P4")
         assert gallai_ramsey_number("P4", 2, 8) == 5
+
+    @pytest.mark.parametrize("target, value", [("C4", 10), ("P4", 9)])
+    def test_six_color_values_match_the_closed_forms(self, target, value):
+        # gr_k(K3 : C4) = k + 4 and gr_k(K3 : P4) = k + 3 (Faudree, Gould, Jacobson
+        # and Magnant, 2010); the good coloring below the value is checked by the
+        # naive scans, which share no code with the engine
+        found, good = gallai_ramsey_scan(target, 6, 12)
+        assert (found, good.t, good.r) == (value, value - 1, 6)
+        assert not naive_rainbow_triangle_exists(good)
+        assert not naive_mono_target_exists(good, target)
 
     def test_absent_when_tmax_too_small(self):
         assert gallai_ramsey_number("C4", 3, 5) is None

@@ -33,11 +33,11 @@ def assert_no_children_left():
     [
         (7, 3, "C4", {}, Outcome.EXHAUSTED),
         (8, 5, "C4", {}, Outcome.FOUND),
-        (7, 3, "C4", {"node_budget": 5_000}, Outcome.BUDGET_EXCEEDED),
+        (7, 3, "C4", {"node_budget": 2_000}, Outcome.BUDGET_EXCEEDED),
         # budget overrun while the parent lists the prefixes
         (7, 3, "C4", {"node_budget": 100}, Outcome.BUDGET_EXCEEDED),
         (6, 3, "C4", {}, Outcome.FOUND),
-        (7, 4, "P4", {"node_budget": 5_000}, Outcome.BUDGET_EXCEEDED),
+        (7, 4, "P4", {"node_budget": 600}, Outcome.BUDGET_EXCEEDED),
     ],
 )
 def test_edge_engine_matches_sequential(t, r, target, opts, kind):
@@ -93,7 +93,7 @@ def test_roadmap_baselines_are_pinned(hint):
     workers = [] if hint is None else ["--workers", str(hint)]
     assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=365"
     out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
-    assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 199_125)
+    assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 2_259)
     assert_no_children_left()
 
 

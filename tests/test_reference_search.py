@@ -82,8 +82,12 @@ def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_
         assert second[:2] == want, (n, m, r)
 
 
-@pytest.mark.parametrize("target, color_symmetry", list(product(("C4", "P4"), (True, False))))
-def test_edge_engine_matches_reference(target, color_symmetry):
+# As for the grid, the engine is pinned against the reference with every reduction,
+# and a second reference run with the chosen ones must give its verdict and witness.
+@pytest.mark.parametrize(
+    "target, color_symmetry, vertex_symmetry", list(product(("C4", "P4"), (True, False), (True, False)))
+)
+def test_edge_engine_matches_reference(target, color_symmetry, vertex_symmetry):
     kinds = set()
     for t, r in product(range(3, 7), range(1, 5)):
 
@@ -91,31 +95,39 @@ def test_edge_engine_matches_reference(target, color_symmetry):
             return search_good_edge_coloring(t, r, target, SearchOptions(budget))
 
         def reference(budget):
-            return reference_edge_search(t, r, target, True, budget)
+            return reference_edge_search(t, r, target, True, True, budget)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_edges, (t, r))
-        assert reference_edge_search(t, r, target, color_symmetry, None)[:2] == want, (t, r)
+        assert reference_edge_search(t, r, target, color_symmetry, vertex_symmetry, None)[:2] == want, (t, r)
         kinds.add(want[0])
     assert kinds == {"found", "exhausted"}
 
 
-@pytest.mark.parametrize("target, kind, nodes", [("C4", "found", 6_749), ("P4", "exhausted", 8_342)])
-def test_edge_engine_matches_reference_past_six_vertices(target, kind, nodes):
+@pytest.mark.parametrize(
+    "t, r, target, kind, nodes",
+    [
+        (7, 4, "C4", "found", 171),
+        (7, 4, "P4", "exhausted", 662),
+        (7, 3, "C4", "exhausted", 2_259),
+        (8, 5, "C4", "found", 336),
+    ],
+)
+def test_edge_engine_matches_reference_past_six_vertices(t, r, target, kind, nodes):
     # on K7 with four colors most edge visits have a split neighbour, so the
     # rainbow test narrows the colors before the target test sees them
     def engine(budget):
-        return search_good_edge_coloring(7, 4, target, SearchOptions(budget))
+        return search_good_edge_coloring(t, r, target, SearchOptions(budget))
 
     def reference(budget):
-        return reference_edge_search(7, 4, target, True, budget)
+        return reference_edge_search(t, r, target, True, True, budget)
 
-    assert assert_agrees_at_every_budget(engine, reference, flat_edges, (7, 4))[0] == kind
+    assert assert_agrees_at_every_budget(engine, reference, flat_edges, (t, r))[0] == kind
     assert engine(None).nodes_visited == nodes
 
 
 def test_reference_counts_by_hand():
     # K4 with one color: edges (1,2), (1,3), (1,4) form a star, not a P4, and the
     # fourth edge (2,3) closes 4-1-2-3, so the search exhausts after 4 nodes
-    assert reference_edge_search(4, 1, "P4", True, None) == ("exhausted", None, 4)
+    assert reference_edge_search(4, 1, "P4", True, True, None) == ("exhausted", None, 4)
     # 2x2 with one color: the fourth cell closes the only rectangle
     assert reference_grid_search(2, 2, 1, True, True, True, None) == ("exhausted", None, 4)

@@ -285,6 +285,13 @@ class TestDimacs:
         with pytest.raises(CertificateError, match="num_vars"):
             parse_dimacs("p cnf -5 0\n")
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"])
+    def test_separators_that_split_would_take_rejected(self, sep):
+        # str.split() reads "p cnf 2 1<sep>1 2 0" as the clause [1, 2]; a tab stays whitespace
+        assert parse_dimacs("p cnf 2 1\n1\t2 0\n").clauses == [[1, 2]]
+        with pytest.raises(CertificateError, match="bad character"):
+            parse_dimacs(f"p cnf 2 1{sep}1 2 0\n")
+
 
 class TestModelText:
     def test_plain_integers(self):
@@ -304,3 +311,9 @@ class TestModelText:
     def test_garbage_rejected(self):
         with pytest.raises(CertificateError):
             parse_model_text("1 two 3")
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"])
+    def test_separators_that_split_would_take_rejected(self, sep):
+        assert parse_model_text("1\t-2 0") == {1: True, 2: False}
+        with pytest.raises(CertificateError, match="bad character"):
+            parse_model_text(f"1{sep}-2 0")
