@@ -2,13 +2,14 @@
 
 `backtrack` assigns colors to an ordered list of slots, one node per tried
 color, with first-use color numbering, a node budget and, with
-`worker_hint >= 2`, subtrees explored in forked workers.  An engine
-supplies the local check as two callbacks: `fits(pos, hi)` returns, once
-per slot visit, the bitmask of colors in 1..hi that slot pos may take, and
-`place(pos, c)` assigns a color without checking it (with `unplace` to
-undo it).  An engine may also pass slot permutations that are symmetries
-of its instances, and the driver then keeps only lex leaders under them.
-The K_t edge engine lives in `graphs` and passes the swaps of adjacent
+`worker_hint >= 2`, subtrees explored in forked workers once a search
+outlives a probe of PROBE_NODES nodes.  An engine supplies the local check
+as two callbacks: `fits(pos, hi)` returns, once per slot visit, the
+bitmask of colors in 1..hi that slot pos may take, and `place(pos, c)`
+assigns a color without checking it (with `unplace` to undo it).  An
+engine may also pass slot permutations that are symmetries of its
+instances, and the driver then keeps only lex leaders under them.  The
+K_t edge engine lives in `graphs` and passes the swaps of adjacent
 vertices.
 
 The grid engine assigns cells in row-major order and rejects a color as
@@ -89,11 +90,13 @@ class SearchOptions:
 
     node_budget caps the number of decision nodes (tentative color
     assignments).  worker_hint is the number of worker processes a search
-    may fork, capped at the usable cores; with two or more, the tree is cut
-    into prefixes and the subtrees below them are explored in parallel.
-    The first LEAD_PREFIXES prefixes are cut at depth LEAD_DEPTH, the rest
-    at SPLIT_DEPTH.  Verdicts, witnesses and nodes_visited never depend on
-    it.
+    may fork, capped at the usable cores.  With two or more, a search walks
+    its first PROBE_NODES nodes in this process, as a sequential run does,
+    and forks only if it outlives them: it then lists the rest of its tree
+    as prefixes, cut at SPLIT_DEPTH, and explores the subtrees below them in
+    parallel.  A search with node_budget <= PROBE_NODES never forks.
+    Verdicts, witnesses and nodes_visited never depend on the hint or the
+    probe.
     Each engine always applies its symmetry reductions (module docstring).
     """
 
@@ -139,31 +142,26 @@ class SearchOutcome(Generic[W]):
 # Depth at which a parallel search cuts its tree into subtrees.  With
 # first-use colors there are at most Bell(6) = 203 prefixes at depth 6.
 SPLIT_DEPTH = 6
-# Results commit in prefix order, so the first subtrees decide a Found or a
-# budget verdict.  The first LEAD_PREFIXES prefixes are therefore cut deeper,
-# at LEAD_DEPTH, and the cut rises back to SPLIT_DEPTH as the listing
-# backtracks, so that the workers share the front of the order.
-LEAD_DEPTH = 10
-LEAD_PREFIXES = 16
+# Nodes a search with worker_hint >= 2 walks in this process before it forks.
+# Forking two workers costs about as much as 2,400-4,500 nodes of either
+# engine, so forking pays once a search has that many nodes left twice over;
+# most threshold-scan searches end within this probe and fork nothing
+# (measurements in CHANGES.md).
+PROBE_NODES = 10_000
 
 
-def first_cut(opts: SearchOptions, slots: int) -> int:
-    """Depth of the first cut of a search over `slots` decisions; `slots` means no cut.
-
-    A cut below `slots` makes the search list its prefixes and explore the
-    subtrees below them in workers.
-    """
+def may_fork(opts: SearchOptions) -> bool:
+    """Whether a search with these options may fork workers: a hint of two or more, and two cores."""
     hint = opts.worker_hint
-    if hint is None or hint < 2 or slots <= SPLIT_DEPTH:
-        return slots
-    if not hasattr(os, "fork") or _usable_cores() < 2:
-        return slots
-    return min(LEAD_DEPTH, slots - 1)
+    return hint is not None and hint >= 2 and hasattr(os, "fork") and _usable_cores() >= 2
 
 
 def worker_count(hint: int, cores: int, prefixes: int) -> int:
-    """Worker processes to fork: at most the hint, the usable cores and the subtrees."""
-    return min(hint, cores, prefixes)
+    """Worker processes to fork: at most the hint, the usable cores and the subtrees.
+
+    A single subtree gets none: explore_subtrees runs it in this process.
+    """
+    return min(hint, cores, prefixes) if prefixes > 1 else 0
 
 
 def _usable_cores() -> int:
@@ -215,10 +213,12 @@ def explore_subtrees(
     nodes_visited, witness) is the one a sequential run gives: the first
     witness in prefix order wins, and a budget overrun reports budget + 1
     nodes.  It forks worker_count(hint, usable cores, prefixes) workers,
-    and kills and reaps every one before it returns or raises.  A worker
-    that raises makes this raise RuntimeError.  Tasks (index, cap) and
-    results pass as marshal records on pipe files; a worker gets a task
-    only once its last result was read, so a pipe holds one record at most.
+    and kills and reaps every one before it returns or raises; a single
+    subtree is explored in this process, where an error in explore
+    propagates as it is.  A worker that raises makes this raise
+    RuntimeError.  Tasks (index, cap) and results pass as marshal records on
+    pipe files; a worker gets a task only once its last result was read, so
+    a pipe holds one record at most.
     """
     # select and signal are imported here so that sequential runs never load them
     import select
@@ -249,8 +249,21 @@ def explore_subtrees(
             # an unbuffered task writer never writes on close (a task fits one pipe
             # write); a buffered reader suits select since a pipe holds one record
             channels.append((open(task_w, "wb", buffering=0), open(result_r, "rb")))
+        if count == 1:  # no worker for it: a fork would cost more than it saves
+            results[0] = explore(0, None if budget is None else budget - prefix_nodes[0])
         idle = channels[::-1]
-        while committed < count:
+        while True:
+            while committed in results:
+                sub_nodes, hit, witness = results.pop(committed)
+                reached = prefix_nodes[committed] + spent + sub_nodes
+                if budget is not None and (hit or reached > budget):
+                    return Outcome.BUDGET_EXCEEDED, budget + 1, None
+                if witness is not None:
+                    return Outcome.FOUND, reached, witness
+                spent += sub_nodes
+                committed += 1
+            if committed == count:
+                break
             while idle and next_task < cutoff:
                 channel = idle.pop()
                 cap = None if budget is None else budget - prefix_nodes[next_task] - spent
@@ -270,15 +283,6 @@ def explore_subtrees(
                 results[index] = result
                 if result[1] or result[2] is not None:
                     cutoff = min(cutoff, index + 1)
-            while committed in results:
-                sub_nodes, hit, witness = results.pop(committed)
-                reached = prefix_nodes[committed] + spent + sub_nodes
-                if budget is not None and (hit or reached > budget):
-                    return Outcome.BUDGET_EXCEEDED, budget + 1, None
-                if witness is not None:
-                    return Outcome.FOUND, reached, witness
-                spent += sub_nodes
-                committed += 1
         total = nodes + spent
         if budget is not None and total > budget:
             return Outcome.BUDGET_EXCEEDED, budget + 1, None
@@ -385,6 +389,28 @@ def backtrack(
     lexicographically least assignment, and the counts never depend on
     opts.worker_hint.  Every exit leaves the engine with nothing assigned.
 
+    The cut into subtrees.  When the options let a search fork (may_fork)
+    and it has more than SPLIT_DEPTH slots, it starts as the sequential
+    walk, with the limit of its one per-node budget test lowered to
+    PROBE_NODES when the budget is larger.  A search that ends within that
+    probe forks nothing, and so does one whose budget is at most the probe.
+    One that outlives it switches, in the same walk, at the first color it
+    tries past the probe: the limit goes back to the budget, and from then
+    on a color placed at depth SPLIT_DEPTH or deeper is not descended into
+    but listed as a prefix, with the node count on entry; the walk goes on
+    from where it is.  So the open siblings along the current path are
+    listed first, deepest first, and then everything to their right, cut
+    at SPLIT_DEPTH, all in DFS order, and explore_subtrees commits the
+    subtrees in that order.  This is sound: the walk is the sequential DFS
+    with some subtrees deferred, each recorded with its entry count, so no
+    probe work is lost or repeated.  After the switch the walk descends
+    only above SPLIT_DEPTH, so its depth never grows past the larger of the
+    switch depth + 1 and SPLIT_DEPTH, and SPLIT_DEPTH is below slots.  A
+    leaf after the switch can therefore only be a color left at the last
+    slot when the switch happened there; the walk lists no prefix before it
+    leaves that slot, and never comes back to it.  So Found never coexists with listed
+    prefixes, and a walk that lists none has given the sequential outcome.
+
     perms, if given, lists slot permutations g that map every good
     assignment to a good one, and the driver then also breaks that symmetry
     by the lex-leader rule.  With x the assignment so far and y = FU(x o g),
@@ -410,8 +436,11 @@ def backtrack(
     left_at = [0] * slots
     used_before = [0] * slots
 
-    def walk(prefix: Sequence[int], max_used: int, budget: int | None, stop: int) -> tuple[Outcome, int]:
-        # search below `prefix` down to `stop` (a leaf at slots, otherwise a cut)
+    def walk(prefix: Sequence[int], max_used: int, budget: int | None, probe: int | None) -> tuple[Outcome, int]:
+        # search below `prefix` to the leaves; with `probe`, list the rest of the tree
+        # as prefixes once more than `probe` nodes are spent (docstring)
+        limit = budget if probe is None or (budget is not None and budget <= probe) else probe
+        stop = slots  # the depth from which a placed color is listed, not descended into
         nodes = 0
         pos = 0
         try:
@@ -446,8 +475,10 @@ def backtrack(
                 nxt = low.bit_length() - 1
                 nodes += nxt - c  # the rejected colors between c and nxt, and nxt
                 c = nxt
-                if budget is not None and nodes > budget:
-                    return Outcome.BUDGET_EXCEEDED, budget + 1
+                if limit is not None and nodes > limit:
+                    if budget is not None and nodes > budget:
+                        return Outcome.BUDGET_EXCEEDED, budget + 1
+                    stop, limit = SPLIT_DEPTH, budget  # the probe is spent: list from here on
                 colors[pos] = c
                 if check is not None and not check(pos):
                     continue
@@ -457,8 +488,6 @@ def backtrack(
                     if pos == slots:
                         return Outcome.FOUND, nodes
                     prefixes.append((colors[:pos], c if c > max_used else max_used, nodes))
-                    if len(prefixes) == LEAD_PREFIXES:
-                        stop = SPLIT_DEPTH
                     pos -= 1
                     unplace(pos, c)
                     continue
@@ -475,15 +504,15 @@ def backtrack(
                 unplace(pos, colors[pos])
 
     def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
-        # runs in a worker: search the subtree below prefixes[index]
+        # search the subtree below prefixes[index], in a worker or, for a single subtree, here
         prefix, max_used, _ = prefixes[index]
-        kind, nodes = walk(prefix, max_used, cap, slots)
+        kind, nodes = walk(prefix, max_used, cap, None)
         return nodes, kind is Outcome.BUDGET_EXCEEDED, colors[:] if kind is Outcome.FOUND else None
 
     budget = opts.node_budget
-    cut = first_cut(opts, slots)
-    kind, nodes = walk((), 0, budget, cut)
-    if cut == slots:
+    probe = PROBE_NODES if slots > SPLIT_DEPTH and may_fork(opts) else None
+    kind, nodes = walk((), 0, budget, probe)
+    if not prefixes:
         return kind, nodes, colors[:] if kind is Outcome.FOUND else None
     # The listing never reaches a leaf.  If it overran the budget, a sequential
     # run still reaches the subtrees listed so far, and one of them may hold a

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from gallaikit import search
 from gallaikit.search import SPLIT_DEPTH, Outcome, SearchOptions, backtrack
 
 from oracles import not_lex_leader
@@ -67,10 +68,21 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-HINTS = (None, 2)
+# None runs sequentially.  A hint of 2 forks only once a search outlives
+# search.PROBE_NODES, which none of these toys does, so "2-probe0" sets the probe
+# to 0 and forks from the first node.
+HINTS = (None, 2, "2-probe0")
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.fixture
+def hint(request, monkeypatch):
+    if request.param == "2-probe0":
+        monkeypatch.setattr(search, "PROBE_NODES", 0)
+        return 2
+    return request.param
+
+
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 @pytest.mark.parametrize("slots, r", [(1, 1), (3, 2), (5, 3), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 2)])
 def test_exhaustion_counts_every_assignment(slots, r, hint):
     expected = sum(r**k for k in range(1, slots + 1))
@@ -79,7 +91,7 @@ def test_exhaustion_counts_every_assignment(slots, r, hint):
     assert_no_children_left()
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 @pytest.mark.parametrize("slots, r", [(1, 1), (4, 2), (6, 4), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 4)])
 def test_color_symmetry_counts_set_partitions(slots, r, hint):
     expected = sum(stirling2(k, j) for k in range(1, slots + 1) for j in range(1, r + 1))
@@ -88,7 +100,7 @@ def test_color_symmetry_counts_set_partitions(slots, r, hint):
     assert_no_children_left()
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 def test_floor_counts_nondecreasing_sequences(hint):
     slots, r = SPLIT_DEPTH + 3, 3
     expected = sum(comb(k + r - 1, k) for k in range(1, slots + 1))
@@ -98,7 +110,7 @@ def test_floor_counts_nondecreasing_sequences(hint):
     assert_no_children_left()
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
     slots, r = SPLIT_DEPTH + 2, 2
     wanted = [1, 2] * (slots // 2)
@@ -130,7 +142,7 @@ class Picky(Toy):
         return super().fits(pos, hi) & ~self.rejected
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
     # colors 2, 3 and 5 of 1..5 never fit: each slot visit tries 5 colors, of which
     # 1 and 4 fit, so a slot skips the run 2, 3 and ends with the run 5
@@ -177,7 +189,7 @@ def lex_leader_nodes(slots, r, perms):
     return nodes
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", HINTS, indirect=True)
 def test_perms_keep_the_lex_leaders(hint):
     # a transposition and a rotation of the slots; the rotation is not its own
     # inverse, so the count pins the direction (x o g)[k] = x[g[k]]

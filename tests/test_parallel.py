@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from gallaikit import search as driver
 from gallaikit.cli import run
 from gallaikit.graphs import search_good_edge_coloring
 from gallaikit.search import (
@@ -15,11 +16,18 @@ from gallaikit.search import (
     worker_count,
 )
 
+# Most searches here end within the default probe and so fork nothing; a probe
+# of 0 makes a hinted search fork from its first node.
+PROBES = (driver.PROBE_NODES, 0)
+
 
 def assert_hints_agree(search, **opts):
     plain = search(SearchOptions(**opts))
-    for hint in (2, 4):
-        assert search(SearchOptions(worker_hint=hint, **opts)) == plain, hint
+    for probe in PROBES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driver, "PROBE_NODES", probe)
+            for hint in (2, 4):
+                assert search(SearchOptions(worker_hint=hint, **opts)) == plain, (probe, hint)
     return plain
 
 
@@ -89,12 +97,104 @@ def test_budget_boundary_matches_sequential(search, fixed):
 
 
 @pytest.mark.parametrize("hint", [None, 2])
-def test_roadmap_baselines_are_pinned(hint):
+def test_roadmap_baselines_are_pinned(hint, monkeypatch):
     workers = [] if hint is None else ["--workers", str(hint)]
-    assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=365"
-    out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
-    assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 2_259)
+    for probe in PROBES:
+        monkeypatch.setattr(driver, "PROBE_NODES", probe)
+        assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=365"
+        out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
+        assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 2_259)
     assert_no_children_left()
+
+
+def count_listings(monkeypatch):
+    # the number of prefixes of each listing that backtrack hands to explore_subtrees
+    listed = []
+
+    def spy(prefix_nodes, *args):
+        listed.append(len(prefix_nodes))
+        return explore_subtrees(prefix_nodes, *args)
+
+    monkeypatch.setattr(driver, "explore_subtrees", spy)
+    return listed
+
+
+@pytest.mark.parametrize(
+    "search, nodes",
+    [
+        (partial(search_good_coloring, 3, 7, 2), 365),
+        (partial(search_good_edge_coloring, 7, 3, "C4"), 2_259),
+    ],
+)
+def test_every_probe_gives_the_sequential_outcome(search, nodes, monkeypatch):
+    # The probe may run out anywhere in the walk, at the search's last node or after
+    # it, and below, at or above the budget; the walk then lists what is left.
+    listed = count_listings(monkeypatch)
+    plain = {budget: search(SearchOptions(node_budget=budget)) for budget in (None, nodes - 1, nodes)}
+    assert plain[None].nodes_visited == nodes
+    probes = set(range(0, nodes + 2, nodes // 20)) | {0, 1, nodes - 2, nodes - 1, nodes, nodes + 1}
+    for probe in sorted(probes):
+        monkeypatch.setattr(driver, "PROBE_NODES", probe)
+        for budget, want in plain.items():
+            assert search(SearchOptions(node_budget=budget, worker_hint=2)) == want, (probe, budget)
+            assert_no_children_left()
+    # the sweep reaches both a single listed subtree and forked workers
+    assert 1 in listed and max(listed) > 1
+
+
+def refuse_fork():
+    raise AssertionError("a search forked")
+
+
+@pytest.mark.parametrize(
+    "search, opts",
+    [
+        (partial(search_good_edge_coloring, 9, 6, "P4"), {}),
+        (partial(search_good_edge_coloring, 8, 5, "C4"), {}),
+        # 4 x 10 r=3 takes 36,429 nodes, but a budget within the probe stops it first
+        (partial(search_good_coloring, 4, 10, 3), {"node_budget": driver.PROBE_NODES}),
+    ],
+)
+def test_searches_within_the_probe_never_fork(search, opts, monkeypatch):
+    plain = search(SearchOptions(**opts))
+    assert plain.nodes_visited <= driver.PROBE_NODES + 1
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    assert search(SearchOptions(worker_hint=2, **opts)) == plain
+
+
+def test_a_search_past_the_probe_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = search_good_coloring(4, 10, 3, SearchOptions(worker_hint=2))
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 36_429)
+    assert out == search_good_coloring(4, 10, 3)
+    assert len(forks) == 2
+    assert_no_children_left()
+
+
+def test_a_single_subtree_is_explored_in_this_process(monkeypatch):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    caps = []
+
+    def explore(index, cap):
+        caps.append((index, cap))
+        return (4, False, [7]) if cap is None else (cap + 1, True, None)
+
+    assert explore_subtrees([3], 5, None, 2, explore) == (Outcome.FOUND, 3 + 4, [7])
+    assert explore_subtrees([3], 5, 20, 2, explore) == (Outcome.BUDGET_EXCEEDED, 21, None)
+    assert caps == [(0, None), (0, 17)]
+    assert explore_subtrees([3], 5, None, 2, lambda index, cap: (6, False, None)) == (Outcome.EXHAUSTED, 11, None)
+    # an error in explore reaches the caller as it is
+    with pytest.raises(ZeroDivisionError):
+        explore_subtrees([3], 5, None, 2, lambda index, cap: 1 // 0)
 
 
 def test_worker_count_is_capped_by_cores_and_subtrees():
@@ -102,6 +202,8 @@ def test_worker_count_is_capped_by_cores_and_subtrees():
     assert worker_count(2, 64, 203) == 2
     assert worker_count(8, 16, 3) == 3
     assert worker_count(4, 4, 0) == 0
+    # a single subtree is explored without a worker
+    assert worker_count(4, 4, 1) == 0
 
 
 def test_worker_that_raises_makes_the_parent_raise():
