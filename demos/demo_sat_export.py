@@ -5,9 +5,11 @@ Each cell gets one boolean per color, and monochromatic rectangles are
 ruled out with one clause per rectangle and color.  From four colors on,
 rainbow rectangles are ruled out with equality-selector variables: some
 corner pair of every rectangle must be selected, and a selected pair is
-forced to share a color.  Below four colors no rectangle can be rainbow,
-so those formulas have no selectors.  Either way the formula is
-satisfiable exactly when a good coloring exists.
+forced to share a color.  That takes one clause per selector e(p, q) and
+color c, "e and x(p, c) give x(q, c)"; the reverse direction follows from
+each cell having exactly one color, so it is not emitted.  Below four
+colors no rectangle can be rainbow, so those formulas have no selectors.
+Either way the formula is satisfiable exactly when a good coloring exists.
 """
 
 from gallaikit.grid import GridColoring

@@ -333,6 +333,12 @@ _BLOCK = 1 << 13  # trials per step of the strip falsifier; a step's 64 KiB arra
 _TABLE_COLORS = 127  # the most colors the strip falsifier's int8 table holds
 
 
+def _square_at_most_thrice(b: float, a: float) -> bool:
+    """b^2 <= 3a^2 in exact arithmetic, for finite a and b."""
+    (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
+    return (bn * ad) ** 2 <= 3 * (an * bd) ** 2
+
+
 def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
     """Attack the strip coloring with random congruent copies of the a x b rectangle.
 
@@ -344,7 +350,14 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     bit for bit and independent of how the work is split.  Trials are
     drawn and tested in blocks of 8,192, so memory is bounded by the
     block size and not by `trials`.  For a <= b <= sqrt(3)*a no placement
-    can be monochromatic or rainbow, so both hit counts are zero.
+    can be monochromatic or rainbow, so both hit counts are zero: a copy
+    rotated by theta spreads its corners over a*|cos theta| + b*|sin theta|
+    in x, which lies in [a, sqrt(a^2 + b^2)] and so in [a, 2a].  A spread of
+    at least a puts the corners in strips whose indices differ by 1 or 2,
+    which have different colors for r >= 3, and a spread of at most 2a puts
+    them in at most three strips.  The range is checked exactly: a <= b,
+    and b^2 <= 3a^2 in integers over the exact ratios of the two floats,
+    so no rounding of sqrt(3)*a can let a b through or turn one away.
 
     A corner's color is read from a table indexed by floor(x/a).  Every
     corner lies within (a + b)/2 of its center x, which lies in [0, r*a],
@@ -360,7 +373,7 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
         raise ValueError("r must be at least 3")
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
-    if not a <= b <= math.sqrt(3) * a:
+    if not (a <= b < math.inf and _square_at_most_thrice(b, a)):
         raise ValueError(f"require a <= b <= sqrt(3)*a, got a={a}, b={b}")
     try:
         extent = r * a + a + b

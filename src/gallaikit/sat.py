@@ -4,7 +4,8 @@ A formula produced here is satisfiable exactly when a good n x m r-coloring
 exists.  Cell colors use one boolean per (cell, color).  From four colors
 on, rainbow avoidance is expressed through equality-selector variables
 e(p, q): a rectangle clause demands that some corner pair is equal, and
-one-directional channeling clauses make a true selector force the
+one-directional channeling clauses (cell p's color carried to cell q;
+the converse follows from exactly-one) make a true selector force the
 equality.  Below four colors no rectangle can be rainbow, so the formula
 has no selectors.  No solver is bundled; the module emits standard DIMACS
 text and re-checks any claimed model.
@@ -101,13 +102,21 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
 
     Clause groups, in emission order: exactly-one color per cell (one
     at-least-one clause plus pairwise at-most-one clauses), selector
-    channeling (a true e(p, q) forces cells p and q to share each color in
-    both directions), then per rectangle the r monochromatic-avoidance
-    clauses and one rainbow-avoidance clause over its six pair selectors.
-    For r < 4 the selectors, their channeling and the rainbow clauses are
-    left out and num_vars is n*m*r: four corners cannot take four distinct
-    colors from fewer than four, so rainbow avoidance is vacuous there and
-    the formula stays satisfiable exactly when a good coloring exists.
+    channeling (per color c one clause [-e(p, q), -x(p, c), x(q, c)]),
+    then per rectangle the r monochromatic-avoidance clauses and one
+    rainbow-avoidance clause over its six pair selectors.  For r < 4 the
+    selectors, their channeling and the rainbow clauses are left out and
+    num_vars is n*m*r: four corners cannot take four distinct colors from
+    fewer than four, so rainbow avoidance is vacuous there and the formula
+    stays satisfiable exactly when a good coloring exists.
+
+    Channeling runs from p to q only; the reverse clause
+    [-e, -x(q, c), x(p, c)] is implied.  If e and x(q, c) hold, p has some
+    color c' by its at-least-one clause, the kept clause for c' gives
+    x(q, c'), and at-most-one at q gives c' = c, so x(p, c) holds.  The
+    formula therefore has exactly the models it would have with both
+    directions, over the same variables, with r clauses per selector
+    instead of 2r.
     """
     if n < 2 or m < 2 or r < 1:
         raise ValueError(f"require n, m >= 2 and r >= 1, got {(n, m, r)}")
@@ -133,9 +142,7 @@ def encode_grid_cnf(n: int, m: int, r: int) -> CnfDocument:
             for q_base in range(p_base + r, top, r):
                 e += 1
                 not_e = -e
-                for c in colors:
-                    append([not_e, -p_base - c, q_base + c])
-                    append([not_e, -q_base - c, p_base + c])
+                clauses.extend([not_e, -p_base - c, q_base + c] for c in colors)
 
     # selector_var(n, m, r, p + 1, q + 1) == sel[p] + q for 0-based cells p < q
     sel = [top + p * nm - p * (p + 1) // 2 - p for p in range(nm)]
@@ -165,7 +172,9 @@ def decode_model(n: int, m: int, r: int, assignment: Mapping[int, bool]) -> Grid
     """Read a coloring out of a model of encode_grid_cnf(n, m, r).
 
     The assignment must cover all color variables and set exactly one color
-    per cell; the decoded coloring must verify good.  Violations raise
+    per cell; the decoded coloring must verify good.  A value is read as in
+    check_model_against_cnf: true when it == True, false when it == False,
+    and a value that equals neither is an error.  Violations raise
     ValueError (a bad decoded coloring signals an encoding bug).
     """
     colors = range(1, r + 1)
@@ -179,8 +188,11 @@ def decode_model(n: int, m: int, r: int, assignment: Mapping[int, bool]) -> Grid
                 var += 1
                 if var not in assignment:
                     raise ValueError(f"assignment misses color variable {var} for cell ({i},{j})")
-                if assignment[var]:
+                value = assignment[var]
+                if value == True:
                     true_colors.append(c)
+                elif value != False:
+                    raise ValueError(f"color variable {var} has value {value!r}, neither true nor false")
             if len(true_colors) != 1:
                 raise ValueError(
                     f"cell ({i},{j}) has {len(true_colors)} true color variables, expected exactly 1"

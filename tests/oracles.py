@@ -525,11 +525,12 @@ def reference_encode_grid_cnf(n: int, m: int, r: int) -> ReferenceCnf:
 
     Clause groups, in emission order: exactly-one color per cell (one
     at-least-one clause plus pairwise at-most-one clauses), selector
-    channeling (a true e(p, q) forces cells p and q to share each color in
-    both directions), then per rectangle the r monochromatic-avoidance
-    clauses and one rainbow-avoidance clause over its six pair selectors.
-    For r < 4 no rectangle can be rainbow: selectors, channeling and
-    rainbow clauses are left out.
+    channeling (for each color c, a true e(p, q) and x(p, c) force
+    x(q, c); the reverse direction follows from exactly-one and is not
+    emitted), then per rectangle the r monochromatic-avoidance clauses and
+    one rainbow-avoidance clause over its six pair selectors.  For r < 4
+    no rectangle can be rainbow: selectors, channeling and rainbow clauses
+    are left out.
     """
     if n < 2 or m < 2 or r < 1:
         raise ValueError(f"require n, m >= 2 and r >= 1, got {(n, m, r)}")
@@ -553,7 +554,6 @@ def reference_encode_grid_cnf(n: int, m: int, r: int) -> ReferenceCnf:
                 xp = color_var(m, r, pi + 1, pj + 1, c)
                 xq = color_var(m, r, qi + 1, qj + 1, c)
                 clauses.append([-e, -xp, xq])
-                clauses.append([-e, -xq, xp])
 
     for i, i2 in combinations(range(1, n + 1), 2):
         for j, j2 in combinations(range(1, m + 1), 2):

@@ -244,7 +244,21 @@ class TestStripFalsify:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "a, b", [("inf", "inf"), ("1e308", "1e308"), ("nan", "1"), ("1", "nan")]
+        "a, b, code, summary",
+        [
+            # b^2 > 3a^2 exactly, though b <= sqrt(3)*a in floats
+            ("5.61679062459942", "9.728566737282724", 2, "error: require a <= b <= sqrt(3)*a"),
+            # b^2 <= 3a^2 exactly, though b > sqrt(3)*a in floats
+            ("9.221174446756038", "15.97154264723729", 0, "mono=0 rainbow=0"),
+        ],
+    )
+    def test_aspect_range_is_exact(self, a, b, code, summary):
+        result = run(["strip-falsify", "3", a, b, "--trials", "5000", "--seed", "1"])
+        assert result.exit_code == code
+        assert result.summary.startswith(summary)
+
+    @pytest.mark.parametrize(
+        "a, b", [("inf", "inf"), ("1e308", "1e308"), ("nan", "1"), ("1", "nan"), ("1", "inf")]
     )
     def test_nonfinite_widths_exit_two(self, a, b):
         result = run(["strip-falsify", "3", a, b, "--trials", "10", "--seed", "1"])

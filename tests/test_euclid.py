@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -444,6 +445,18 @@ class TestFalsifyStrip:
         report = falsify_strip(4, 1.0, math.sqrt(3), 20_000, 5)
         assert report.mono_hits == 0 and report.rainbow_hits == 0
 
+    def test_range_is_checked_exactly(self):
+        # b^2 > 3a^2 exactly, though b <= math.sqrt(3) * a in floats
+        a, b = 5.61679062459942, 9.728566737282724
+        assert Fraction(b) ** 2 > 3 * Fraction(a) ** 2 and b <= math.sqrt(3) * a
+        with pytest.raises(ValueError, match="sqrt"):
+            falsify_strip(3, a, b, 10, 0)
+        # b^2 <= 3a^2 exactly, though b > math.sqrt(3) * a in floats
+        a, b = 9.221174446756038, 15.97154264723729
+        assert Fraction(b) ** 2 <= 3 * Fraction(a) ** 2 and b > math.sqrt(3) * a
+        report = falsify_strip(3, a, b, 5_000, 0)
+        assert report.mono_hits == 0 and report.rainbow_hits == 0
+
     def test_deterministic_given_seed(self):
         assert falsify_strip(3, 0.5, 0.8, 5_000, 99) == falsify_strip(3, 0.5, 0.8, 5_000, 99)
 
@@ -460,6 +473,7 @@ class TestFalsifyStrip:
             (3, 1.0, math.nan, 10, 0),
             (3, 1e308, 1e308, 10, 0),
             (10 ** 400, 1.0, 1.0, 10, 0),
+            (3, 1.0, math.inf, 10, 0),
         ],
     )
     def test_parameter_range_violations(self, args):

@@ -2,7 +2,7 @@
 
 import gc
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -122,6 +122,34 @@ class TestEncoding:
             count, _ = formula_coloring_model_count(cnf, n, m, r)
             assert count == count_good_naive(n, m, r), (n, m, r)
 
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_reverse_channeling_clauses_are_implied(self, r):
+        # the encoder emits [-e, -x(p,c), x(q,c)] only; every model of the formula
+        # must also satisfy the reverse clause [-e, -x(q,c), x(p,c)] it leaves out
+        n, m = 2, 2
+        cnf = encode_grid_cnf(n, m, r)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+        pairs = list(combinations(range(1, n * m + 1), 2))
+        dropped = [
+            [-selector_var(n, m, r, p, q), -color_var(m, r, *cells[q - 1], c), color_var(m, r, *cells[p - 1], c)]
+            for p, q in pairs
+            for c in range(1, r + 1)
+        ]
+        emitted = {tuple(sorted(clause)) for clause in cnf.clauses}
+        assert not any(tuple(sorted(clause)) in emitted for clause in dropped)
+        models = 0
+        for colors in product(range(1, r + 1), repeat=n * m):
+            base = {
+                color_var(m, r, i, j, c): color == c for (i, j), color in zip(cells, colors) for c in range(1, r + 1)
+            }
+            for chosen in product((False, True), repeat=len(pairs)):
+                asn = dict(base)
+                asn.update((selector_var(n, m, r, p, q), on) for (p, q), on in zip(pairs, chosen))
+                if check_model_against_cnf(cnf, asn):
+                    models += 1
+                    assert check_model_against_cnf(CnfDocument(cnf.num_vars, dropped), asn), (colors, chosen)
+        assert models > 0
+
     def test_three_independent_routes_agree_on_3x6_count(self):
         # formula models, row-triple bit tables, and plain odometer counting
         # all see exactly the same number of good 3x6 2-colorings
@@ -147,6 +175,20 @@ class TestDecodeModel:
         asn[color_var(m, r, 1, 1, 4)] = True
         with pytest.raises(ValueError, match="true color"):
             decode_model(n, m, r, asn)
+
+    @pytest.mark.parametrize("value", ["no", 2, None, 0.5])
+    def test_value_neither_true_nor_false_rejected(self, value):
+        # a value counts as true when it == True, as in check_model_against_cnf
+        asn = assignment_from_coloring(coloring_from_index(2, 2, 2, 6))
+        asn[1] = value
+        assert not check_model_against_cnf(encode_grid_cnf(2, 2, 2), asn)
+        with pytest.raises(ValueError, match="neither true nor false"):
+            decode_model(2, 2, 2, asn)
+
+    def test_values_equal_to_true_and_false_accepted(self):
+        g = coloring_from_index(2, 2, 2, 6)
+        asn = {v: int(on) for v, on in assignment_from_coloring(g).items()}
+        assert decode_model(2, 2, 2, asn) == g
 
     def test_missing_variable(self):
         with pytest.raises(ValueError, match="misses"):
