@@ -56,6 +56,21 @@ than its image under any vertex swap, which is what the lex-leader check
 of `backtrack` asks.  The grid engine passes no perms: a lex-leader check
 on adjacent row and column swaps visits more nodes than its floors (413
 against 365 on 3 x 7 with two colors).
+
+At the start of each row i >= 1, before cell (i, 0), the grid engine also
+tests whether any row i can follow the rows above, by a matching bound.
+Call a column full when its cells above row i hold every color 1..r.  A
+row-i cell of color c in a full column j lies below some cell (k, j) of
+color c, and so uses the resource (k, c).  Two row-i cells that use one
+resource (k, c) close a mono rectangle with row k.  So a good row i gives
+each full column its own resource (k, color of cell (k, j)), k < i, and
+when the full columns have no such system of distinct representatives
+(Hall's condition fails), fits returns no color at (i, 0).  The test reads
+only placed rows, and it rejects only prefixes with no good completion at
+all, in the reduced space or outside it.  So, as with the reductions above,
+verdicts and Found witnesses stay the same and only node counts fall.  A
+column of i cells holds every color only if i >= r, so the engine builds
+the test only when r < n.
 """
 
 from __future__ import annotations
@@ -521,6 +536,64 @@ def backtrack(
     return explore_subtrees([p[2] for p in prefixes], nodes, budget, opts.worker_hint, explore)
 
 
+def _row_start_bound(n: int, m: int, r: int) -> tuple[list[int], Callable[[], bool]]:
+    """The grid engine's matching bound at a row start (module docstring); for r < n only.
+
+    Returns (res, hall).  res[j] is the resource mask of column j: bit c*n + k
+    is set while cell (k, j) holds color c, and the engine's place and unplace
+    keep it.  At the start of row i only rows above i are placed, and hall()
+    tells whether the full columns, those that hold every color 1..r, can
+    each get a resource bit of their own.
+    """
+    res = [0] * m
+    # At a row start the top bit, k = n - 1, of each color's n-bit block is clear, so
+    # adding `fill` carries into that bit exactly in the blocks that hold a bit: a
+    # column is full when (mask + fill) & tops == tops.
+    fill = sum(((1 << (n - 1)) - 1) << (c * n) for c in range(1, r + 1))
+    tops = sum(1 << (c * n + n - 1) for c in range(1, r + 1))
+
+    def hall() -> bool:
+        full = [mask for mask in res if (mask + fill) & tops == tops]
+        # give each full column its lowest resource not given yet, and gather them all
+        given = union = 0
+        for mask in full:
+            union |= mask
+            free = mask & ~given
+            given |= free & -free
+        if given.bit_count() == len(full):
+            return True
+        # Hall's condition on the set of all full columns rejects most row starts at once
+        return union.bit_count() >= len(full) and _distinct_representatives(full)
+
+    return res, hall
+
+
+def _distinct_representatives(sets: list[int]) -> bool:
+    """Whether each mask in sets can get a set bit of its own, by Kuhn's augmenting paths."""
+    owner: dict[int, int] = {}  # bit -> the index of the mask matched to it
+    seen = 0
+
+    def augment(k: int) -> bool:
+        # match sets[k], moving matched masks along an alternating path
+        nonlocal seen
+        free = sets[k] & ~seen
+        while free:
+            bit = free & -free
+            seen |= bit
+            other = owner.get(bit)
+            if other is None or augment(other):
+                owner[bit] = k
+                return True
+            free = sets[k] & ~seen
+        return False
+
+    for k in range(len(sets)):
+        seen = 0
+        if not augment(k):
+            return False
+    return True
+
+
 def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = None) -> SearchOutcome[GridColoring]:
     """Find a good n x m r-coloring or prove by exhaustion that none exists.
 
@@ -539,6 +612,10 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     # col_ge_at[j]: the same for column j against column j-1, read top-down
     ge_at = [-1] * n
     col_ge_at = [-1] * m
+    # the matching bound at row starts (module docstring): res is empty and hall None
+    # unless r < n; a slot's `start` flag is set at (i, 0) for rows i >= r, which
+    # exist only when r < n
+    res, hall = _row_start_bound(n, m, r) if r < n else ([], None)
 
     if r < 4:
         # a rectangle with three colors or fewer is never rainbow
@@ -546,14 +623,18 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         # col_masks[i][c]: bitmask of the columns where row i holds color c
         col_masks = [[0] * (top + 1) for _ in range(n)]
         # per slot in row-major order: (row, column, the row, its masks, (row, masks)
-        # for each row above)
+        # for each row above, start flag)
         slot_info = [
-            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i]))) for i in range(n) for j in range(m)
+            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), not j and i >= r)
+            for i in range(n)
+            for j in range(m)
         ]
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono rectangle with a row above
-            _, j, _, masks_i, above = slot_info[pos]
+            _, j, _, masks_i, above, start = slot_info[pos]
+            if start and not hall():
+                return 0
             ok = (2 << hi) - 2  # the bits of colors 1..hi
             for row2, masks2 in above:
                 b = row2[j]
@@ -562,18 +643,22 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             return ok
 
         def place(pos: int, c: int) -> None:
-            i, j, row_i, masks_i, above = slot_info[pos]
+            i, j, row_i, masks_i, above, _ = slot_info[pos]
             row_i[j] = c
             masks_i[c] |= 1 << j
+            if res:
+                res[j] |= 1 << (c * n + i)
             if i and ge_at[i] < 0 and c > above[-1][0][j]:
                 ge_at[i] = pos
             if j and col_ge_at[j] < 0 and c > row_i[j - 1]:
                 col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
-            i, j, row_i, masks_i, _ = slot_info[pos]
+            i, j, row_i, masks_i, _, _ = slot_info[pos]
             row_i[j] = 0
             masks_i[c] &= ~(1 << j)
+            if res:
+                res[j] ^= 1 << (c * n + i)
             if ge_at[i] == pos:
                 ge_at[i] = -1
             if col_ge_at[j] == pos:
@@ -582,7 +667,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         def floor(pos: int) -> int:
             # sorted rows and columns: while row i ties row i-1, its cells may not fall
             # below that row, and while column j ties column j-1, nor below that column
-            i, j, row_i, _, above = slot_info[pos]
+            i, j, row_i, _, above, _ = slot_info[pos]
             low = above[-1][0][j] if i and ge_at[i] < 0 else 1
             if j and col_ge_at[j] < 0 and row_i[j - 1] > low:
                 return row_i[j - 1]
@@ -590,9 +675,9 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
     else:
         # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, column,
-        # the column, the column before it)
+        # the column, the column before it, start flag)
         cols = [[0] * n for _ in range(m)]
-        slot_info = [(i, j, cols[j], cols[j - 1]) for i in range(n) for j in range(m)]
+        slot_info = [(i, j, cols[j], cols[j - 1], not j and i >= r) for i in range(n) for j in range(m)]
         # pair_state[i][k]: the pair state of rows k < i over the columns placed in row i
         pair_state = [[0] * i for i in range(n)]
         saved: list[list[int]] = [[]] * (n * m)  # pair_state[i] before each slot was placed
@@ -635,7 +720,9 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono or rainbow rectangle with a row above
-            i, _, col, _ = slot_info[pos]
+            i, _, col, _, start = slot_info[pos]
+            if start and not hall():
+                return 0
             ok = (2 << hi) - 2  # the bits of colors 1..hi
             for state, b in zip(pair_state[i], col):
                 try:
@@ -645,8 +732,10 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             return ok
 
         def place(pos: int, c: int) -> None:
-            i, j, col, prev = slot_info[pos]
+            i, j, col, prev, _ = slot_info[pos]
             col[i] = c
+            if res:
+                res[j] |= 1 << (c * n + i)
             states = saved[pos] = pair_state[i]
             bits = pair_bits[c]
             new = []
@@ -663,8 +752,10 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
                 col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
-            i, j, col, _ = slot_info[pos]
+            i, j, col, _, _ = slot_info[pos]
             col[i] = 0
+            if res:
+                res[j] ^= 1 << (c * n + i)
             pair_state[i] = saved[pos]
             if ge_at[i] == pos:
                 ge_at[i] = -1
@@ -673,7 +764,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
         def floor(pos: int) -> int:
             # sorted rows and columns, as in the branch for fewer than four colors
-            i, j, col, prev = slot_info[pos]
+            i, j, col, prev, _ = slot_info[pos]
             low = col[i - 1] if i and ge_at[i] < 0 else 1
             if j and col_ge_at[j] < 0 and prev[i] > low:
                 return prev[i]

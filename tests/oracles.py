@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no logic with the code it
 checks: quadruple-nested scans, odometer enumerations over whole coloring
 spaces, a bit-table sweep for two-color row triples, a column-type multiset
 search for two-row grids, a plain recursive search with the engines' slot
-order and symmetry rules, a bit-parallel complete evaluation of CNF
+order and symmetry rules and the grid engine's row-start Hall test (here
+over every subset of the full columns), a bit-parallel complete evaluation of CNF
 encodings over all colorings, the SAT layer's former per-literal code
 as the reference for its bulk rewrite, the former whole-array geometry
 sweeps as the reference for their streamed rewrites, and the former
@@ -327,6 +328,24 @@ def reference_search(
     return ("found", colors, nodes) if found else ("exhausted", None, nodes)
 
 
+def naive_hall_fails(rows: list[list[int]], r: int) -> bool:
+    """Do the columns of `rows` that hold every color 1..r break Hall's condition?
+
+    Column j offers the pairs (k, rows[k][j]).  Hall's condition asks that every
+    set of such full columns offer, between them, at least as many pairs as it
+    has columns; this tries every set.
+    """
+    offers = []
+    for col in zip(*rows):
+        if set(col) == set(range(1, r + 1)):
+            offers.append(set(enumerate(col)))
+    for size in range(2, len(offers) + 1):
+        for chosen in combinations(offers, size):
+            if len(set().union(*chosen)) < size:
+                return True
+    return False
+
+
 def reference_grid_search(
     n: int,
     m: int,
@@ -335,9 +354,14 @@ def reference_grid_search(
     row_order_symmetry: bool,
     col_order_symmetry: bool,
     budget: int | None,
+    row_matching: bool = False,
 ) -> tuple[str, list[int] | None, int]:
     """Row-major cells; with row_order_symmetry a row stays >= the row above it,
-    and with col_order_symmetry a column, read top-down, stays >= the column to its left."""
+    and with col_order_symmetry a column, read top-down, stays >= the column to its left.
+
+    With row_matching the first cell of a row i >= 1 is rejected, whatever its
+    color, when the rows above break Hall's condition (naive_hall_fails).
+    """
 
     def row_floor(flat: list[int]) -> int:
         k = len(flat)
@@ -357,7 +381,13 @@ def reference_grid_search(
     def floor(flat: list[int]) -> int:
         return max(row_floor(flat), col_floor(flat))
 
-    return reference_search(n * m, r, lambda flat: _grid_new_bad(flat, m), floor, color_symmetry, budget)
+    def bad(flat: list[int]) -> bool:
+        i, j = divmod(len(flat) - 1, m)
+        if row_matching and i and not j and naive_hall_fails([flat[k * m:(k + 1) * m] for k in range(i)], r):
+            return True
+        return _grid_new_bad(flat, m)
+
+    return reference_search(n * m, r, bad, floor, color_symmetry, budget)
 
 
 def _first_use(seq: list[int]) -> list[int]:

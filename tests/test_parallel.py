@@ -58,13 +58,13 @@ def test_edge_engine_matches_sequential(t, r, target, opts, kind):
     "n, m, r, opts, kind",
     [
         (4, 9, 3, {}, Outcome.FOUND),
-        # found in 36,429 nodes; the budget runs out inside the forked subtrees
-        (4, 10, 3, {"node_budget": 20_000}, Outcome.BUDGET_EXCEEDED),
+        # found in 25,843 nodes; the budget runs out inside the forked subtrees
+        (4, 11, 3, {"node_budget": 20_000}, Outcome.BUDGET_EXCEEDED),
         (3, 7, 2, {}, Outcome.EXHAUSTED),
         (4, 6, 2, {}, Outcome.FOUND),
         (3, 4, 3, {}, Outcome.FOUND),
         # a budget of exactly the node count
-        (3, 7, 2, {"node_budget": 365}, Outcome.EXHAUSTED),
+        (3, 7, 2, {"node_budget": 224}, Outcome.EXHAUSTED),
     ],
 )
 def test_grid_engine_matches_sequential(n, m, r, opts, kind):
@@ -101,7 +101,7 @@ def test_roadmap_baselines_are_pinned(hint, monkeypatch):
     workers = [] if hint is None else ["--workers", str(hint)]
     for probe in PROBES:
         monkeypatch.setattr(driver, "PROBE_NODES", probe)
-        assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=365"
+        assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=224"
         out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
         assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 2_259)
     assert_no_children_left()
@@ -122,7 +122,7 @@ def count_listings(monkeypatch):
 @pytest.mark.parametrize(
     "search, nodes",
     [
-        (partial(search_good_coloring, 3, 7, 2), 365),
+        (partial(search_good_coloring, 3, 7, 2), 224),
         (partial(search_good_edge_coloring, 7, 3, "C4"), 2_259),
     ],
 )
@@ -151,8 +151,10 @@ def refuse_fork():
     [
         (partial(search_good_edge_coloring, 9, 6, "P4"), {}),
         (partial(search_good_edge_coloring, 8, 5, "C4"), {}),
-        # 4 x 10 r=3 takes 36,429 nodes, but a budget within the probe stops it first
-        (partial(search_good_coloring, 4, 10, 3), {"node_budget": driver.PROBE_NODES}),
+        # 4 x 11 r=3 takes 25,843 nodes, but a budget within the probe stops it first
+        (partial(search_good_coloring, 4, 11, 3), {"node_budget": driver.PROBE_NODES}),
+        # 4 x 10 r=3 is found in 5,657 nodes
+        (partial(search_good_coloring, 4, 10, 3), {}),
     ],
 )
 def test_searches_within_the_probe_never_fork(search, opts, monkeypatch):
@@ -173,9 +175,9 @@ def test_a_search_past_the_probe_forks(monkeypatch):
 
     monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", counting_fork)
-    out = search_good_coloring(4, 10, 3, SearchOptions(worker_hint=2))
-    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 36_429)
-    assert out == search_good_coloring(4, 10, 3)
+    out = search_good_coloring(4, 11, 3, SearchOptions(worker_hint=2))
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 25_843)
+    assert out == search_good_coloring(4, 11, 3)
     assert len(forks) == 2
     assert_no_children_left()
 

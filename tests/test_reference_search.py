@@ -1,13 +1,14 @@
 """Both engines against a plain recursive reference search: verdict, witness and node count."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from gallaikit.graphs import search_good_edge_coloring
-from gallaikit.search import SearchOptions, search_good_coloring
+from gallaikit.grid import GridColoring
+from gallaikit.search import SearchOptions, _row_start_bound, search_good_coloring
 
-from oracles import reference_edge_search, reference_grid_search
+from oracles import naive_hall_fails, naive_is_good, reference_edge_search, reference_grid_search
 
 GRIDS = [(n, m) for n in range(1, 13) for m in range(1, 12 // n + 1)]
 
@@ -32,10 +33,12 @@ def assert_agrees_at_every_budget(engine, reference, flatten, label):
     return kind, colors  # the unbudgeted verdict and witness
 
 
-# The engines always apply their symmetry reductions, so their counts are pinned
-# against the reference with all of them.  The parameters choose the reductions of
-# a second reference run, which must give the same verdict and witness: the least
-# good coloring of all is the least member of its orbit, so no reduction skips it.
+# The engines always apply their symmetry reductions, and the grid engine its
+# matching bound at row starts, so their counts are pinned against the reference
+# with all of them.  The parameters choose the reductions of a second reference
+# run without the bound, which must give the same verdict and witness: the least
+# good coloring of all is the least member of its orbit, so no reduction skips it,
+# and the bound rejects only prefixes that no good coloring extends.
 # A test id names the color and row flags, and ends in -cols when columns are sorted.
 REDUCTIONS = [
     pytest.param(*flags, id=f"{flags[0]}-{flags[1]}" + ("-cols" if flags[2] else ""))
@@ -52,7 +55,7 @@ def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry, col_o
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, True, budget)
+            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
         second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
@@ -75,11 +78,33 @@ def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, True, budget)
+            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
         second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
         assert second[:2] == want, (n, m, r)
+
+
+@pytest.mark.parametrize("rows, m, r", [(1, 3, 1), (2, 4, 2), (2, 6, 2), (3, 4, 3)])
+def test_row_start_bound_rejects_only_dead_prefixes(rows, m, r):
+    # Every good rows x m coloring, up to the order of its columns, as the rows above a
+    # row start: the engine's matching bound and the oracle's subset test agree, and
+    # when they reject, no next row makes a good coloring.
+    res, hall = _row_start_bound(rows + 1, m, r)
+    rejected = 0
+    for cols in combinations_with_replacement(product(range(1, r + 1), repeat=rows), m):
+        above = [list(row) for row in zip(*cols)]
+        if not naive_is_good(GridColoring(rows, m, r, above)):
+            continue
+        # the engine's resource masks: bit c*n + k for cell (k, j) of color c, n = rows + 1
+        res[:] = [sum(1 << (c * (rows + 1) + k) for k, c in enumerate(col)) for col in cols]
+        blocked = naive_hall_fails(above, r)
+        assert hall() is not blocked, above
+        if blocked:
+            rejected += 1
+            for row in product(range(1, r + 1), repeat=m):
+                assert not naive_is_good(GridColoring(rows + 1, m, r, above + [list(row)])), (above, row)
+    assert rejected
 
 
 # As for the grid, the engine is pinned against the reference with every reduction,

@@ -150,6 +150,30 @@ class TestEncoding:
                     assert check_model_against_cnf(CnfDocument(cnf.num_vars, dropped), asn), (colors, chosen)
         assert models > 0
 
+    def test_true_selectors_join_equal_cells(self):
+        # formula_coloring_model_count sets each selector to "its two cells agree", so it
+        # cannot see a missing channeling clause; here every assignment of 2 x 2 r=4 is
+        # tried, 256 colorings by 64 selector settings, and in each model every true
+        # selector must join two cells of one color
+        n, m, r = 2, 2, 4
+        cnf = encode_grid_cnf(n, m, r)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+        pairs = list(combinations(range(1, n * m + 1), 2))
+        true_selectors = 0
+        for colors in product(range(1, r + 1), repeat=n * m):
+            base = {
+                color_var(m, r, i, j, c): color == c for (i, j), color in zip(cells, colors) for c in range(1, r + 1)
+            }
+            for chosen in product((False, True), repeat=len(pairs)):
+                asn = dict(base)
+                asn.update((selector_var(n, m, r, p, q), on) for (p, q), on in zip(pairs, chosen))
+                if check_model_against_cnf(cnf, asn):
+                    for (p, q), on in zip(pairs, chosen):
+                        if on:
+                            true_selectors += 1
+                            assert colors[p - 1] == colors[q - 1], (colors, chosen)
+        assert true_selectors > 0
+
     def test_three_independent_routes_agree_on_3x6_count(self):
         # formula models, row-triple bit tables, and plain odometer counting
         # all see exactly the same number of good 3x6 2-colorings
