@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .grid import CertificateError, read_uint, require_plain_text, split_strict
+from .grid import CertificateError, read_uint, split_strict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -643,10 +643,9 @@ def format_configuration(config: Configuration) -> str:
 def parse_configuration(text: str) -> Configuration:
     """Strict parser for the configuration text format.
 
-    The text must be ASCII without \\x0b, \\x0c or \\x1c-\\x1f (`grid.require_plain_text`),
-    and the fields of a point line are separated by single spaces.
+    The text must be ASCII without \\x0b, \\x0c or \\x1c-\\x1f (`grid.split_strict`
+    checks it), and the fields of a point line are separated by single spaces.
     """
-    require_plain_text(text, "configuration")
     (dim, count), body = split_strict(text, "config", (read_uint, read_uint), "configuration")
     if len(body) != count:
         raise CertificateError(f"expected {count} point lines, found {len(body)}")

@@ -59,9 +59,10 @@ _ODD_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 def require_plain_text(text: str, name: str) -> None:
     """Raise CertificateError if text holds a non-ASCII character or one of _ODD_SEPARATORS.
 
-    Readers that split at any whitespace would otherwise take those for
-    separators: str.split() breaks at \\x1c and at non-ASCII spaces such
-    as U+3000, and no writer here emits them.  isascii() and six `in`
+    Readers that split or strip at any whitespace would otherwise take
+    those for separators or trailing whitespace: str.split() and
+    str.rstrip() take \\x1c and non-ASCII spaces such as U+3000 for
+    whitespace, and no writer here emits them.  isascii() and six `in`
     scans cost far less than a regex over the text.
     """
     if not text.isascii() or any(sep in text for sep in _ODD_SEPARATORS):
@@ -72,13 +73,14 @@ def require_plain_text(text: str, name: str) -> None:
 def split_strict(text: str, keyword: str, readers: Sequence[Callable[[str], Any]], name: str) -> tuple[list, list[str]]:
     """Split a strict text file into its header's fields and its body lines.
 
-    Lines end at line feeds only, and fields are separated by single
-    spaces.  The header is `keyword` followed by one field per reader, and
-    each reader turns its token into a value or raises ValueError.
-    Trailing whitespace (a carriage return too) and trailing blank lines
-    are dropped; an empty file raises `empty <name>` and any other header
-    raises `bad <keyword> header`.
+    The text must pass require_plain_text.  Lines end at line feeds only,
+    and fields are separated by single spaces.  The header is `keyword`
+    followed by one field per reader, and each reader turns its token into
+    a value or raises ValueError.  Trailing whitespace (a carriage return
+    too) and trailing blank lines are dropped; an empty file raises
+    `empty <name>` and any other header raises `bad <keyword> header`.
     """
+    require_plain_text(text, name)
     lines = [line.rstrip() for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
@@ -238,7 +240,7 @@ def format_grid_certificate(g: GridColoring) -> str:
 
 
 def parse_grid_certificate(text: str) -> GridColoring:
-    """Strict parser for the grid certificate format; trailing whitespace is tolerated."""
+    """Strict parser for the grid certificate format; trailing ASCII whitespace is tolerated."""
     (n, m, r), rows = split_strict(text, "grid", (read_uint,) * 3, "grid certificate")
     if len(rows) != n:
         raise CertificateError(f"expected {n} rows, found {len(rows)}")

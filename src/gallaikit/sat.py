@@ -253,15 +253,17 @@ def _split_head(text: str, marks: str) -> tuple[list[str], list[str]]:
 
     Such a line holds a mark, so it ends no later than the line holding the
     last mark in the text; past that line the text is whitespace-split in
-    one go.  Line breaks are whitespace, so the head's lines and the tail's
-    tokens hold the same tokens as the lines of the whole text.
+    one go.  Only a line feed ends a line, as in every reader here: a lone
+    carriage return stays inside its line.  Line breaks are whitespace, so
+    the head's lines and the tail's tokens hold the same tokens as the
+    lines of the whole text.
     """
     last = max(map(text.rfind, marks))
     cut = 0 if last < 0 else text.find("\n", last) + 1 or len(text)
     head = text[:cut]
     tokens = text.split()
     del tokens[: len(head.split())]
-    return head.splitlines(), tokens
+    return head.split("\n"), tokens
 
 
 def _token_values(tokens: list[str], special: dict[str, int]) -> dict[str, int | None]:

@@ -105,13 +105,13 @@ class SearchOptions:
 
     node_budget caps the number of decision nodes (tentative color
     assignments).  worker_hint is the number of worker processes a search
-    may fork, capped at the usable cores.  With two or more, a search walks
-    its first PROBE_NODES nodes in this process, as a sequential run does,
-    and forks only if it outlives them: it then lists the rest of its tree
-    as prefixes, cut at SPLIT_DEPTH, and explores the subtrees below them in
-    parallel.  A search with node_budget <= PROBE_NODES never forks.
-    Verdicts, witnesses and nodes_visited never depend on the hint or the
-    probe.
+    may fork; worker_count caps it at the usable cores, and a cap below two
+    forks none.  With two or more, a search walks its first PROBE_NODES
+    nodes in this process, as a sequential run does, and forks only if it
+    outlives them: it then lists the rest of its tree as prefixes, cut at
+    SPLIT_DEPTH, and explores the subtrees below them in forked workers.
+    A search with node_budget <= PROBE_NODES never forks.  Verdicts,
+    witnesses and nodes_visited never depend on the hint or the probe.
     Each engine always applies its symmetry reductions (module docstring).
     """
 
@@ -157,26 +157,18 @@ class SearchOutcome(Generic[W]):
 # Depth at which a parallel search cuts its tree into subtrees.  With
 # first-use colors there are at most Bell(6) = 203 prefixes at depth 6.
 SPLIT_DEPTH = 6
-# Nodes a search with worker_hint >= 2 walks in this process before it forks.
-# Forking two workers costs about as much as 2,400-4,500 nodes of either
-# engine, so forking pays once a search has that many nodes left twice over;
-# most threshold-scan searches end within this probe and fork nothing
-# (measurements in CHANGES.md).
-PROBE_NODES = 10_000
+# Nodes a search that may fork walks in this process before it forks.  Searches
+# that end within the probe fork nothing; the value comes from a sweep of probes
+# against sequential runs (CHANGES.md).
+PROBE_NODES = 50_000
 
 
-def may_fork(opts: SearchOptions) -> bool:
-    """Whether a search with these options may fork workers: a hint of two or more, and two cores."""
-    hint = opts.worker_hint
-    return hint is not None and hint >= 2 and hasattr(os, "fork") and _usable_cores() >= 2
-
-
-def worker_count(hint: int, cores: int, prefixes: int) -> int:
-    """Worker processes to fork: at most the hint, the usable cores and the subtrees.
-
-    A single subtree gets none: explore_subtrees runs it in this process.
-    """
-    return min(hint, cores, prefixes) if prefixes > 1 else 0
+def worker_count(hint: int | None) -> int:
+    """Workers a search with this hint may fork: the hint capped at the usable cores, or 0 below two or without fork."""
+    if hint is None or hint < 2 or not hasattr(os, "fork"):
+        return 0
+    count = min(hint, _usable_cores())
+    return count if count >= 2 else 0
 
 
 def _usable_cores() -> int:
@@ -210,7 +202,7 @@ def explore_subtrees(
     prefix_nodes: Sequence[int],
     nodes: int,
     budget: int | None,
-    hint: int,
+    workers: int,
     explore: Callable[[int, int | None], tuple[int, bool, Any]],
 ) -> tuple[Outcome, int, Any]:
     """Explore the subtrees below a list of search prefixes in forked workers.
@@ -227,14 +219,15 @@ def explore_subtrees(
     Results are committed in prefix order, so the returned (verdict,
     nodes_visited, witness) is the one a sequential run gives: the first
     witness in prefix order wins, and a budget overrun reports budget + 1
-    nodes.  It forks worker_count(hint, usable cores, prefixes) workers,
-    and kills and reaps every one before it returns or raises; a single
-    subtree is explored in this process, where an error in explore
-    propagates as it is.  A worker that raises makes this raise
-    RuntimeError.  Tasks (index, cap) and results pass as marshal records on
-    pipe files; a worker gets a task only once its last result was read, so
-    a pipe holds one record at most.
+    nodes.  It forks min(workers, subtrees) workers, and kills and reaps
+    every one before it returns or raises; workers < 1 raises ValueError,
+    since no worker would ever send a result.  A worker that raises makes
+    this raise RuntimeError.  Tasks (index, cap) and results pass as
+    marshal records on pipe files; a worker gets a task only once its last
+    result was read, so a pipe holds one record at most.
     """
+    if workers < 1:
+        raise ValueError("explore_subtrees needs at least one worker")
     # select and signal are imported here so that sequential runs never load them
     import select
     import signal
@@ -249,7 +242,7 @@ def explore_subtrees(
     channels: list[tuple[BinaryIO, BinaryIO]] = []  # (task writer, result reader) per worker
     busy: dict[BinaryIO, tuple[tuple[BinaryIO, BinaryIO], int]] = {}  # result reader -> (channel, subtree)
     try:
-        for _ in range(worker_count(hint, _usable_cores(), count)):
+        for _ in range(min(workers, count)):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             pid = os.fork()
@@ -264,8 +257,6 @@ def explore_subtrees(
             # an unbuffered task writer never writes on close (a task fits one pipe
             # write); a buffered reader suits select since a pipe holds one record
             channels.append((open(task_w, "wb", buffering=0), open(result_r, "rb")))
-        if count == 1:  # no worker for it: a fork would cost more than it saves
-            results[0] = explore(0, None if budget is None else budget - prefix_nodes[0])
         idle = channels[::-1]
         while True:
             while committed in results:
@@ -404,11 +395,12 @@ def backtrack(
     lexicographically least assignment, and the counts never depend on
     opts.worker_hint.  Every exit leaves the engine with nothing assigned.
 
-    The cut into subtrees.  When the options let a search fork (may_fork)
-    and it has more than SPLIT_DEPTH slots, it starts as the sequential
-    walk, with the limit of its one per-node budget test lowered to
-    PROBE_NODES when the budget is larger.  A search that ends within that
-    probe forks nothing, and so does one whose budget is at most the probe.
+    The cut into subtrees.  The driver calls worker_count(opts.worker_hint)
+    once, when the search has more than SPLIT_DEPTH slots.  If that is
+    nonzero, the search starts as the sequential walk, with the limit of
+    its one per-node budget test lowered to PROBE_NODES when the budget is
+    larger.  A search that ends within that probe forks nothing, and so
+    does one whose budget is at most the probe.
     One that outlives it switches, in the same walk, at the first color it
     tries past the probe: the limit goes back to the budget, and from then
     on a color placed at depth SPLIT_DEPTH or deeper is not descended into
@@ -423,8 +415,10 @@ def backtrack(
     switch depth + 1 and SPLIT_DEPTH, and SPLIT_DEPTH is below slots.  A
     leaf after the switch can therefore only be a color left at the last
     slot when the switch happened there; the walk lists no prefix before it
-    leaves that slot, and never comes back to it.  So Found never coexists with listed
-    prefixes, and a walk that lists none has given the sequential outcome.
+    leaves that slot, and never comes back to it.  So Found never coexists
+    with listed prefixes, and a walk that lists none has given the
+    sequential outcome.  explore_subtrees runs the listed subtrees, a
+    single one too, in min(workers, subtrees) forked workers.
 
     perms, if given, lists slot permutations g that map every good
     assignment to a good one, and the driver then also breaks that symmetry
@@ -445,15 +439,16 @@ def backtrack(
         raise ValueError("perms need first-use colors")
     colors = [0] * slots
     check = None if not perms else _lex_leader_check(perms, slots, min(r, slots), colors)
-    # a parallel run lists (colors, max_used, nodes so far) at the cut
-    prefixes: list[tuple[list[int], int, int]] = []
+    # a parallel run lists (colors, nodes so far) at the cut
+    prefixes: list[tuple[list[int], int]] = []
     # per placed slot: the fitting colors not yet tried there, and max_used before it
     left_at = [0] * slots
     used_before = [0] * slots
 
-    def walk(prefix: Sequence[int], max_used: int, budget: int | None, probe: int | None) -> tuple[Outcome, int]:
+    def walk(prefix: Sequence[int], budget: int | None, probe: int | None) -> tuple[Outcome, int]:
         # search below `prefix` to the leaves; with `probe`, list the rest of the tree
         # as prefixes once more than `probe` nodes are spent (docstring)
+        max_used = max(prefix, default=0)
         limit = budget if probe is None or (budget is not None and budget <= probe) else probe
         stop = slots  # the depth from which a placed color is listed, not descended into
         nodes = 0
@@ -502,7 +497,7 @@ def backtrack(
                 if pos >= stop:
                     if pos == slots:
                         return Outcome.FOUND, nodes
-                    prefixes.append((colors[:pos], c if c > max_used else max_used, nodes))
+                    prefixes.append((colors[:pos], nodes))
                     pos -= 1
                     unplace(pos, c)
                     continue
@@ -519,21 +514,20 @@ def backtrack(
                 unplace(pos, colors[pos])
 
     def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
-        # search the subtree below prefixes[index], in a worker or, for a single subtree, here
-        prefix, max_used, _ = prefixes[index]
-        kind, nodes = walk(prefix, max_used, cap, None)
+        # search the subtree below prefixes[index], in a worker
+        kind, nodes = walk(prefixes[index][0], cap, None)
         return nodes, kind is Outcome.BUDGET_EXCEEDED, colors[:] if kind is Outcome.FOUND else None
 
     budget = opts.node_budget
-    probe = PROBE_NODES if slots > SPLIT_DEPTH and may_fork(opts) else None
-    kind, nodes = walk((), 0, budget, probe)
+    workers = worker_count(opts.worker_hint) if slots > SPLIT_DEPTH else 0
+    kind, nodes = walk((), budget, PROBE_NODES if workers else None)
     if not prefixes:
         return kind, nodes, colors[:] if kind is Outcome.FOUND else None
     # The listing never reaches a leaf.  If it overran the budget, a sequential
     # run still reaches the subtrees listed so far, and one of them may hold a
     # witness within budget; with nodes = budget + 1, explore_subtrees reports
     # an overrun otherwise.
-    return explore_subtrees([p[2] for p in prefixes], nodes, budget, opts.worker_hint, explore)
+    return explore_subtrees([p[1] for p in prefixes], nodes, budget, workers, explore)
 
 
 def _row_start_bound(n: int, m: int, r: int) -> tuple[list[int], Callable[[], bool]]:

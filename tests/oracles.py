@@ -670,7 +670,7 @@ def reference_parse_dimacs(text: str) -> ReferenceCnf:
     comments: list[str] = []
     header: tuple[int, int] | None = None
     tokens: list[str] = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         stripped = line.strip()
         if not stripped:
             continue
@@ -723,7 +723,7 @@ def reference_parse_model_text(text: str) -> dict[int, bool]:
     """Parse solver model output: whitespace-separated signed ints, optional v prefixes and 0s."""
     _reject_odd_characters(text, "model text")
     assignment: dict[int, bool] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith("s ") or stripped in ("s", "SAT", "SATISFIABLE"):
             continue

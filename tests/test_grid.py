@@ -250,6 +250,8 @@ class TestCertificates:
         (parse_dimacs, "p cnf 2 1\n1 \u0662 0\n"),  # a non-ASCII digit
         (parse_model_text, "v +1 -0_2 0"),  # int() reads {1: True, 2: False}
         (parse_model_text, "v 1 02 0"),  # a leading zero
+        (parse_grid_certificate, "grid 1 2 2\u3000\n1 2\x1c\n"),  # trailing whitespace that is not plain
+        (parse_edge_coloring, "kgraph 2 1\x85\n1 2 1\n"),
     ],
 )
 def test_noncanonical_integers_and_line_breaks_rejected(parse, text):

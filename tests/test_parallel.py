@@ -58,7 +58,8 @@ def test_edge_engine_matches_sequential(t, r, target, opts, kind):
     "n, m, r, opts, kind",
     [
         (4, 9, 3, {}, Outcome.FOUND),
-        # found in 25,843 nodes; the budget runs out inside the forked subtrees
+        # found in 25,843 nodes; with the probe at 0 the budget runs out inside the
+        # forked subtrees
         (4, 11, 3, {"node_budget": 20_000}, Outcome.BUDGET_EXCEEDED),
         (3, 7, 2, {}, Outcome.EXHAUSTED),
         (4, 6, 2, {}, Outcome.FOUND),
@@ -138,7 +139,7 @@ def test_every_probe_gives_the_sequential_outcome(search, nodes, monkeypatch):
         for budget, want in plain.items():
             assert search(SearchOptions(node_budget=budget, worker_hint=2)) == want, (probe, budget)
             assert_no_children_left()
-    # the sweep reaches both a single listed subtree and forked workers
+    # the sweep lists a single subtree, which a forked worker explores too, and many
     assert 1 in listed and max(listed) > 1
 
 
@@ -151,10 +152,16 @@ def refuse_fork():
     [
         (partial(search_good_edge_coloring, 9, 6, "P4"), {}),
         (partial(search_good_edge_coloring, 8, 5, "C4"), {}),
-        # 4 x 11 r=3 takes 25,843 nodes, but a budget within the probe stops it first
-        (partial(search_good_coloring, 4, 11, 3), {"node_budget": driver.PROBE_NODES}),
+        # 4 x 12 r=3 takes 161,823 nodes, but a budget within the probe stops it first
+        (partial(search_good_coloring, 4, 12, 3), {"node_budget": driver.PROBE_NODES}),
         # 4 x 10 r=3 is found in 5,657 nodes
         (partial(search_good_coloring, 4, 10, 3), {}),
+        # K8 C4 r=4 exhausts in 21,569 nodes and K10 P4 r=7 in 21,375; both ran
+        # slower forked than in one process (the probe sweep in CHANGES.md)
+        (partial(search_good_edge_coloring, 8, 4, "C4"), {}),
+        (partial(search_good_edge_coloring, 10, 7, "P4"), {}),
+        # 4 x 11 r=3 is found in 25,843 nodes
+        (partial(search_good_coloring, 4, 11, 3), {}),
     ],
 )
 def test_searches_within_the_probe_never_fork(search, opts, monkeypatch):
@@ -175,37 +182,46 @@ def test_a_search_past_the_probe_forks(monkeypatch):
 
     monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", counting_fork)
-    out = search_good_coloring(4, 11, 3, SearchOptions(worker_hint=2))
-    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 25_843)
-    assert out == search_good_coloring(4, 11, 3)
+    out = search_good_coloring(4, 12, 3, SearchOptions(worker_hint=2))
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 161_823)
+    assert out == search_good_coloring(4, 12, 3)
     assert len(forks) == 2
     assert_no_children_left()
 
 
-def test_a_single_subtree_is_explored_in_this_process(monkeypatch):
+def test_worker_count_caps_the_hint_at_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
+    assert worker_count(None) == 0
+    assert worker_count(1) == 0
+    assert worker_count(2) == 2
+    assert worker_count(100_000) == 2
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 64)
+    assert worker_count(3) == 3
+    # one usable core, or no fork, gives no worker whatever the hint
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 1)
+    assert worker_count(100_000) == 0
+    monkeypatch.setattr(driver, "_usable_cores", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert worker_count(100_000) == 0
+
+
+def test_no_workers_is_an_error(monkeypatch):
+    # with no worker, nothing would ever send the result that select waits for
     monkeypatch.setattr(os, "fork", refuse_fork)
-    caps = []
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="at least one worker"):
+            explore_subtrees([0], 0, None, workers, found_in_subtree_one)
 
+
+def test_a_single_subtree_runs_in_a_worker():
     def explore(index, cap):
-        caps.append((index, cap))
-        return (4, False, [7]) if cap is None else (cap + 1, True, None)
+        return (4, False, [os.getpid()]) if cap is None else (cap + 1, True, None)
 
-    assert explore_subtrees([3], 5, None, 2, explore) == (Outcome.FOUND, 3 + 4, [7])
+    kind, nodes, witness = explore_subtrees([3], 5, None, 2, explore)
+    assert (kind, nodes) == (Outcome.FOUND, 3 + 4) and witness != [os.getpid()]
     assert explore_subtrees([3], 5, 20, 2, explore) == (Outcome.BUDGET_EXCEEDED, 21, None)
-    assert caps == [(0, None), (0, 17)]
     assert explore_subtrees([3], 5, None, 2, lambda index, cap: (6, False, None)) == (Outcome.EXHAUSTED, 11, None)
-    # an error in explore reaches the caller as it is
-    with pytest.raises(ZeroDivisionError):
-        explore_subtrees([3], 5, None, 2, lambda index, cap: 1 // 0)
-
-
-def test_worker_count_is_capped_by_cores_and_subtrees():
-    assert worker_count(100_000, 2, 203) == 2
-    assert worker_count(2, 64, 203) == 2
-    assert worker_count(8, 16, 3) == 3
-    assert worker_count(4, 4, 0) == 0
-    # a single subtree is explored without a worker
-    assert worker_count(4, 4, 1) == 0
+    assert_no_children_left()
 
 
 def test_worker_that_raises_makes_the_parent_raise():

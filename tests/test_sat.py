@@ -358,6 +358,16 @@ class TestDimacs:
         with pytest.raises(CertificateError, match="bad character"):
             parse_dimacs(f"p cnf 2 1{sep}1 2 0\n")
 
+    def test_a_lone_carriage_return_breaks_no_line(self):
+        # only \n ends a line: a problem line after a CR stays in the comment before
+        # it, and a clause after a CR stays in the problem line
+        with pytest.raises(CertificateError, match="clause data before the problem line"):
+            parse_dimacs("c x\rp cnf 1 1\n1 0\n")
+        with pytest.raises(CertificateError, match="bad problem line"):
+            parse_dimacs("p cnf 1 1\r1 0\n")
+        # a CR before the line feed is trailing whitespace
+        assert parse_dimacs("c x\r\np cnf 1 1\r\n1 0\r\n").clauses == [[1]]
+
 
 class TestModelText:
     def test_plain_integers(self):
@@ -383,3 +393,8 @@ class TestModelText:
         assert parse_model_text("1\t-2 0") == {1: True, 2: False}
         with pytest.raises(CertificateError, match="bad character"):
             parse_model_text(f"1{sep}-2 0")
+
+    def test_a_lone_carriage_return_breaks_no_line(self):
+        # the s line runs to the line feed, so the literals after the CR are skipped with it
+        assert parse_model_text("s SATISFIABLE\rv 1 0\n") == {}
+        assert parse_model_text("s SATISFIABLE\r\nv 1 0\r\n") == {1: True}
