@@ -29,9 +29,8 @@ class CommandResult(NamedTuple):
 
 
 # Each handler imports the layers it runs when it runs, so a command loads only
-# those layers: --version and --help load none, the combinatorial commands (and
-# the workers they fork) never load euclid or numpy, and only the geometry
-# commands do.
+# those layers: --version and --help load none, the combinatorial commands never
+# load euclid or numpy, and only the geometry commands do.
 def _options(args: argparse.Namespace) -> SearchOptions:
     from .search import SearchOptions
 
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="number of worker processes, capped at the usable cores; never changes output",
+        help="accepted and ignored: every search runs in one process",
     )
 
     p = with_version(sub.add_parser("grid-search", parents=[search], help="search for a good n x m r-coloring"))

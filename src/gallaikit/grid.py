@@ -117,12 +117,12 @@ class GridRectangle:
 class GridColoring:
     """An r-coloring of the n x m grid with colors drawn from {1, ..., r}.
 
-    Instances are immutable after construction and safe to share between
-    workers.  Each row keeps a column bitmask for every color that occurs in
-    it, so the monochromatic detector works on words: two rows share a
-    monochromatic rectangle of color c exactly when the AND of their color-c
-    masks has at least two bits set.  Only colors that occur get a mask, so
-    the work is bounded by n*m whatever r is.
+    Instances are immutable after construction.  Each row keeps a column
+    bitmask for every color that occurs in it, so the monochromatic detector
+    works on words: two rows share a monochromatic rectangle of color c
+    exactly when the AND of their color-c masks has at least two bits set.
+    Only colors that occur get a mask, so the work is bounded by n*m
+    whatever r is.
     """
 
     __slots__ = ("n", "m", "r", "cells", "_masks")

@@ -1,16 +1,14 @@
 """The backtracking driver shared by both engines, and the grid engine on top of it.
 
-`backtrack` assigns colors to an ordered list of slots, one node per tried
-color, with first-use color numbering, a node budget and, with
-`worker_hint >= 2`, subtrees explored in forked workers once a search
-outlives a probe of PROBE_NODES nodes.  An engine supplies the local check
-as two callbacks: `fits(pos, hi)` returns, once per slot visit, the
-bitmask of colors in 1..hi that slot pos may take, and `place(pos, c)`
-assigns a color without checking it (with `unplace` to undo it).  An
-engine may also pass slot permutations that are symmetries of its
-instances, and the driver then keeps only lex leaders under them.  The
-K_t edge engine lives in `graphs` and passes the swaps of adjacent
-vertices.
+`backtrack` assigns colors to an ordered list of slots in one depth-first
+walk in this process, one node per tried color, with first-use color
+numbering and a node budget.  An engine supplies the local check as two
+callbacks: `fits(pos, hi)` returns, once per slot visit, the bitmask of
+colors in 1..hi that slot pos may take, and `place(pos, c)` assigns a
+color without checking it (with `unplace` to undo it).  An engine may
+also pass slot permutations that are symmetries of its instances, and the
+driver then keeps only lex leaders under them.  The K_t edge engine lives
+in `graphs` and passes the swaps of adjacent vertices.
 
 The grid engine assigns cells in row-major order and rejects a color as
 soon as it would complete a monochromatic or rainbow rectangle with
@@ -75,12 +73,10 @@ the test only when r < n.
 
 from __future__ import annotations
 
-import marshal
-import os
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Any, BinaryIO, Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .grid import (
     CertificateError,
@@ -104,15 +100,9 @@ class SearchOptions:
     """Engine knobs shared by the grid and complete-graph searches.
 
     node_budget caps the number of decision nodes (tentative color
-    assignments).  worker_hint is the number of worker processes a search
-    may fork; worker_count caps it at the usable cores, and a cap below two
-    forks none.  With two or more, a search walks its first PROBE_NODES
-    nodes in this process, as a sequential run does, and forks only if it
-    outlives them: it then lists the rest of its tree as prefixes, cut at
-    SPLIT_DEPTH, and explores the subtrees below them in forked workers.
-    A search with node_budget <= PROBE_NODES never forks.  Verdicts,
-    witnesses and nodes_visited never depend on the hint or the probe.
-    Each engine always applies its symmetry reductions (module docstring).
+    assignments).  worker_hint is accepted, and must be positive, but is
+    ignored: every search runs in one process.  Each engine always applies
+    its symmetry reductions (module docstring).
     """
 
     node_budget: int | None = None
@@ -154,155 +144,6 @@ class SearchOutcome(Generic[W]):
             raise ValueError("witness must be present exactly for Found outcomes")
 
 
-# Depth at which a parallel search cuts its tree into subtrees.  With
-# first-use colors there are at most Bell(6) = 203 prefixes at depth 6.
-SPLIT_DEPTH = 6
-# Nodes a search that may fork walks in this process before it forks.  Searches
-# that end within the probe fork nothing; the value comes from a sweep of probes
-# against sequential runs (CHANGES.md).
-PROBE_NODES = 50_000
-
-
-def worker_count(hint: int | None) -> int:
-    """Workers a search with this hint may fork: the hint capped at the usable cores, or 0 below two or without fork."""
-    if hint is None or hint < 2 or not hasattr(os, "fork"):
-        return 0
-    count = min(hint, _usable_cores())
-    return count if count >= 2 else 0
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _worker_loop(task_fd: int, result_fd: int, explore: Callable[[int, int | None], tuple]) -> None:
-    # Runs in a forked child until the parent closes the task pipe or kills it.
-    # Each record is one marshal dump; the buffered writer sends a large one whole.
-    try:
-        tasks, results = open(task_fd, "rb"), open(result_fd, "wb")
-        while True:
-            try:
-                index, cap = marshal.load(tasks)
-            except EOFError:
-                break
-            try:
-                result: Any = explore(index, cap)
-            except Exception as exc:
-                result = f"{type(exc).__name__}: {exc}"
-            marshal.dump(result, results)
-            results.flush()
-    finally:
-        os._exit(0)
-
-
-def explore_subtrees(
-    prefix_nodes: Sequence[int],
-    nodes: int,
-    budget: int | None,
-    workers: int,
-    explore: Callable[[int, int | None], tuple[int, bool, Any]],
-) -> tuple[Outcome, int, Any]:
-    """Explore the subtrees below a list of search prefixes in forked workers.
-
-    prefix_nodes[i] is the node count a sequential run has reached on
-    entering subtree i, not counting the nodes of earlier subtrees; nodes
-    is the count after the whole prefix enumeration, or budget + 1 when
-    the enumeration overran the budget and listed only some prefixes.
-    explore(i, cap) runs in a worker, which inherits the prefixes through
-    the fork.  It searches subtree i with at most cap nodes (no cap when
-    None) and returns (nodes spent, whether the cap was hit, witness or
-    None); the witness must be marshal-able.
-
-    Results are committed in prefix order, so the returned (verdict,
-    nodes_visited, witness) is the one a sequential run gives: the first
-    witness in prefix order wins, and a budget overrun reports budget + 1
-    nodes.  It forks min(workers, subtrees) workers, and kills and reaps
-    every one before it returns or raises; workers < 1 raises ValueError,
-    since no worker would ever send a result.  A worker that raises makes
-    this raise RuntimeError.  Tasks (index, cap) and results pass as
-    marshal records on pipe files; a worker gets a task only once its last
-    result was read, so a pipe holds one record at most.
-    """
-    if workers < 1:
-        raise ValueError("explore_subtrees needs at least one worker")
-    # select and signal are imported here so that sequential runs never load them
-    import select
-    import signal
-
-    count = len(prefix_nodes)
-    results: dict[int, tuple[int, bool, Any]] = {}
-    committed = 0  # subtrees committed, in prefix order
-    spent = 0  # nodes of the committed subtrees
-    cutoff = count  # a subtree at or past this index cannot change the result
-    next_task = 0
-    pids: list[int] = []
-    channels: list[tuple[BinaryIO, BinaryIO]] = []  # (task writer, result reader) per worker
-    busy: dict[BinaryIO, tuple[tuple[BinaryIO, BinaryIO], int]] = {}  # result reader -> (channel, subtree)
-    try:
-        for _ in range(min(workers, count)):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # keep only this worker's own ends, so that no pipe outlives the parent
-                for fd in (task_w, result_r, *(f.fileno() for channel in channels for f in channel)):
-                    os.close(fd)
-                _worker_loop(task_r, result_w, explore)
-            pids.append(pid)
-            os.close(task_r)
-            os.close(result_w)
-            # an unbuffered task writer never writes on close (a task fits one pipe
-            # write); a buffered reader suits select since a pipe holds one record
-            channels.append((open(task_w, "wb", buffering=0), open(result_r, "rb")))
-        idle = channels[::-1]
-        while True:
-            while committed in results:
-                sub_nodes, hit, witness = results.pop(committed)
-                reached = prefix_nodes[committed] + spent + sub_nodes
-                if budget is not None and (hit or reached > budget):
-                    return Outcome.BUDGET_EXCEEDED, budget + 1, None
-                if witness is not None:
-                    return Outcome.FOUND, reached, witness
-                spent += sub_nodes
-                committed += 1
-            if committed == count:
-                break
-            while idle and next_task < cutoff:
-                channel = idle.pop()
-                cap = None if budget is None else budget - prefix_nodes[next_task] - spent
-                marshal.dump((next_task, cap), channel[0])
-                busy[channel[1]] = (channel, next_task)
-                next_task += 1
-            ready, _, _ = select.select(list(busy), [], [])
-            for result_r in ready:
-                channel, index = busy.pop(result_r)
-                idle.append(channel)
-                try:
-                    result = marshal.load(result_r)
-                except EOFError:
-                    raise RuntimeError("search worker exited without a result") from None
-                if isinstance(result, str):
-                    raise RuntimeError(f"search worker failed: {result}")
-                results[index] = result
-                if result[1] or result[2] is not None:
-                    cutoff = min(cutoff, index + 1)
-        total = nodes + spent
-        if budget is not None and total > budget:
-            return Outcome.BUDGET_EXCEEDED, budget + 1, None
-        return Outcome.EXHAUSTED, total, None
-    finally:
-        for task_w, result_r in channels:
-            task_w.close()
-            result_r.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
 def _lex_leader_check(perms: Sequence[Sequence[int]], slots: int, top: int, colors: list[int]) -> Callable[[int], bool]:
     """A test that the first-use colors[:pos + 1] are still the lex leader under every g in perms.
 
@@ -314,8 +155,8 @@ def _lex_leader_check(perms: Sequence[Sequence[int]], slots: int, top: int, colo
     of x's colors into y's while they tie: ren[a] is the color y gives to
     x's color a (0 if not met yet), and ren[0] counts the colors met.
     check(pos) reads the state of depth pos, left by the last accepting
-    check(pos - 1), and so must run on every slot in order, also when a
-    prefix is replayed.  No color exceeds top.
+    check(pos - 1), and so must run on every slot in order.  No color
+    exceeds top.
     """
     for g in perms:
         if sorted(g) != list(range(slots)):
@@ -387,38 +228,12 @@ def backtrack(
     engine that must reject a leaf does so through fits at the last slot.
     With first_use a slot may open at most one new color, so no color
     exceeds min(r, slots); an engine that may not rename colors passes
-    False.  The driver owns the rest: a node per tried color, the node
-    budget, and the cut into subtrees for forked workers.
-    Every color in floor..hi counts as a node, also the ones fits rejected,
-    so the counts are those of trying each color in turn; a budget overrun
-    reports budget + 1 nodes.  A Found verdict carries the
-    lexicographically least assignment, and the counts never depend on
-    opts.worker_hint.  Every exit leaves the engine with nothing assigned.
-
-    The cut into subtrees.  The driver calls worker_count(opts.worker_hint)
-    once, when the search has more than SPLIT_DEPTH slots.  If that is
-    nonzero, the search starts as the sequential walk, with the limit of
-    its one per-node budget test lowered to PROBE_NODES when the budget is
-    larger.  A search that ends within that probe forks nothing, and so
-    does one whose budget is at most the probe.
-    One that outlives it switches, in the same walk, at the first color it
-    tries past the probe: the limit goes back to the budget, and from then
-    on a color placed at depth SPLIT_DEPTH or deeper is not descended into
-    but listed as a prefix, with the node count on entry; the walk goes on
-    from where it is.  So the open siblings along the current path are
-    listed first, deepest first, and then everything to their right, cut
-    at SPLIT_DEPTH, all in DFS order, and explore_subtrees commits the
-    subtrees in that order.  This is sound: the walk is the sequential DFS
-    with some subtrees deferred, each recorded with its entry count, so no
-    probe work is lost or repeated.  After the switch the walk descends
-    only above SPLIT_DEPTH, so its depth never grows past the larger of the
-    switch depth + 1 and SPLIT_DEPTH, and SPLIT_DEPTH is below slots.  A
-    leaf after the switch can therefore only be a color left at the last
-    slot when the switch happened there; the walk lists no prefix before it
-    leaves that slot, and never comes back to it.  So Found never coexists
-    with listed prefixes, and a walk that lists none has given the
-    sequential outcome.  explore_subtrees runs the listed subtrees, a
-    single one too, in min(workers, subtrees) forked workers.
+    False.  The driver owns the rest: a node per tried color and the node
+    budget.  Every color in floor..hi counts as a node, also the ones fits
+    rejected, so the counts are those of trying each color in turn; a
+    budget overrun reports budget + 1 nodes.  A Found verdict carries the
+    lexicographically least assignment.  Every exit leaves the engine with
+    nothing assigned.
 
     perms, if given, lists slot permutations g that map every good
     assignment to a good one, and the driver then also breaks that symmetry
@@ -437,97 +252,58 @@ def backtrack(
     """
     if perms and not first_use:
         raise ValueError("perms need first-use colors")
+    budget = opts.node_budget
     colors = [0] * slots
     check = None if not perms else _lex_leader_check(perms, slots, min(r, slots), colors)
-    # a parallel run lists (colors, nodes so far) at the cut
-    prefixes: list[tuple[list[int], int]] = []
     # per placed slot: the fitting colors not yet tried there, and max_used before it
     left_at = [0] * slots
     used_before = [0] * slots
-
-    def walk(prefix: Sequence[int], budget: int | None, probe: int | None) -> tuple[Outcome, int]:
-        # search below `prefix` to the leaves; with `probe`, list the rest of the tree
-        # as prefixes once more than `probe` nodes are spent (docstring)
-        max_used = max(prefix, default=0)
-        limit = budget if probe is None or (budget is not None and budget <= probe) else probe
-        stop = slots  # the depth from which a placed color is listed, not descended into
-        nodes = 0
-        pos = 0
-        try:
-            for c in prefix:  # every prefix color passed fits and check when the prefix was listed
-                colors[pos] = c
-                if check is not None:
-                    check(pos)  # rebuilds the lex-leader state of the next depth
-                place(pos, c)
-                pos += 1
-            base = pos
-            hi = max_used + 1 if first_use and max_used < r else r
-            c = floor(pos) - 1 if floor is not None else 0
-            left = fits(pos, hi) & -(2 << c)  # colors from c + 1 (the floor) up
-            while True:
-                if not left:
-                    # the slot is spent: count the colors after c that fits rejected
-                    if c < hi:
-                        nodes += hi - c
-                        if budget is not None and nodes > budget:
-                            return Outcome.BUDGET_EXCEEDED, budget + 1
-                    if pos == base:
-                        return Outcome.EXHAUSTED, nodes
-                    pos -= 1
-                    c = colors[pos]
-                    unplace(pos, c)
-                    left = left_at[pos]
-                    max_used = used_before[pos]
-                    hi = max_used + 1 if first_use and max_used < r else r
-                    continue
-                low = left & -left
-                left ^= low
-                nxt = low.bit_length() - 1
-                nodes += nxt - c  # the rejected colors between c and nxt, and nxt
-                c = nxt
-                if limit is not None and nodes > limit:
+    nodes = pos = max_used = 0
+    try:
+        hi = max_used + 1 if first_use and max_used < r else r
+        c = floor(pos) - 1 if floor is not None else 0
+        left = fits(pos, hi) & -(2 << c)  # colors from c + 1 (the floor) up
+        while True:
+            if not left:
+                # the slot is spent: count the colors after c that fits rejected
+                if c < hi:
+                    nodes += hi - c
                     if budget is not None and nodes > budget:
-                        return Outcome.BUDGET_EXCEEDED, budget + 1
-                    stop, limit = SPLIT_DEPTH, budget  # the probe is spent: list from here on
-                colors[pos] = c
-                if check is not None and not check(pos):
-                    continue
-                place(pos, c)
-                pos += 1
-                if pos >= stop:
-                    if pos == slots:
-                        return Outcome.FOUND, nodes
-                    prefixes.append((colors[:pos], nodes))
-                    pos -= 1
-                    unplace(pos, c)
-                    continue
-                left_at[pos - 1] = left
-                used_before[pos - 1] = max_used
-                if c > max_used:
-                    max_used = c
-                    hi = max_used + 1 if first_use and max_used < r else r
-                c = floor(pos) - 1 if floor is not None else 0
-                left = fits(pos, hi) & -(2 << c)
-        finally:
-            while pos:
+                        return Outcome.BUDGET_EXCEEDED, budget + 1, None
+                if not pos:
+                    return Outcome.EXHAUSTED, nodes, None
                 pos -= 1
-                unplace(pos, colors[pos])
-
-    def explore(index: int, cap: int | None) -> tuple[int, bool, list[int] | None]:
-        # search the subtree below prefixes[index], in a worker
-        kind, nodes = walk(prefixes[index][0], cap, None)
-        return nodes, kind is Outcome.BUDGET_EXCEEDED, colors[:] if kind is Outcome.FOUND else None
-
-    budget = opts.node_budget
-    workers = worker_count(opts.worker_hint) if slots > SPLIT_DEPTH else 0
-    kind, nodes = walk((), budget, PROBE_NODES if workers else None)
-    if not prefixes:
-        return kind, nodes, colors[:] if kind is Outcome.FOUND else None
-    # The listing never reaches a leaf.  If it overran the budget, a sequential
-    # run still reaches the subtrees listed so far, and one of them may hold a
-    # witness within budget; with nodes = budget + 1, explore_subtrees reports
-    # an overrun otherwise.
-    return explore_subtrees([p[1] for p in prefixes], nodes, budget, workers, explore)
+                c = colors[pos]
+                unplace(pos, c)
+                left = left_at[pos]
+                max_used = used_before[pos]
+                hi = max_used + 1 if first_use and max_used < r else r
+                continue
+            low = left & -left
+            left ^= low
+            nxt = low.bit_length() - 1
+            nodes += nxt - c  # the rejected colors between c and nxt, and nxt
+            c = nxt
+            if budget is not None and nodes > budget:
+                return Outcome.BUDGET_EXCEEDED, budget + 1, None
+            colors[pos] = c
+            if check is not None and not check(pos):
+                continue
+            place(pos, c)
+            pos += 1
+            if pos == slots:
+                return Outcome.FOUND, nodes, colors[:]
+            left_at[pos - 1] = left
+            used_before[pos - 1] = max_used
+            if c > max_used:
+                max_used = c
+                hi = max_used + 1 if first_use and max_used < r else r
+            c = floor(pos) - 1 if floor is not None else 0
+            left = fits(pos, hi) & -(2 << c)
+    finally:
+        while pos:
+            pos -= 1
+            unplace(pos, colors[pos])
 
 
 def _row_start_bound(n: int, m: int, r: int) -> tuple[list[int], Callable[[], bool]]:

@@ -50,6 +50,14 @@ class TestGridSearch:
         hinted = run(["grid-search", "3", "3", "3", "--workers", "8"])
         assert plain == hinted
 
+    def test_a_search_never_forks(self, monkeypatch):
+        # --workers is ignored: a search of 161,823 nodes runs in this process too
+        def refuse_fork():
+            raise AssertionError("a search forked")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        assert run(["grid-search", "4", "12", "3", "--workers", "2"]).summary == "outcome found 4 12 3 nodes=161823"
+
     def test_bad_parameters_exit_two(self):
         assert run(["grid-search", "0", "2", "2"]).exit_code == 2
 
@@ -377,7 +385,8 @@ class TestHarness:
 
     def test_combinatorial_commands_never_load_numpy(self):
         # In a fresh interpreter: the package, the non-geometry layers, a
-        # geometry command's --version and a forking search leave numpy unloaded.
+        # geometry command's --version and a grid search given --workers leave
+        # numpy unloaded.
         script = (
             "import sys\n"
             "import gallaikit.cli, gallaikit.search, gallaikit.graphs, gallaikit.sat\n"

@@ -1,13 +1,11 @@
 """The shared backtracking driver on toy engines: exact node counts, order, budgets, unwinding."""
 
-import os
 from itertools import product
 from math import comb
 
 import pytest
 
-from gallaikit import search
-from gallaikit.search import SPLIT_DEPTH, Outcome, SearchOptions, backtrack
+from gallaikit.search import Outcome, SearchOptions, backtrack
 
 from oracles import not_lex_leader
 
@@ -63,72 +61,37 @@ def run(toy, slots, r, floor=None, color_symmetry=True, **opts):
     return result
 
 
-def assert_no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# None runs sequentially.  A hint of 2 forks only once a search outlives
-# search.PROBE_NODES, which none of these toys does, so "2-probe0" sets the probe
-# to 0 and forks from the first node.
-HINTS = (None, 2, "2-probe0")
-
-
-@pytest.fixture
-def hint(request, monkeypatch):
-    if request.param == "2-probe0":
-        monkeypatch.setattr(search, "PROBE_NODES", 0)
-        return 2
-    return request.param
-
-
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-@pytest.mark.parametrize("slots, r", [(1, 1), (3, 2), (5, 3), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 2)])
-def test_exhaustion_counts_every_assignment(slots, r, hint):
+@pytest.mark.parametrize("slots, r", [(1, 1), (3, 2), (5, 3), (8, 3), (11, 2)])
+def test_exhaustion_counts_every_assignment(slots, r):
     expected = sum(r**k for k in range(1, slots + 1))
     toy = Toy(slots)
-    assert run(toy, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
-    assert_no_children_left()
+    assert run(toy, slots, r, color_symmetry=False) == (Outcome.EXHAUSTED, expected, None)
 
 
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-@pytest.mark.parametrize("slots, r", [(1, 1), (4, 2), (6, 4), (SPLIT_DEPTH + 2, 3), (SPLIT_DEPTH + 5, 4)])
-def test_color_symmetry_counts_set_partitions(slots, r, hint):
+@pytest.mark.parametrize("slots, r", [(1, 1), (4, 2), (6, 4), (8, 3), (11, 4)])
+def test_color_symmetry_counts_set_partitions(slots, r):
     expected = sum(stirling2(k, j) for k in range(1, slots + 1) for j in range(1, r + 1))
     toy = Toy(slots)
-    assert run(toy, slots, r, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
-    assert_no_children_left()
+    assert run(toy, slots, r) == (Outcome.EXHAUSTED, expected, None)
 
 
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-def test_floor_counts_nondecreasing_sequences(hint):
-    slots, r = SPLIT_DEPTH + 3, 3
+def test_floor_counts_nondecreasing_sequences():
+    slots, r = 9, 3
     expected = sum(comb(k + r - 1, k) for k in range(1, slots + 1))
     toy = Toy(slots)
-    result = run(toy, slots, r, floor=toy.floor, color_symmetry=False, worker_hint=hint)
+    result = run(toy, slots, r, floor=toy.floor, color_symmetry=False)
     assert result == (Outcome.EXHAUSTED, expected, None)
-    assert_no_children_left()
 
 
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
-    slots, r = SPLIT_DEPTH + 2, 2
+def test_first_accepted_leaf_is_the_least_and_budgets_are_exact():
+    slots, r = 8, 2
     wanted = [1, 2] * (slots // 2)
     toy = Toy(slots, wanted)
 
-    kind, nodes, colors = run(toy, slots, r, color_symmetry=False, worker_hint=hint)
+    kind, nodes, colors = run(toy, slots, r, color_symmetry=False)
     assert (kind, colors) == (Outcome.FOUND, wanted)
-    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
-        Outcome.FOUND,
-        nodes,
-        wanted,
-    )
-    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes - 1, worker_hint=hint) == (
-        Outcome.BUDGET_EXCEEDED,
-        nodes,
-        None,
-    )
-    assert_no_children_left()
+    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
+    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes - 1) == (Outcome.BUDGET_EXCEEDED, nodes, None)
 
 
 class Picky(Toy):
@@ -142,38 +105,28 @@ class Picky(Toy):
         return super().fits(pos, hi) & ~self.rejected
 
 
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
+def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them():
     # colors 2, 3 and 5 of 1..5 never fit: each slot visit tries 5 colors, of which
     # 1 and 4 fit, so a slot skips the run 2, 3 and ends with the run 5
-    slots, r, rejected = SPLIT_DEPTH + 2, 5, (2, 3, 5)
+    slots, r, rejected = 8, 5, (2, 3, 5)
     total = 5 * (2**slots - 1)
     picky = Picky(slots, rejected)
-    assert run(picky, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.EXHAUSTED, total, None)
+    assert run(picky, slots, r, color_symmetry=False) == (Outcome.EXHAUSTED, total, None)
     # the overrun lands on the trailing 5 of the first slot
-    assert run(picky, slots, r, color_symmetry=False, node_budget=total - 1, worker_hint=hint) == (
-        Outcome.BUDGET_EXCEEDED,
-        total,
-        None,
-    )
+    assert run(picky, slots, r, color_symmetry=False, node_budget=total - 1) == (Outcome.BUDGET_EXCEEDED, total, None)
 
     wanted = [1] * (slots - 1) + [4]
     picky = Picky(slots, rejected, wanted)
     # ones down to the last slot, then its 1, the skipped 2 and 3, and the 4
     nodes = slots - 1 + 4
-    assert run(picky, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.FOUND, nodes, wanted)
-    assert run(picky, slots, r, color_symmetry=False, node_budget=nodes, worker_hint=hint) == (
-        Outcome.FOUND,
-        nodes,
-        wanted,
-    )
+    assert run(picky, slots, r, color_symmetry=False) == (Outcome.FOUND, nodes, wanted)
+    assert run(picky, slots, r, color_symmetry=False, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
     for budget in (nodes - 1, nodes - 2):  # budgets that fall on the skipped 3 and 2
-        assert run(picky, slots, r, color_symmetry=False, node_budget=budget, worker_hint=hint) == (
+        assert run(picky, slots, r, color_symmetry=False, node_budget=budget) == (
             Outcome.BUDGET_EXCEEDED,
             budget + 1,
             None,
         )
-    assert_no_children_left()
 
 
 def lex_leader_nodes(slots, r, perms):
@@ -189,18 +142,15 @@ def lex_leader_nodes(slots, r, perms):
     return nodes
 
 
-@pytest.mark.parametrize("hint", HINTS, indirect=True)
-def test_perms_keep_the_lex_leaders(hint):
+def test_perms_keep_the_lex_leaders():
     # a transposition and a rotation of the slots; the rotation is not its own
     # inverse, so the count pins the direction (x o g)[k] = x[g[k]]
-    slots, r = SPLIT_DEPTH + 2, 3
+    slots, r = 8, 3
     perms = [[2, 1, 0, *range(3, slots)], [(k + 1) % slots for k in range(slots)]]
     toy = Toy(slots)
-    opts = SearchOptions(worker_hint=hint)
-    result = backtrack(slots, r, opts, toy.fits, toy.place, toy.unplace, perms=perms)
+    result = backtrack(slots, r, SearchOptions(), toy.fits, toy.place, toy.unplace, perms=perms)
     assert result == (Outcome.EXHAUSTED, lex_leader_nodes(slots, r, perms), None)
     assert toy.placed == 0
-    assert_no_children_left()
 
 
 def test_perms_need_first_use_colors():

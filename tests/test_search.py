@@ -7,7 +7,6 @@ import tracemalloc
 
 import pytest
 
-from gallaikit import search as driver
 from gallaikit.grid import CertificateError, format_grid_certificate, verify_good
 from gallaikit.search import (
     Outcome,
@@ -48,14 +47,9 @@ class TestSmallVerdicts:
             SearchOptions(worker_hint=0)
 
 
-@pytest.mark.parametrize("hint", [None, 2, "2-probe0"])
-def test_engine_matches_naive_enumeration_up_to_twelve_cells(hint, monkeypatch):
-    # every grid of at most 12 cells with at most four colors; none outlives the
-    # probe, so "2-probe0" sets it to 0, and past SPLIT_DEPTH cells a hint of 2
-    # then cuts the tree and explores it in forked workers
-    if hint == "2-probe0":
-        monkeypatch.setattr(driver, "PROBE_NODES", 0)
-        hint = 2
+@pytest.mark.parametrize("hint", [None, 2])
+def test_engine_matches_naive_enumeration_up_to_twelve_cells(hint):
+    # every grid of at most 12 cells with at most four colors; the hint changes nothing
     grids = [(n, m, r) for n in range(1, 13) for m in range(1, 12 // n + 1) for r in range(1, 5)]
     for n, m, r in grids:
         out = search_good_coloring(n, m, r, SearchOptions(worker_hint=hint))
