@@ -61,37 +61,46 @@ def run(toy, slots, r, floor=None, color_symmetry=True, **opts):
     return result
 
 
+# worker_hint is accepted and ignored: every hint must give the counts of None.
+HINTS = (None, 2, 4)
+
+
+@pytest.mark.parametrize("hint", HINTS)
 @pytest.mark.parametrize("slots, r", [(1, 1), (3, 2), (5, 3), (8, 3), (11, 2)])
-def test_exhaustion_counts_every_assignment(slots, r):
+def test_exhaustion_counts_every_assignment(slots, r, hint):
     expected = sum(r**k for k in range(1, slots + 1))
     toy = Toy(slots)
-    assert run(toy, slots, r, color_symmetry=False) == (Outcome.EXHAUSTED, expected, None)
+    assert run(toy, slots, r, color_symmetry=False, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
 
 
+@pytest.mark.parametrize("hint", HINTS)
 @pytest.mark.parametrize("slots, r", [(1, 1), (4, 2), (6, 4), (8, 3), (11, 4)])
-def test_color_symmetry_counts_set_partitions(slots, r):
+def test_color_symmetry_counts_set_partitions(slots, r, hint):
     expected = sum(stirling2(k, j) for k in range(1, slots + 1) for j in range(1, r + 1))
     toy = Toy(slots)
-    assert run(toy, slots, r) == (Outcome.EXHAUSTED, expected, None)
+    assert run(toy, slots, r, worker_hint=hint) == (Outcome.EXHAUSTED, expected, None)
 
 
-def test_floor_counts_nondecreasing_sequences():
+@pytest.mark.parametrize("hint", HINTS)
+def test_floor_counts_nondecreasing_sequences(hint):
     slots, r = 9, 3
     expected = sum(comb(k + r - 1, k) for k in range(1, slots + 1))
     toy = Toy(slots)
-    result = run(toy, slots, r, floor=toy.floor, color_symmetry=False)
+    result = run(toy, slots, r, floor=toy.floor, color_symmetry=False, worker_hint=hint)
     assert result == (Outcome.EXHAUSTED, expected, None)
 
 
-def test_first_accepted_leaf_is_the_least_and_budgets_are_exact():
+@pytest.mark.parametrize("hint", HINTS)
+def test_first_accepted_leaf_is_the_least_and_budgets_are_exact(hint):
     slots, r = 8, 2
     wanted = [1, 2] * (slots // 2)
     toy = Toy(slots, wanted)
+    opts = {"color_symmetry": False, "worker_hint": hint}
 
-    kind, nodes, colors = run(toy, slots, r, color_symmetry=False)
+    kind, nodes, colors = run(toy, slots, r, **opts)
     assert (kind, colors) == (Outcome.FOUND, wanted)
-    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
-    assert run(toy, slots, r, color_symmetry=False, node_budget=nodes - 1) == (Outcome.BUDGET_EXCEEDED, nodes, None)
+    assert run(toy, slots, r, **opts, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
+    assert run(toy, slots, r, **opts, node_budget=nodes - 1) == (Outcome.BUDGET_EXCEEDED, nodes, None)
 
 
 class Picky(Toy):
@@ -105,24 +114,26 @@ class Picky(Toy):
         return super().fits(pos, hi) & ~self.rejected
 
 
-def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them():
+@pytest.mark.parametrize("hint", HINTS)
+def test_rejected_colors_count_as_nodes_and_budgets_stop_inside_them(hint):
     # colors 2, 3 and 5 of 1..5 never fit: each slot visit tries 5 colors, of which
     # 1 and 4 fit, so a slot skips the run 2, 3 and ends with the run 5
     slots, r, rejected = 8, 5, (2, 3, 5)
     total = 5 * (2**slots - 1)
+    opts = {"color_symmetry": False, "worker_hint": hint}
     picky = Picky(slots, rejected)
-    assert run(picky, slots, r, color_symmetry=False) == (Outcome.EXHAUSTED, total, None)
+    assert run(picky, slots, r, **opts) == (Outcome.EXHAUSTED, total, None)
     # the overrun lands on the trailing 5 of the first slot
-    assert run(picky, slots, r, color_symmetry=False, node_budget=total - 1) == (Outcome.BUDGET_EXCEEDED, total, None)
+    assert run(picky, slots, r, **opts, node_budget=total - 1) == (Outcome.BUDGET_EXCEEDED, total, None)
 
     wanted = [1] * (slots - 1) + [4]
     picky = Picky(slots, rejected, wanted)
     # ones down to the last slot, then its 1, the skipped 2 and 3, and the 4
     nodes = slots - 1 + 4
-    assert run(picky, slots, r, color_symmetry=False) == (Outcome.FOUND, nodes, wanted)
-    assert run(picky, slots, r, color_symmetry=False, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
+    assert run(picky, slots, r, **opts) == (Outcome.FOUND, nodes, wanted)
+    assert run(picky, slots, r, **opts, node_budget=nodes) == (Outcome.FOUND, nodes, wanted)
     for budget in (nodes - 1, nodes - 2):  # budgets that fall on the skipped 3 and 2
-        assert run(picky, slots, r, color_symmetry=False, node_budget=budget) == (
+        assert run(picky, slots, r, **opts, node_budget=budget) == (
             Outcome.BUDGET_EXCEEDED,
             budget + 1,
             None,
@@ -142,13 +153,14 @@ def lex_leader_nodes(slots, r, perms):
     return nodes
 
 
-def test_perms_keep_the_lex_leaders():
+@pytest.mark.parametrize("hint", HINTS)
+def test_perms_keep_the_lex_leaders(hint):
     # a transposition and a rotation of the slots; the rotation is not its own
     # inverse, so the count pins the direction (x o g)[k] = x[g[k]]
     slots, r = 8, 3
     perms = [[2, 1, 0, *range(3, slots)], [(k + 1) % slots for k in range(slots)]]
     toy = Toy(slots)
-    result = backtrack(slots, r, SearchOptions(), toy.fits, toy.place, toy.unplace, perms=perms)
+    result = backtrack(slots, r, SearchOptions(worker_hint=hint), toy.fits, toy.place, toy.unplace, perms=perms)
     assert result == (Outcome.EXHAUSTED, lex_leader_nodes(slots, r, perms), None)
     assert toy.placed == 0
 
