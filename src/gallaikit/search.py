@@ -66,9 +66,20 @@ when the full columns have no such system of distinct representatives
 (Hall's condition fails), fits returns no color at (i, 0).  The test reads
 only placed rows, and it rejects only prefixes with no good completion at
 all, in the reduced space or outside it.  So, as with the reductions above,
-verdicts and Found witnesses stay the same and only node counts fall.  A
-column of i cells holds every color only if i >= r, so the engine builds
-the test only when r < n.
+verdicts and Found witnesses stay the same and only node counts fall.
+
+The engine does not wait for the row start when a column is complete.  At
+cell (i, j), j >= 1 and r - 1 <= i <= n - 2, call a column among 0..j-1
+full through row i when its cells in rows 0..i hold every color.  The same
+argument says that row i + 1 must give each such column its own resource
+(k, c), k <= i, and these columns' cells in rows 0..i are all placed, so
+their resources can no longer change.  When the columns outnumber the
+resources they offer between them (Hall's condition on the set of all of
+them), no completion of the prefix exists, and fits returns no color at
+(i, j).  The count and the union of resources are carried forward from
+cell (i, j - 1), so the test costs O(1) per cell.  A column of i cells
+holds every color only if i >= r, so the engine builds either test only
+when r < n.
 """
 
 from __future__ import annotations
@@ -306,36 +317,65 @@ def backtrack(
             unplace(pos, colors[pos])
 
 
-def _row_start_bound(n: int, m: int, r: int) -> tuple[list[int], Callable[[], bool]]:
-    """The grid engine's matching bound at a row start (module docstring); for r < n only.
+def _matching_bounds(n: int, m: int, r: int) -> tuple[list[int], list[Callable[[int], bool] | None]]:
+    """The grid engine's matching bounds (module docstring); for r < n only.
 
-    Returns (res, hall).  res[j] is the resource mask of column j: bit c*n + k
+    Returns (res, tests).  res[j] is the resource mask of column j: bit c*n + k
     is set while cell (k, j) holds color c, and the engine's place and unplace
-    keep it.  At the start of row i only rows above i are placed, and hall()
-    tells whether the full columns, those that hold every color 1..r, can
-    each get a resource bit of their own.
+    keep it.  tests[pos] is None or the test that fits runs, as test(pos), on
+    entering slot pos.  At a row start (i, 0), i >= r, it is hall, which tells
+    whether the full columns, those whose placed cells hold every color 1..r,
+    can each get a resource bit of their own.  At a cell (i, j), j >= 1 and
+    r - 1 <= i <= n - 2, it is count_test, which tells whether the columns
+    0..j-1 that are full through row i offer at least as many resource bits
+    between them as there are such columns.  The count tests of a row must run
+    in column order, each only after the one before it passed.
     """
     res = [0] * m
-    # At a row start the top bit, k = n - 1, of each color's n-bit block is clear, so
-    # adding `fill` carries into that bit exactly in the blocks that hold a bit: a
-    # column is full when (mask + fill) & tops == tops.
+    # While row n - 1 is unplaced the top bit, k = n - 1, of each color's n-bit block
+    # is clear, so adding `fill` carries into that bit exactly in the blocks that hold
+    # a bit: a column is full when (mask + fill) & tops == tops.
     fill = sum(((1 << (n - 1)) - 1) << (c * n) for c in range(1, r + 1))
     tops = sum(1 << (c * n + n - 1) for c in range(1, r + 1))
 
-    def hall() -> bool:
-        full = [mask for mask in res if (mask + fill) & tops == tops]
+    def full(mask: int) -> bool:
+        return (mask + fill) & tops == tops
+
+    def hall(_pos: int) -> bool:
+        masks = [mask for mask in res if full(mask)]
         # give each full column its lowest resource not given yet, and gather them all
         given = union = 0
-        for mask in full:
+        for mask in masks:
             union |= mask
             free = mask & ~given
             given |= free & -free
-        if given.bit_count() == len(full):
+        if given.bit_count() == len(masks):
             return True
         # Hall's condition on the set of all full columns rejects most row starts at once
-        return union.bit_count() >= len(full) and _distinct_representatives(full)
+        return union.bit_count() >= len(masks) and _distinct_representatives(masks)
 
-    return res, hall
+    # counts[pos] and unions[pos] at a cell pos = (i, j): how many of the columns
+    # 0..j-1 are full through row i, and the OR of their masks.  Each is carried
+    # forward from cell (i, j - 1), and both stay 0 at row starts.
+    counts = [0] * (n * m)
+    unions = [0] * (n * m)
+
+    def count_test(pos: int) -> bool:
+        mask = res[pos % m - 1]  # the column that the cell before pos completed
+        if not full(mask):
+            counts[pos] = counts[pos - 1]
+            unions[pos] = unions[pos - 1]
+            return True  # the same columns passed at the cell before
+        count = counts[pos] = counts[pos - 1] + 1
+        union = unions[pos] = unions[pos - 1] | mask
+        return count <= union.bit_count()
+
+    tests: list[Callable[[int], bool] | None] = [None] * (n * m)
+    for i in range(r, n):
+        tests[i * m] = hall
+    for i in range(r - 1, n - 1):
+        tests[i * m + 1:(i + 1) * m] = [count_test] * (m - 1)
+    return res, tests
 
 
 def _distinct_representatives(sets: list[int]) -> bool:
@@ -382,10 +422,9 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
     # col_ge_at[j]: the same for column j against column j-1, read top-down
     ge_at = [-1] * n
     col_ge_at = [-1] * m
-    # the matching bound at row starts (module docstring): res is empty and hall None
-    # unless r < n; a slot's `start` flag is set at (i, 0) for rows i >= r, which
-    # exist only when r < n
-    res, hall = _row_start_bound(n, m, r) if r < n else ([], None)
+    # the matching bounds (module docstring): res is empty and every test None unless
+    # r < n, since a column of fewer than r cells is never full
+    res, tests = _matching_bounds(n, m, r) if r < n else ([], [None] * (n * m))
 
     if r < 4:
         # a rectangle with three colors or fewer is never rainbow
@@ -393,17 +432,17 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         # col_masks[i][c]: bitmask of the columns where row i holds color c
         col_masks = [[0] * (top + 1) for _ in range(n)]
         # per slot in row-major order: (row, column, the row, its masks, (row, masks)
-        # for each row above, start flag)
+        # for each row above, matching test or None)
         slot_info = [
-            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), not j and i >= r)
+            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), tests[i * m + j])
             for i in range(n)
             for j in range(m)
         ]
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono rectangle with a row above
-            _, j, _, masks_i, above, start = slot_info[pos]
-            if start and not hall():
+            _, j, _, masks_i, above, test = slot_info[pos]
+            if test is not None and not test(pos):
                 return 0
             ok = (2 << hi) - 2  # the bits of colors 1..hi
             for row2, masks2 in above:
@@ -445,9 +484,9 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
     else:
         # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, column,
-        # the column, the column before it, start flag)
+        # the column, the column before it, matching test or None)
         cols = [[0] * n for _ in range(m)]
-        slot_info = [(i, j, cols[j], cols[j - 1], not j and i >= r) for i in range(n) for j in range(m)]
+        slot_info = [(i, j, cols[j], cols[j - 1], tests[i * m + j]) for i in range(n) for j in range(m)]
         # pair_state[i][k]: the pair state of rows k < i over the columns placed in row i
         pair_state = [[0] * i for i in range(n)]
         saved: list[list[int]] = [[]] * (n * m)  # pair_state[i] before each slot was placed
@@ -490,8 +529,8 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono or rainbow rectangle with a row above
-            i, _, col, _, start = slot_info[pos]
-            if start and not hall():
+            i, _, col, _, test = slot_info[pos]
+            if test is not None and not test(pos):
                 return 0
             ok = (2 << hi) - 2  # the bits of colors 1..hi
             for state, b in zip(pair_state[i], col):

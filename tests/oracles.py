@@ -355,12 +355,16 @@ def reference_grid_search(
     col_order_symmetry: bool,
     budget: int | None,
     row_matching: bool = False,
+    column_count: bool = False,
 ) -> tuple[str, list[int] | None, int]:
     """Row-major cells; with row_order_symmetry a row stays >= the row above it,
     and with col_order_symmetry a column, read top-down, stays >= the column to its left.
 
     With row_matching the first cell of a row i >= 1 is rejected, whatever its
-    color, when the rows above break Hall's condition (naive_hall_fails).
+    color, when the rows above break Hall's condition (naive_hall_fails).  With
+    column_count a cell (i, j), j >= 1 and r - 1 <= i <= n - 2, is rejected,
+    whatever its color, when the columns among 0..j-1 whose rows 0..i hold
+    every color offer fewer distinct (row, color) pairs than there are of them.
     """
 
     def row_floor(flat: list[int]) -> int:
@@ -381,9 +385,15 @@ def reference_grid_search(
     def floor(flat: list[int]) -> int:
         return max(row_floor(flat), col_floor(flat))
 
+    def count_fails(flat: list[int], i: int, j: int) -> bool:
+        full = [col for col in (flat[c::m][:i + 1] for c in range(j)) if set(col) == set(range(1, r + 1))]
+        return len({(k, c) for col in full for k, c in enumerate(col)}) < len(full)
+
     def bad(flat: list[int]) -> bool:
         i, j = divmod(len(flat) - 1, m)
         if row_matching and i and not j and naive_hall_fails([flat[k * m:(k + 1) * m] for k in range(i)], r):
+            return True
+        if column_count and j and r - 1 <= i <= n - 2 and count_fails(flat, i, j):
             return True
         return _grid_new_bad(flat, m)
 

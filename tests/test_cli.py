@@ -51,12 +51,12 @@ class TestGridSearch:
         assert plain == hinted
 
     def test_a_search_never_forks(self, monkeypatch):
-        # --workers is ignored: a search of 161,823 nodes runs in this process too
+        # --workers is ignored: a search of 31,457 nodes runs in this process too
         def refuse_fork():
             raise AssertionError("a search forked")
 
         monkeypatch.setattr(os, "fork", refuse_fork)
-        assert run(["grid-search", "4", "12", "3", "--workers", "2"]).summary == "outcome found 4 12 3 nodes=161823"
+        assert run(["grid-search", "4", "12", "3", "--workers", "2"]).summary == "outcome found 4 12 3 nodes=31457"
 
     def test_bad_parameters_exit_two(self):
         assert run(["grid-search", "0", "2", "2"]).exit_code == 2

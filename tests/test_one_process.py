@@ -50,13 +50,13 @@ def test_edge_engine_ignores_the_hint(t, r, target, opts, kind, no_fork):
     "n, m, r, opts, kind",
     [
         (4, 9, 3, {}, Outcome.FOUND),
-        # found in 25,843 nodes
-        (4, 11, 3, {"node_budget": 20_000}, Outcome.BUDGET_EXCEEDED),
+        # found in 7,870 nodes, so a budget of 5,000 stops it
+        (4, 11, 3, {"node_budget": 5_000}, Outcome.BUDGET_EXCEEDED),
         (3, 7, 2, {}, Outcome.EXHAUSTED),
         (4, 6, 2, {}, Outcome.FOUND),
         (3, 4, 3, {}, Outcome.FOUND),
         # a budget of exactly the node count
-        (3, 7, 2, {"node_budget": 224}, Outcome.EXHAUSTED),
+        (3, 7, 2, {"node_budget": 137}, Outcome.EXHAUSTED),
     ],
 )
 def test_grid_engine_ignores_the_hint(n, m, r, opts, kind, no_fork):
@@ -88,7 +88,7 @@ def test_budget_boundary(search, no_fork):
 @pytest.mark.parametrize("hint", [None, 2])
 def test_roadmap_baselines_are_pinned(hint, no_fork):
     workers = [] if hint is None else ["--workers", str(hint)]
-    assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=224"
+    assert run(["grid-search", "3", "7", "2", *workers]).summary == "outcome exhausted 3 7 2 nodes=137"
     out = search_good_edge_coloring(7, 3, "C4", SearchOptions(worker_hint=hint))
     assert (out.kind, out.nodes_visited) == (Outcome.EXHAUSTED, 2_259)
 
@@ -96,7 +96,7 @@ def test_roadmap_baselines_are_pinned(hint, no_fork):
 @pytest.mark.parametrize(
     "search, nodes",
     [
-        (partial(search_good_coloring, 3, 7, 2), 224),
+        (partial(search_good_coloring, 3, 7, 2), 137),
         (partial(search_good_coloring, 4, 6, 2), None),
         (partial(search_good_coloring, 3, 4, 3), None),
         (partial(search_good_edge_coloring, 7, 3, "C4"), 2_259),

@@ -6,7 +6,7 @@ import pytest
 
 from gallaikit.graphs import search_good_edge_coloring
 from gallaikit.grid import GridColoring
-from gallaikit.search import SearchOptions, _row_start_bound, search_good_coloring
+from gallaikit.search import SearchOptions, _matching_bounds, search_good_coloring
 
 from oracles import naive_hall_fails, naive_is_good, reference_edge_search, reference_grid_search
 
@@ -34,11 +34,12 @@ def assert_agrees_at_every_budget(engine, reference, flatten, label):
 
 
 # The engines always apply their symmetry reductions, and the grid engine its
-# matching bound at row starts, so their counts are pinned against the reference
-# with all of them.  The parameters choose the reductions of a second reference
-# run without the bound, which must give the same verdict and witness: the least
-# good coloring of all is the least member of its orbit, so no reduction skips it,
-# and the bound rejects only prefixes that no good coloring extends.
+# matching bounds at row starts and at completed columns, so their counts are
+# pinned against the reference with all of them.  The parameters choose the
+# reductions of a second reference run without either bound, which must give the
+# same verdict and witness: the least good coloring of all is the least member of
+# its orbit, so no reduction skips it, and the bounds reject only prefixes that no
+# good coloring extends.
 # A test id names the color and row flags, and ends in -cols when columns are sorted.
 REDUCTIONS = [
     pytest.param(*flags, id=f"{flags[0]}-{flags[1]}" + ("-cols" if flags[2] else ""))
@@ -55,7 +56,7 @@ def test_grid_engine_matches_reference(color_symmetry, row_order_symmetry, col_o
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True)
+            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True, column_count=True)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
         second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
@@ -78,7 +79,7 @@ def test_grid_engine_matches_reference_where_rainbows_prune(color_symmetry, row_
             return search_good_coloring(n, m, r, SearchOptions(budget))
 
         def reference(budget):
-            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True)
+            return reference_grid_search(n, m, r, True, True, True, budget, row_matching=True, column_count=True)
 
         want = assert_agrees_at_every_budget(engine, reference, flat_grid, (n, m, r))
         second = reference_grid_search(n, m, r, color_symmetry, row_order_symmetry, col_order_symmetry, None)
@@ -90,7 +91,8 @@ def test_row_start_bound_rejects_only_dead_prefixes(rows, m, r):
     # Every good rows x m coloring, up to the order of its columns, as the rows above a
     # row start: the engine's matching bound and the oracle's subset test agree, and
     # when they reject, no next row makes a good coloring.
-    res, hall = _row_start_bound(rows + 1, m, r)
+    res, tests = _matching_bounds(rows + 1, m, r)
+    start = rows * m  # the slot of cell (rows, 0)
     rejected = 0
     for cols in combinations_with_replacement(product(range(1, r + 1), repeat=rows), m):
         above = [list(row) for row in zip(*cols)]
@@ -99,11 +101,41 @@ def test_row_start_bound_rejects_only_dead_prefixes(rows, m, r):
         # the engine's resource masks: bit c*n + k for cell (k, j) of color c, n = rows + 1
         res[:] = [sum(1 << (c * (rows + 1) + k) for k, c in enumerate(col)) for col in cols]
         blocked = naive_hall_fails(above, r)
-        assert hall() is not blocked, above
+        assert tests[start](start) is not blocked, above
         if blocked:
             rejected += 1
             for row in product(range(1, r + 1), repeat=m):
                 assert not naive_is_good(GridColoring(rows + 1, m, r, above + [list(row)])), (above, row)
+    assert rejected
+
+
+@pytest.mark.parametrize("rows, m, r", [(1, 3, 1), (2, 4, 2), (2, 6, 2), (3, 5, 3)])
+def test_column_count_bound_rejects_only_dead_prefixes(rows, m, r):
+    # Rows 0..i, i = rows - 1, of a rows + 1 by m grid.  The count tests of row i
+    # read only columns 0..m-2, so every good coloring of those columns, up to their
+    # order, stands for every good rows x m one.  At each cell (i, j), j >= 1, the
+    # engine's count test over columns 0..j-1 agrees with a direct count, and when it
+    # rejects, no next row of j cells makes those columns good, nor any of m cells.
+    n = rows + 1
+    res, tests = _matching_bounds(n, m, r)
+    rejected = 0
+    for cols in combinations_with_replacement(product(range(1, r + 1), repeat=rows), m - 1):
+        above = [list(row) for row in zip(*cols)]
+        if not naive_is_good(GridColoring(rows, m - 1, r, above)):
+            continue
+        # the engine's resource masks: bit c*n + k for cell (k, j) of color c
+        res[:-1] = [sum(1 << (c * n + k) for k, c in enumerate(col)) for col in cols]
+        for j in range(1, m):
+            full = [col for col in cols[:j] if set(col) == set(range(1, r + 1))]
+            blocked = len({(k, c) for col in full for k, c in enumerate(col)}) < len(full)
+            pos = (rows - 1) * m + j
+            assert tests[pos](pos) is not blocked, (above, j)
+            if blocked:
+                rejected += 1
+                left = [row[:j] for row in above]
+                for row in product(range(1, r + 1), repeat=j):
+                    assert not naive_is_good(GridColoring(n, j, r, left + [list(row)])), (above, j, row)
+                break  # as in the engine, no test of the row runs after a rejection
     assert rejected
 
 

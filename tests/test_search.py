@@ -78,13 +78,13 @@ def test_full_scale_instance_respects_budget():
 
 
 # From four colors on the engine also prunes rainbow rectangles through its pair
-# states; these counts pin that test, with the matching bound at row starts, at
-# the scale of the benchmark.
+# states; these counts pin that test, with the matching bounds at row starts and
+# at completed columns, at the scale of the benchmark.
 @pytest.mark.parametrize("hint", [None, 2])
 @pytest.mark.parametrize(
     "n, m, r, budget, nodes, digests",
     [
-        (5, 10, 4, None, 2_943, ("63676376c4fd17e54e34edf388eea7fd12c35c1967003a0831bcc519113b0c3c",
+        (5, 10, 4, None, 2_549, ("0e06c8e726c97d32782b5a571a130ab161486e4cac4cb9b567eaea248895bf50",
                                  "40587401be5663a0932e3cff48a02488d0e9f99f3be2bea3b290ada103f366f6")),
         (6, 7, 4, 400_000, 1_993, None),
         (6, 9, 5, 300_000, 5_996, None),
@@ -101,6 +101,17 @@ def test_rainbow_pruning_counts_at_benchmark_scale(n, m, r, budget, nodes, diges
         certificate, grid = digests
         assert hashlib.sha256(format_search_certificate(out, n, m, r).encode()).hexdigest() == certificate
         assert hashlib.sha256(format_grid_certificate(out.witness).encode()).hexdigest() == grid
+
+
+def test_completed_column_bound_at_four_rows_with_three_colors():
+    # the count test at completed columns (search.py) takes 4 x 14 r=3 from
+    # 2,971,353 nodes, with the row-start bound alone, to 223,161; the witness grid
+    # is the one found without it (OBS_3 has good 4 x 18 grids)
+    out = search_good_coloring(4, 14, 3)
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 223_161)
+    assert verify_good(out.witness).is_good
+    digest = hashlib.sha256(format_grid_certificate(out.witness).encode()).hexdigest()
+    assert digest == "4bd8fcecfb41d3c8734973fba97e7cbe0ba9f60ec3683bc6f4a119743f3a82c5"
 
 
 def test_many_colors_stay_cheap():
