@@ -367,7 +367,16 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     outside it raises IndexError, so a wrong bound can never give a wrong
     color.  For r < 4 the rainbow test is skipped: four corners cannot take
     four distinct colors out of three, so the rainbow count is exactly 0.
-    a, b and r*a + a + b must be finite, which keeps every corner finite.
+
+    The sweep rounds.  With u = math.ulp(E), E = r*a + a + b, no corner
+    exceeds E in size, so a computed x/a (two rounded sums of cx and the
+    rounded ux and vx, then a division) lies within 4u/a of the exact one at
+    the drawn angle and center.  A false hit needs a corner within 4u of a
+    strip boundary (probability at most 32u/a) and a spread within 8u of a
+    or 2a, so E must be finite and u at most a/2^32, which keeps false hits
+    below 2^-40 per trial.  As E/2^53 < u <= E/2^52 for normal E, that
+    accepts every r up to 2^20 - 3 for every normal a, none from 2^21 on,
+    and keeps floor(x/a) below 2^21; at r*a = 10^16 the spacing is 2.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
@@ -375,12 +384,9 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
         raise ValueError("a must be positive and finite")
     if not (a <= b < math.inf and _square_at_most_thrice(b, a)):
         raise ValueError(f"require a <= b <= sqrt(3)*a, got a={a}, b={b}")
-    try:
-        extent = r * a + a + b
-    except OverflowError:  # r too large to convert to a float
-        extent = math.inf
-    if not math.isfinite(extent):
-        raise ValueError(f"r*a + a + b must be finite, got r={r}, a={a}, b={b}")
+    extent = r * a + a + b if r < 2**21 else math.inf  # no r from 2^21 on passes
+    if not math.ulp(extent) <= a * 2.0**-32:
+        raise ValueError(f"r*a + a + b must be finite, with doubles at most a/2^32 apart, got r={r}, a={a}, b={b}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:
@@ -579,55 +585,54 @@ class GadgetReport:
 def verify_triangle_gadget() -> GadgetReport:
     """Check that every restricted coloring of the gadget contains a mono or rainbow triple.
 
-    The free points C, A1..A6 take colors 1..9 (nine colors represent any
-    coloring of nine points up to renaming), with A = 1, B = 2 and C != 2;
+    The colorings are those with A = 1, B = 2, C != 2 and C, A1..A6 in 1..9
+    (nine colors represent any coloring of nine points up to renaming);
     those fixings encode the symmetry reductions under which the full
-    statement follows.  search.backtrack assigns C, A1..A6 in that order; at
-    the last point of each triple it rejects the color of the other two if
-    they agree (mono) and every color but theirs if they differ (rainbow).
+    statement follows.  search.backtrack assigns A, B, C, A1..A6 in that
+    order on first-use colors.  At the last point of each triple it rejects
+    the color of the other two if they agree (mono) and every color but
+    theirs if they differ (rainbow), and the pairs {A, B} and {B, C} must
+    differ by the same mono rule, which leaves exactly A = 1, B = 2, C != 2.
     A triple's verdict depends on its own colors alone, so a rejected color
     covers every extension, and Exhausted proves all 8 * 9^6 colorings
-    covered.  Found carries the lexicographically least uncovered (C, A1..A6),
-    the first in row-major order over the increasing axes C = (1, 3, ..., 9)
-    and A_i = (1..9).
+    covered.  Found carries the least uncovered coloring in row-major order
+    over the axes C = (1, 3, ..., 9) and A_i = (1..9).  The uncovered ones
+    are closed under renaming the colors >= 3, so their least is numbered
+    by first use (else swapping the first color that skips ahead with the
+    least unused one gives a smaller one), and the search finds it.
     """
     _, triples = triangle_gadget()
     return _search_gadget(triples)[0]
 
 
-_GADGET_FIXED = {"A": 1, "B": 2}
-#: the free points in search order: C takes 8 colors, each A_i all 9
-_GADGET_SLOTS = ("C", "A1", "A2", "A3", "A4", "A5", "A6")
+_GADGET_ORDER = ("A", "B", "C", "A1", "A2", "A3", "A4", "A5", "A6")
+#: pairs that must differ: with first-use colors they give A = 1, B = 2 and C != 2
+_GADGET_PAIRS = (("A", "B"), ("B", "C"))
 
 
 def _search_gadget(triples: list[tuple[str, str, str]]) -> tuple[GadgetReport, int]:
     """verify_triangle_gadget's search over a given list of gadget triples, and its node count."""
     from .search import SearchOptions, backtrack
 
-    colors = dict(_GADGET_FIXED)
-    order = {label: pos for pos, label in enumerate((*_GADGET_FIXED, *_GADGET_SLOTS), -2)}
-    # checks[pos]: the other two points of each triple whose last point is slot pos
-    checks: list[list[list[str]]] = [[] for _ in _GADGET_SLOTS]
-    for triple in triples:
-        *others, last = sorted(triple, key=order.__getitem__)
-        checks[order[last]].append(others)
+    colors = [0] * len(_GADGET_ORDER)
+    # checks[pos]: the other points p, q of each pair or triple whose last point is
+    # pos; a pair's one other point p is kept as (p, p), so the mono test rejects it
+    checks: list[list[tuple[int, int]]] = [[] for _ in _GADGET_ORDER]
+    for group in (*_GADGET_PAIRS, *triples):
+        *others, last = sorted(map(_GADGET_ORDER.index, group))
+        checks[last].append((others[0], others[-1]))
 
     def fits(pos: int, hi: int) -> int:
-        ok = (2 << hi) - (6 if pos == 0 else 2)  # colors 1..hi, without 2 for C
+        ok = (2 << hi) - 2  # colors 1..hi
         for p, q in checks[pos]:
             cp, cq = colors[p], colors[q]
             ok &= ~(1 << cp) if cp == cq else (1 << cp) | (1 << cq)
         return ok
 
-    def place(pos: int, c: int) -> None:
-        colors[_GADGET_SLOTS[pos]] = c
-
-    def unplace(pos: int, c: int) -> None:
-        del colors[_GADGET_SLOTS[pos]]
-
-    _, nodes, found = backtrack(len(_GADGET_SLOTS), 9, SearchOptions(), fits, place, unplace, first_use=False)
-    first_uncovered = None if found is None else {**_GADGET_FIXED, **dict(zip(_GADGET_SLOTS, found))}
-    return GadgetReport(first_uncovered is None, 8 * 9**6, len(triples), first_uncovered), nodes
+    # fits reads only earlier points, so unplace may leave a color behind
+    _, nodes, found = backtrack(len(_GADGET_ORDER), 9, SearchOptions(), fits, colors.__setitem__, lambda pos, c: None)
+    first_uncovered = None if found is None else dict(zip(_GADGET_ORDER, found))
+    return GadgetReport(found is None, 8 * 9**6, len(triples), first_uncovered), nodes
 
 
 def format_configuration(config: Configuration) -> str:

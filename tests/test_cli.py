@@ -273,6 +273,13 @@ class TestStripFalsify:
         assert result.exit_code == 2
         assert result.summary.startswith("error: ")
 
+    @pytest.mark.parametrize("r", ["100000000000000000", "100000000000000000000000"])
+    def test_unresolved_strip_count_exits_two(self, r):
+        # doubles near r*a are too far apart to tell a corner's strip
+        result = run(["strip-falsify", r, "1", "1.5", "--trials", "2000", "--seed", "1"])
+        assert result.exit_code == 2
+        assert result.summary.startswith("error: r*a + a + b must be finite")
+
 
 class TestRainbowSegment:
     def test_halfplane(self):

@@ -474,11 +474,23 @@ class TestFalsifyStrip:
             (3, 1e308, 1e308, 10, 0),
             (10 ** 400, 1.0, 1.0, 10, 0),
             (3, 1.0, math.inf, 10, 0),
+            # doubles near r*a are spaced too widely to resolve a corner
+            (10 ** 17, 1.0, 1.5, 10, 1),
+            (10 ** 23, 1.0, 1.5, 10, 1),
+            (10 ** 16, 1.0, 1.5, 20_000, 1),
+            (2 ** 21, 1.0, 1.0, 10, 1),
+            (3, 2.0 ** -1045, 2.0 ** -1045, 10, 1),
         ],
     )
     def test_parameter_range_violations(self, args):
         with pytest.raises(ValueError):
             falsify_strip(*args)
+
+    @pytest.mark.parametrize("a", [1.0, 0.1, 7.3, 2.0 ** -1022, 1e300 / 2 ** 20])
+    def test_every_r_below_the_resolution_bound_is_accepted(self, a):
+        for r, b in [(2 ** 20 - 3, a), (2 ** 20 - 3, a * 1.7), (300, a * 1.7)]:
+            report = falsify_strip(r, a, b, 2_000, 3)
+            assert report.mono_hits == report.rainbow_hits == 0
 
 
 class TestRainbowSegment:
@@ -772,7 +784,7 @@ class TestGadgetBroadcast:
         report, nodes = _search_gadget(triples)
         assert report == reference_gadget_sweep(triples)
         assert report == verify_triangle_gadget()
-        assert nodes == 657
+        assert nodes == 69
 
     @pytest.mark.parametrize(
         "drop, holds",
@@ -789,6 +801,28 @@ class TestGadgetBroadcast:
         report, _ = _search_gadget(reduced)
         assert report.holds is holds
         assert report == reference_gadget_sweep(reduced)
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [
+                ("A3", "A4", "A5"), ("B", "C", "A6"), ("A", "A4", "A6"), ("C", "A2", "A3"), ("A", "C", "A1"),
+                ("C", "A3", "A6"), ("A2", "A5", "A6"), ("B", "A1", "A5"), ("B", "A1", "A3"), ("A", "A3", "A4"),
+            ],
+            [
+                ("A", "C", "A3"), ("A2", "A3", "A4"), ("B", "A3", "A4"), ("A", "A2", "A5"), ("C", "A5", "A6"),
+                ("B", "A5", "A6"), ("A1", "A3", "A6"), ("A", "B", "A1"), ("A", "A4", "A6"), ("A1", "A3", "A5"),
+                ("A2", "A3", "A6"), ("A", "A1", "A6"), ("A3", "A4", "A5"),
+            ],
+        ],
+    )
+    def test_first_uncovered_with_a_hexagon_color_above_three(self, triples):
+        # no sub-list of the real triples has such a least uncovered coloring, so these
+        # lists mix in other triples; the search numbers colors by first use and the
+        # reference sweeps every color of C and the hexagon
+        report, _ = _search_gadget(triples)
+        assert report == reference_gadget_sweep(triples)
+        assert max(report.first_uncovered[f"A{i}"] for i in range(1, 7)) >= 4
 
     def test_random_triple_lists_match_the_reference(self):
         labels = ("A", "B", "C", "A1", "A2", "A3", "A4", "A5", "A6")
