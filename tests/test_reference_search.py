@@ -18,7 +18,9 @@ def flat_grid(out):
 
 
 def flat_edges(out):
-    return None if out.witness is None else [c for _, _, c in out.witness.pairs()]
+    # the witness's colors in the edge engine's slot order, vertex by vertex (colex)
+    ec = out.witness
+    return None if ec is None else [ec.color(u, v) for v in range(2, ec.t + 1) for u in range(1, v)]
 
 
 def assert_agrees_at_every_budget(engine, reference, flatten, label):
@@ -163,10 +165,10 @@ def test_edge_engine_matches_reference(target, color_symmetry, vertex_symmetry):
 @pytest.mark.parametrize(
     "t, r, target, kind, nodes",
     [
-        (7, 4, "C4", "found", 171),
-        (7, 4, "P4", "exhausted", 662),
-        (7, 3, "C4", "exhausted", 2_259),
-        (8, 5, "C4", "found", 336),
+        (7, 4, "C4", "found", 319),
+        (7, 4, "P4", "exhausted", 560),
+        (7, 3, "C4", "exhausted", 699),
+        (8, 5, "C4", "found", 980),
     ],
 )
 def test_edge_engine_matches_reference_past_six_vertices(t, r, target, kind, nodes):
@@ -183,8 +185,8 @@ def test_edge_engine_matches_reference_past_six_vertices(t, r, target, kind, nod
 
 
 def test_reference_counts_by_hand():
-    # K4 with one color: edges (1,2), (1,3), (1,4) form a star, not a P4, and the
-    # fourth edge (2,3) closes 4-1-2-3, so the search exhausts after 4 nodes
+    # K4 with one color: edges (1,2), (1,3), (2,3) form a triangle, not a P4, and
+    # the fourth edge (1,4) closes 4-1-2-3, so the search exhausts after 4 nodes
     assert reference_edge_search(4, 1, "P4", True, True, None) == ("exhausted", None, 4)
     # 2x2 with one color: the fourth cell closes the only rectangle
     assert reference_grid_search(2, 2, 1, True, True, True, None) == ("exhausted", None, 4)
