@@ -37,19 +37,31 @@ def read_uint_table(lines: list[str], width: int, what: str) -> list[int]:
 
     Fields are separated by single spaces.  One regex match checks the
     distinct fields and one map converts them, so the work per field is a
-    dict lookup.  A line of any other form raises
-    CertificateError(`bad <what> line: <line>`).
+    dict lookup.  A line of any other form, or with a field longer than
+    int() converts, raises CertificateError(`bad <what> line: <line>`).
     """
     if not lines:
         return []
     fields = " ".join(lines).split(" ")
     distinct = list(set(fields))
     spaces = set(map(str.count, lines, repeat(" ")))
-    if _UINTS_RE.fullmatch("\n".join(distinct)) is None or spaces != {width - 1}:
-        bad = next(line for line in lines if _UINTS_RE.fullmatch(line) is None or line.count(" ") != width - 1)
-        raise CertificateError(f"bad {what} line: {bad!r}")
-    value = dict(zip(distinct, map(int, distinct)))
+    try:
+        if _UINTS_RE.fullmatch("\n".join(distinct)) is None or spaces != {width - 1}:
+            raise ValueError
+        value = dict(zip(distinct, map(int, distinct)))  # ValueError past int()'s digit limit
+    except ValueError as exc:
+        bad = next(line for line in lines if not _reads_as_uints(line, width))
+        raise CertificateError(f"bad {what} line: {bad!r}") from exc
     return list(map(value.__getitem__, fields))
+
+
+def _reads_as_uints(line: str, width: int) -> bool:
+    # whether line is `width` read_uint tokens separated by single spaces
+    try:
+        values = list(map(read_uint, line.split(" ")))
+    except ValueError:
+        return False
+    return len(values) == width
 
 
 # the ASCII characters other than space, tab, CR and LF that str.split() takes for whitespace

@@ -10,9 +10,10 @@ also pass slot permutations that are symmetries of its instances, and the
 driver then keeps only lex leaders under them.  The K_t edge engine lives
 in `graphs` and passes the swaps of adjacent vertices.
 
-The grid engine assigns cells in row-major order and rejects a color as
-soon as it would complete a monochromatic or rainbow rectangle with
-earlier cells.  Below four colors no rectangle is rainbow, and the engine
+The grid engine keeps the grid as a list of columns, assigns cells in
+row-major order and rejects a color as soon as it would complete a
+monochromatic or rainbow rectangle with earlier cells.  Only that test
+depends on r.  Below four colors no rectangle is rainbow, and the engine
 keeps a column bitmask per (row, color), so the mono test is one AND per
 row above.  From four colors on it keeps a pair state for each pair of
 rows k < i: one bit for each unordered pair {x, y} of colors, x = y
@@ -55,6 +56,19 @@ of `backtrack` asks.  The grid engine passes no perms: a lex-leader check
 on adjacent row and column swaps, in place of the floors, visits more
 nodes (157 against 137 on 3 x 7 with two colors, 720 against 377 on 4 x 9
 with three).
+
+The floor of `backtrack` keeps rows and columns sorted.  On entering cell
+(i, j) it sets two flags from placed cells.  Row i ties row i - 1 when
+i >= 1 and either j = 0, or row i tied at cell (i, j - 1) and cells
+(i, j - 1) and (i - 1, j - 1) are equal.  Column j ties column j - 1 when
+j >= 1 and either i = 0, or column j tied at cell (i - 1, j) and cells
+(i - 1, j) and (i - 1, j - 1) are equal.  While a line ties, the floor
+has kept each of its cells at or above its neighbor, so equal cells mean
+an equal prefix.  Cell (i, j) may then not fall below cell (i - 1, j)
+while row i ties, nor below cell (i, j - 1) while column j ties.  The
+flags are kept per cell and read by the next cell and the cell below.
+That is sound because the driver calls floor once on each entry to a
+cell, with every earlier cell placed.
 
 At the start of each row i >= 1, before cell (i, 0), the grid engine also
 tests whether any row i can follow the rows above, by a matching bound.
@@ -235,7 +249,12 @@ def backtrack(
     driver calls it once on entering a slot and walks the set bits in
     increasing order.  place(pos, c) assigns c to slot pos without checking
     it, and unplace(pos, c) undoes that.  floor(pos), if given, is the least
-    color slot pos may take.  The first full assignment is the witness: an
+    color slot pos may take.  The driver calls it once each time it enters
+    slot pos, with slots 0..pos-1 placed and slot pos not, just before
+    fits(pos, hi), and not when it comes back to pos from a later slot.  So
+    an engine may compute per-slot state in floor from the placed slots and
+    read it at later slots: the state of slot pos stays valid until the
+    driver next enters pos.  The first full assignment is the witness: an
     engine that must reject a leaf does so through fits at the last slot.
     Colors are numbered by first use, so no color exceeds min(r, slots);
     the constraints must not tell colors apart, so that the least good
@@ -412,75 +431,65 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
         raise ValueError(f"n, m, r must be positive, got {(n, m, r)}")
     # first-use numbering places no color above top
     top = min(r, n * m)
-    # ge_at[i]: the slot at which row i became strictly greater than row i-1, or -1;
-    # col_ge_at[j]: the same for column j against column j-1, read top-down
-    ge_at = [-1] * n
-    col_ge_at = [-1] * m
     # the matching bounds (module docstring): res is empty and every test None unless
     # r < n, since a column of fewer than r cells is never full
     res, tests = _matching_bounds(n, m, r) if r < n else ([], [None] * (n * m))
+    # cols[j][i]: the color of cell (i, j), read only while placed (unplace leaves it);
+    # per slot in row-major order: (row, column, the column, the column before it,
+    # matching test or None)
+    cols = [[0] * n for _ in range(m)]
+    slot_info = [(i, j, cols[j], cols[j - 1], tests[i * m + j]) for i in range(n) for j in range(m)]
+    # row_tie[pos] and col_tie[pos], set by floor on entering slot pos = (i, j): whether
+    # row i ties row i - 1 in columns 0..j-1, and column j ties column j - 1 in rows 0..i-1
+    row_tie = [False] * (n * m)
+    col_tie = [False] * (n * m)
+
+    def floor(pos: int) -> int:
+        # sorted rows and columns, from the ties of the slot before and the slot above
+        # (module docstring)
+        i, j, col, prev, _ = slot_info[pos]
+        row = row_tie[pos] = i > 0 and (j == 0 or (row_tie[pos - 1] and prev[i] == prev[i - 1]))
+        column = col_tie[pos] = j > 0 and (i == 0 or (col_tie[pos - m] and col[i - 1] == prev[i - 1]))
+        low = col[i - 1] if row else 1
+        if column and prev[i] > low:
+            return prev[i]
+        return low
 
     if r < 4:
         # a rectangle with three colors or fewer is never rainbow
-        cells = [[0] * m for _ in range(n)]
         # col_masks[i][c]: bitmask of the columns where row i holds color c
         col_masks = [[0] * (top + 1) for _ in range(n)]
-        # per slot in row-major order: (row, column, the row, its masks, (row, masks)
-        # for each row above, matching test or None)
-        slot_info = [
-            (i, j, cells[i], col_masks[i], list(zip(cells[:i], col_masks[:i])), tests[i * m + j])
-            for i in range(n)
-            for j in range(m)
-        ]
+        # above[i]: (k, col_masks[k]) for each row k < i; per slot in row-major order:
+        # (the column, the masks of the row, the rows above, matching test or None)
+        above = [list(enumerate(col_masks[:i])) for i in range(n)]
+        fit_info = [(cols[j], col_masks[i], above[i], tests[i * m + j]) for i in range(n) for j in range(m)]
 
         def fits(pos: int, hi: int) -> int:
             # colors that finish no mono rectangle with a row above
-            _, j, _, masks_i, above, test = slot_info[pos]
+            col, masks_i, rows_above, test = fit_info[pos]
             if test is not None and not test(pos):
                 return 0
             ok = (2 << hi) - 2  # the bits of colors 1..hi
-            for row2, masks2 in above:
-                b = row2[j]
+            for k, masks2 in rows_above:
+                b = col[k]
                 if masks2[b] & masks_i[b]:
                     ok &= ~(1 << b)  # b would close a mono rectangle
             return ok
 
         def place(pos: int, c: int) -> None:
-            i, j, row_i, masks_i, above, _ = slot_info[pos]
-            row_i[j] = c
-            masks_i[c] |= 1 << j
+            i, j, col, _, _ = slot_info[pos]
+            col[i] = c
+            col_masks[i][c] |= 1 << j
             if res:
                 res[j] |= 1 << (c * n + i)
-            if i and ge_at[i] < 0 and c > above[-1][0][j]:
-                ge_at[i] = pos
-            if j and col_ge_at[j] < 0 and c > row_i[j - 1]:
-                col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
-            i, j, row_i, masks_i, _, _ = slot_info[pos]
-            row_i[j] = 0
-            masks_i[c] &= ~(1 << j)
+            i, j, _, _, _ = slot_info[pos]
+            col_masks[i][c] ^= 1 << j
             if res:
                 res[j] ^= 1 << (c * n + i)
-            if ge_at[i] == pos:
-                ge_at[i] = -1
-            if col_ge_at[j] == pos:
-                col_ge_at[j] = -1
-
-        def floor(pos: int) -> int:
-            # sorted rows and columns: while row i ties row i-1, its cells may not fall
-            # below that row, and while column j ties column j-1, nor below that column
-            i, j, row_i, _, above, _ = slot_info[pos]
-            low = above[-1][0][j] if i and ge_at[i] < 0 else 1
-            if j and col_ge_at[j] < 0 and row_i[j - 1] > low:
-                return row_i[j - 1]
-            return low
 
     else:
-        # cols[j][i]: the color of cell (i, j); per slot in row-major order: (row, column,
-        # the column, the column before it, matching test or None)
-        cols = [[0] * n for _ in range(m)]
-        slot_info = [(i, j, cols[j], cols[j - 1], tests[i * m + j]) for i in range(n) for j in range(m)]
         # pair_state[i][k]: the pair state of rows k < i over the columns placed in row i
         pair_state = [[0] * i for i in range(n)]
         saved: list[list[int]] = [[]] * (n * m)  # pair_state[i] before each slot was placed
@@ -535,7 +544,7 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
             return ok
 
         def place(pos: int, c: int) -> None:
-            i, j, col, prev, _ = slot_info[pos]
+            i, j, col, _, _ = slot_info[pos]
             col[i] = c
             if res:
                 res[j] |= 1 << (c * n + i)
@@ -549,29 +558,12 @@ def search_good_coloring(n: int, m: int, r: int, opts: SearchOptions | None = No
                     bits.extend(1 << (tri[c] + x if x <= c else tri[x] + c) for x in range(len(bits), a + 1))
                     new.append(state | bits[a])
             pair_state[i] = new
-            if i and ge_at[i] < 0 and c > col[i - 1]:
-                ge_at[i] = pos
-            if j and col_ge_at[j] < 0 and c > prev[i]:
-                col_ge_at[j] = pos
 
         def unplace(pos: int, c: int) -> None:
-            i, j, col, _, _ = slot_info[pos]
-            col[i] = 0
+            i, j, _, _, _ = slot_info[pos]
             if res:
                 res[j] ^= 1 << (c * n + i)
             pair_state[i] = saved[pos]
-            if ge_at[i] == pos:
-                ge_at[i] = -1
-            if col_ge_at[j] == pos:
-                col_ge_at[j] = -1
-
-        def floor(pos: int) -> int:
-            # sorted rows and columns, as in the branch for fewer than four colors
-            i, j, col, prev, _ = slot_info[pos]
-            low = col[i - 1] if i and ge_at[i] < 0 else 1
-            if j and col_ge_at[j] < 0 and prev[i] > low:
-                return prev[i]
-            return low
 
     kind, nodes, colors = backtrack(n * m, r, opts, fits, place, unplace, floor)
     witness = None

@@ -50,7 +50,9 @@ class Toy:
         self.placed -= 1
 
     def floor(self, pos):
-        # nondecreasing sequences
+        # nondecreasing sequences; the driver calls floor on entering a slot, with
+        # every earlier slot placed (the grid engine's floor relies on that)
+        assert self.placed == pos and all(self.values[:pos]) and not self.values[pos]
         return self.values[pos - 1] if pos else 1
 
 
@@ -82,6 +84,47 @@ def test_floor_counts_nondecreasing_sequences(hint):
     toy = Toy(slots)
     result = run(toy, slots, r, floor=toy.floor, worker_hint=hint)
     assert result == (Outcome.EXHAUSTED, expected, None)
+
+
+class Logged(Toy):
+    """A toy engine that logs each callback as (name, pos)."""
+
+    def __init__(self, slots, wanted=None):
+        super().__init__(slots, wanted)
+        self.log = []
+
+    def fits(self, pos, hi):
+        self.log.append(("fits", pos))
+        return super().fits(pos, hi)
+
+    def place(self, pos, c):
+        self.log.append(("place", pos))
+        super().place(pos, c)
+
+    def unplace(self, pos, c):
+        self.log.append(("unplace", pos))
+        super().unplace(pos, c)
+
+    def floor(self, pos):
+        self.log.append(("floor", pos))
+        return super().floor(pos)
+
+
+@pytest.mark.parametrize("wanted, budget", [(None, None), ([1, 1, 2, 2, 3, 3], None), (None, 20)])
+def test_floor_runs_once_per_slot_entry_just_before_fits(wanted, budget):
+    slots, r = 6, 3
+    toy = Logged(slots, wanted)
+    run(toy, slots, r, floor=toy.floor, node_budget=budget)
+    log = toy.log
+    # the driver enters slot 0 at the start and slot pos + 1 after each place(pos)
+    entries = [0] + [pos + 1 for name, pos in log if name == "place" and pos + 1 < slots]
+    assert [pos for name, pos in log if name == "floor"] == entries
+    for k, (name, pos) in enumerate(log):
+        if name == "floor":
+            assert log[k + 1] == ("fits", pos)
+            assert k == 0 or log[k - 1] == ("place", pos - 1)
+        elif name == "fits":
+            assert log[k - 1] == ("floor", pos)
 
 
 @pytest.mark.parametrize("hint", HINTS)

@@ -252,6 +252,8 @@ class TestCertificates:
         (parse_model_text, "v 1 02 0"),  # a leading zero
         (parse_grid_certificate, "grid 1 2 2\u3000\n1 2\x1c\n"),  # trailing whitespace that is not plain
         (parse_edge_coloring, "kgraph 2 1\x85\n1 2 1\n"),
+        (parse_grid_certificate, "grid 1 1 1\n" + "1" * 5000 + "\n"),  # past int()'s digit limit
+        (parse_edge_coloring, "kgraph 2 1\n1 2 " + "1" * 5000 + "\n"),
     ],
 )
 def test_noncanonical_integers_and_line_breaks_rejected(parse, text):
