@@ -11,10 +11,17 @@ monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 All arithmetic is double precision.  Points are tuples of Python floats
 and every distance is math.dist of two of them; numpy runs only the affine
 rank and the strip falsifier, which import it when they run.  The gadget
-enumeration runs on the shared search driver.
-Distance comparisons use absolute tolerance 1e-9, which is comfortable
-for the coordinate magnitudes involved (small combinations of 1/2,
-1/sqrt(2), sqrt(3)/4).
+is an instance of `search.search_good_point_coloring`: its nine points,
+the pairs {A, B} and {B, C} and its 20 triples as sets that may not be
+monochromatic, and the same 20 triples as sets that may not be rainbow.
+Distance comparisons use an absolute tolerance, 1e-9 by default.  That is
+ample for the gadget and the other small families (small combinations of
+1/2, 1/sqrt(2), sqrt(3)/4), but not at every scale: a distance near D is
+rounded by about D * 2^-53, so from sides near 1e8 on the default misses
+true matches.  `congruent` finds all 1,386 index rectangles of
+`grid_lattice_embedding(1, 1.1e7, 1.7e7)` with the default, none of those
+of `grid_lattice_embedding(1, 1.1e8, 1.7e8)`, and all of them with
+tol=1e-6.
 """
 
 from __future__ import annotations
@@ -112,6 +119,11 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     by symmetry the j-th entries differ by at most tol.  Rounded
     subtraction is monotone in each argument, so this holds for the
     computed differences too.
+
+    tol is absolute, so it must exceed the rounding of the distances, about
+    2^-53 times their size: the default 1e-9 finds every index rectangle of
+    grid_lattice_embedding(1, 1.1e7, 1.7e7) in planar_rectangle(1.1e7,
+    1.7e7), but none at 1.1e8 x 1.7e8, where tol=1e-6 finds them all.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -588,18 +600,16 @@ def verify_triangle_gadget() -> GadgetReport:
     The colorings are those with A = 1, B = 2, C != 2 and C, A1..A6 in 1..9
     (nine colors represent any coloring of nine points up to renaming);
     those fixings encode the symmetry reductions under which the full
-    statement follows.  search.backtrack assigns A, B, C, A1..A6 in that
-    order on first-use colors.  At the last point of each triple it rejects
-    the color of the other two if they agree (mono) and every color but
-    theirs if they differ (rainbow), and the pairs {A, B} and {B, C} must
-    differ by the same mono rule, which leaves exactly A = 1, B = 2, C != 2.
-    A triple's verdict depends on its own colors alone, so a rejected color
-    covers every extension, and Exhausted proves all 8 * 9^6 colorings
-    covered.  Found carries the least uncovered coloring in row-major order
-    over the axes C = (1, 3, ..., 9) and A_i = (1..9).  The uncovered ones
-    are closed under renaming the colors >= 3, so their least is numbered
-    by first use (else swapping the first color that skips ahead with the
-    least unused one gives a smaller one), and the search finds it.
+    statement follows.  The search is search.search_good_point_coloring
+    over the points A, B, C, A1..A6, in that order, with nine colors.  Its
+    mono sets are the pairs {A, B} and {B, C} and the 20 triples, and its
+    rainbow sets are the same 20 triples.  A two-point mono set makes its
+    points differ.  So the uncovered colorings of the 8 * 9^6 are exactly
+    the good colorings of the search with A = 1 and B = 2, and Exhausted
+    proves them all covered.  Found carries the least good coloring, which
+    is numbered by first use and so has A = 1 and B = 2 (and C != 2): it
+    is the least uncovered coloring in row-major order over the axes
+    C = (1, 3, ..., 9) and A_i = (1..9).
     """
     _, triples = triangle_gadget()
     return _search_gadget(triples)[0]
@@ -612,27 +622,14 @@ _GADGET_PAIRS = (("A", "B"), ("B", "C"))
 
 def _search_gadget(triples: list[tuple[str, str, str]]) -> tuple[GadgetReport, int]:
     """verify_triangle_gadget's search over a given list of gadget triples, and its node count."""
-    from .search import SearchOptions, backtrack
+    from .search import search_good_point_coloring
 
-    colors = [0] * len(_GADGET_ORDER)
-    # checks[pos]: the other points p, q of each pair or triple whose last point is
-    # pos; a pair's one other point p is kept as (p, p), so the mono test rejects it
-    checks: list[list[tuple[int, int]]] = [[] for _ in _GADGET_ORDER]
-    for group in (*_GADGET_PAIRS, *triples):
-        *others, last = sorted(map(_GADGET_ORDER.index, group))
-        checks[last].append((others[0], others[-1]))
-
-    def fits(pos: int, hi: int) -> int:
-        ok = (2 << hi) - 2  # colors 1..hi
-        for p, q in checks[pos]:
-            cp, cq = colors[p], colors[q]
-            ok &= ~(1 << cp) if cp == cq else (1 << cp) | (1 << cq)
-        return ok
-
-    # fits reads only earlier points, so unplace may leave a color behind
-    _, nodes, found = backtrack(len(_GADGET_ORDER), 9, SearchOptions(), fits, colors.__setitem__, lambda pos, c: None)
-    first_uncovered = None if found is None else dict(zip(_GADGET_ORDER, found))
-    return GadgetReport(found is None, 8 * 9**6, len(triples), first_uncovered), nodes
+    index = {label: i for i, label in enumerate(_GADGET_ORDER)}
+    sets = [[index[label] for label in group] for group in triples]
+    pairs = [[index[label] for label in pair] for pair in _GADGET_PAIRS]
+    out = search_good_point_coloring(len(_GADGET_ORDER), 9, pairs + sets, sets)
+    first_uncovered = None if out.witness is None else dict(zip(_GADGET_ORDER, out.witness))
+    return GadgetReport(out.witness is None, 8 * 9**6, len(triples), first_uncovered), out.nodes_visited
 
 
 def format_configuration(config: Configuration) -> str:

@@ -1,4 +1,4 @@
-"""The backtracking driver shared by both engines, and the grid engine on top of it.
+"""The backtracking driver shared by the engines, and the grid and point-set engines on top of it.
 
 `backtrack` assigns colors to an ordered list of slots in one depth-first
 walk in this process, one node per tried color, with first-use color
@@ -9,6 +9,9 @@ color without checking it (with `unplace` to undo it).  An engine may
 also pass slot permutations that are symmetries of its instances, and the
 driver then keeps only lex leaders under them.  The K_t edge engine lives
 in `graphs` and passes the swaps of adjacent vertices.
+`search_good_point_coloring` colors a finite point set so that no set of
+one list is monochromatic and no set of another is rainbow; the nine-point
+gadget of `euclid` is one of its instances.
 
 The grid engine keeps the grid as a list of columns, assigns cells in
 row-major order and rejects a color as soon as it would complete a
@@ -328,6 +331,72 @@ def backtrack(
         while pos:
             pos -= 1
             unplace(pos, colors[pos])
+
+
+def search_good_point_coloring(
+    points: int, r: int, mono: Iterable[Iterable[int]], rainbow: Iterable[Iterable[int]]
+) -> SearchOutcome[list[int]]:
+    """Search for a coloring of points 0..points-1 with colors 1..r that is good for the sets.
+
+    A coloring is good when no set of mono has all its points one color
+    and no set of rainbow has all its points pairwise different colors; a
+    set may be in both lists.  Each set holds at least two distinct points.
+    The witness of a Found outcome is the list of the points' colors.
+
+    backtrack colors the points in index order, and each set is tested at
+    its last point, the first slot where all its points are placed, by one
+    bitmask rule.  Let seen be the colors of its other points.  A mono set
+    whose other points share one color rejects that color, and a rainbow
+    set whose other points hold pairwise distinct colors (as many colors
+    in seen as other points) keeps only the colors in seen.  A color is
+    rejected exactly when it makes some set ending at this point mono or
+    rainbow, so the leaves that pass are exactly the good colorings.
+
+    The rule reads only which colors are equal, so renaming colors maps
+    good colorings to good colorings, and first-use numbering is sound: the
+    least good coloring is numbered by first use, otherwise swapping the
+    first color that skips ahead with the least color not yet used gives a
+    smaller good one.  backtrack tries colors in increasing order and
+    returns its first full assignment, so Found returns the least good
+    coloring of all.  A set's verdict depends on the colors of its own
+    points alone, which are all placed when it is tested, so a rejected
+    color covers every extension of the prefix, and Exhausted proves that
+    every r-coloring of the points has a mono set of mono or a rainbow set
+    of rainbow.
+    """
+    if points < 1 or r < 1:
+        raise ValueError(f"require points >= 1 and r >= 1, got {(points, r)}")
+    mono, rainbow = [tuple(s) for s in mono], [tuple(s) for s in rainbow]
+    # at[last]: (the other points, rainbow?) of each set whose last point is last
+    at: list[list[tuple[list[int], int]]] = [[] for _ in range(points)]
+    for is_rainbow, sets in enumerate((mono, rainbow)):
+        for s in sets:
+            if len(s) < 2 or len(set(s)) < len(s) or not all(0 <= p < points for p in s):
+                raise ValueError(f"each set needs at least 2 distinct points in 0..{points - 1}, got {s}")
+            *others, last = sorted(s)
+            at[last].append((others, is_rainbow))
+    colors = [0] * points
+
+    def fits(pos: int, hi: int) -> int:
+        ok = (2 << hi) - 2  # colors 1..hi
+        for others, is_rainbow in at[pos]:
+            seen = 0
+            for p in others:
+                seen |= 1 << colors[p]
+            if not is_rainbow:
+                if not seen & (seen - 1):
+                    ok &= ~seen
+            elif seen.bit_count() == len(others):
+                ok &= seen
+        return ok
+
+    # fits reads only earlier points, so unplace may leave a color behind
+    kind, nodes, found = backtrack(points, r, SearchOptions(), fits, colors.__setitem__, lambda pos, c: None)
+    if found is not None and (
+        any(len({found[p] for p in s}) == 1 for s in mono) or any(len({found[p] for p in s}) == len(s) for s in rainbow)
+    ):
+        raise RuntimeError("point search produced a bad witness; this is a bug")
+    return SearchOutcome(kind, found, nodes)
 
 
 def _matching_bounds(n: int, m: int, r: int) -> tuple[list[int], list[Callable[[int], bool] | None]]:

@@ -5,7 +5,8 @@ checks: quadruple-nested scans, odometer enumerations over whole coloring
 spaces, a bit-table sweep for two-color row triples, a column-type multiset
 search for two-row grids, a plain recursive search with the engines' slot
 order and symmetry rules and the grid engine's row-start Hall test (here
-over every subset of the full columns), a bit-parallel complete evaluation of CNF
+over every subset of the full columns), a first-use walk over every
+coloring of a finite point set, a bit-parallel complete evaluation of CNF
 encodings over all colorings, the SAT layer's former per-literal code
 as the reference for its bulk rewrite, the former whole-array geometry
 sweeps as the reference for their streamed rewrites, and the former
@@ -444,6 +445,33 @@ def reference_edge_search(
         return any(not_lex_leader(colors, perm) for perm in swaps)
 
     return reference_search(len(edges), r, bad, lambda colors: 1, color_symmetry, budget)
+
+
+def reference_point_coloring(
+    points: int, r: int, mono: list[list[int]], rainbow: list[list[int]]
+) -> list[int] | None:
+    """The least good first-use coloring of points 0..points-1 with r colors, or None.
+
+    Walks every coloring numbered by first use in lexicographic order and
+    tests each whole one: good when no mono set has one color and no
+    rainbow set has as many colors as points.
+    """
+
+    def good(colors: list[int]) -> bool:
+        return all(len({colors[p] for p in s}) > 1 for s in mono) and all(
+            len({colors[p] for p in s}) < len(s) for s in rainbow
+        )
+
+    def walk(colors: list[int]) -> list[int] | None:
+        if len(colors) == points:
+            return colors if good(colors) else None
+        for c in range(1, min(max(colors, default=0) + 1, r) + 1):
+            found = walk(colors + [c])
+            if found is not None:
+                return found
+        return None
+
+    return walk([])
 
 
 # ------------------------------------------------------------- sat side

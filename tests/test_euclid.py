@@ -309,6 +309,20 @@ class TestLatticeEmbedding:
             quad = emb.rectangle_configuration(i, i2, j, j2)
             assert congruent(quad, reference, TOL) is not None
 
+    @pytest.mark.parametrize("a, b, tol", [(1.1e7, 1.7e7, {}), (1.1e8, 1.7e8, {"tol": 1e-6})])
+    def test_every_index_rectangle_within_the_absolute_tolerance(self, a, b, tol):
+        # distances near 2e8 round by about 3e-8, so 1.1e8 x 1.7e8 needs a tol above the default
+        emb = grid_lattice_embedding(1, a, b)
+        reference = planar_rectangle(a, b)
+        quads = [
+            (i, i2, j, j2)
+            for i, i2 in combinations(range(1, emb.rows + 1), 2)
+            for j, j2 in combinations(range(1, emb.cols + 1), 2)
+        ]
+        assert len(quads) == 1386
+        for quad in quads:
+            assert congruent(emb.rectangle_configuration(*quad), reference, **tol) is not None, quad
+
     @pytest.mark.parametrize(
         "a, b", [(s, s) for s in (1e-310, 1e-200, 1e-7, 1.0, 1e12, 1e200, 1e308)] + [(1e-7, 1.0), (1.0, 1e12)]
     )

@@ -1,9 +1,11 @@
-"""Grid search engine: verdicts, symmetry safety, determinism, certificates."""
+"""Grid and point-set search engines: verdicts, symmetry safety, determinism, certificates."""
 
 import dataclasses
 import hashlib
+import random
 import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -17,10 +19,11 @@ from gallaikit.search import (
     minimal_forcing_m,
     parse_search_certificate,
     search_good_coloring,
+    search_good_point_coloring,
     threshold_scan,
 )
 
-from oracles import naive_good_exists, two_row_forcing_threshold, two_row_good_exists
+from oracles import naive_good_exists, reference_point_coloring, two_row_forcing_threshold, two_row_good_exists
 
 
 class TestSmallVerdicts:
@@ -287,3 +290,94 @@ def test_search_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     assert search_good_coloring(1, 1200, 1).kind is Outcome.FOUND
     assert sys.getrecursionlimit() == limit
+
+
+class TestPointSets:
+    """search_good_point_coloring against a first-use enumeration that shares no code with it."""
+
+    def test_random_systems_match_the_enumeration(self):
+        rng = random.Random(31)
+        kinds = {Outcome.FOUND: 0, Outcome.EXHAUSTED: 0}
+        shared = 0
+        for _ in range(300):
+            points = rng.randint(2, 8)
+            r = rng.randint(1, 4)
+            mono, rainbow = [], []
+            for _ in range(rng.randint(1, 8)):
+                s = rng.sample(range(points), rng.randint(2, min(4, points)))
+                where = rng.randrange(3)  # mono, rainbow or both
+                if where != 1:
+                    mono.append(s)
+                if where != 0:
+                    rainbow.append(s)
+                shared += where == 2
+            out = search_good_point_coloring(points, r, mono, rainbow)
+            assert out.witness == reference_point_coloring(points, r, mono, rainbow), (points, r, mono, rainbow)
+            kinds[out.kind] += 1
+        assert min(kinds.values()) >= 50 and shared >= 100
+
+    def test_no_sets_give_the_one_color_coloring(self):
+        assert search_good_point_coloring(3, 2, [], []) == SearchOutcome(Outcome.FOUND, [1, 1, 1], 3)
+
+    def test_a_pair_in_both_lists_has_no_good_coloring(self):
+        # the two points may neither agree nor differ
+        assert search_good_point_coloring(2, 5, [[0, 1]], [[1, 0]]).kind is Outcome.EXHAUSTED
+
+    @pytest.mark.parametrize(
+        "points, r, mono, rainbow",
+        [
+            (0, 2, [], []),
+            (3, 0, [], []),
+            (3, 2, [[1]], []),  # a one-point set
+            (3, 2, [], [[2]]),
+            (3, 2, [[0, 1, 1]], []),  # a repeated point
+            (3, 2, [], [[2, 0, 2]]),
+            (3, 2, [[0, 3]], []),  # points outside 0..2
+            (3, 2, [], [[-1, 1]]),
+        ],
+    )
+    def test_preconditions(self, points, r, mono, rainbow):
+        with pytest.raises(ValueError):
+            search_good_point_coloring(points, r, mono, rainbow)
+
+
+def k6_pair_family() -> tuple[list[list[int]], list[list[int]]]:
+    """The 15 vertex pairs of K6: the 45 4-cycles as mono sets, the 20 K3 and 60 K_{1,3} as rainbow sets.
+
+    Placed as simplex_midpoint_embedding(6) places them, pairs sharing a
+    vertex are 1 apart and disjoint ones sqrt(2), so these are the unit
+    squares and the unit equilateral triangles of the family.
+    """
+    index = {pair: k for k, pair in enumerate(combinations(range(6), 2))}
+
+    def point(u, v):
+        return index[min(u, v), max(u, v)]
+
+    cycles = set()
+    for a, b, c, d in combinations(range(6), 4):
+        for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            cycles.add(frozenset((point(w, x), point(x, y), point(y, z), point(z, w))))
+    triangles = [[point(a, b), point(b, c), point(a, c)] for a, b, c in combinations(range(6), 3)]
+    stars = [
+        [point(v, a), point(v, b), point(v, c)]
+        for v in range(6)
+        for a, b, c in combinations([u for u in range(6) if u != v], 3)
+    ]
+    return sorted(map(sorted, cycles)), triangles + stars
+
+
+class TestK6PairFamily:
+    def test_set_counts(self):
+        mono, rainbow = k6_pair_family()
+        assert (len(mono), len(rainbow)) == (45, 80)
+        assert len({frozenset(s) for s in mono + rainbow}) == 125
+
+    @pytest.mark.parametrize("r, nodes", [(2, 2083), (3, 3520), (6, 3654), (15, 3654), (10**7, 3654)])
+    def test_every_coloring_has_a_mono_square_or_a_rainbow_triangle(self, r, nodes):
+        mono, rainbow = k6_pair_family()
+        assert search_good_point_coloring(15, r, mono, rainbow) == SearchOutcome(Outcome.EXHAUSTED, None, nodes)
+
+    def test_two_colors_agree_with_the_enumeration(self):
+        # all 2^14 first-use 2-colorings of the 15 points
+        mono, rainbow = k6_pair_family()
+        assert reference_point_coloring(15, 2, mono, rainbow) is None
