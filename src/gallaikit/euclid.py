@@ -10,10 +10,17 @@ monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 
 All arithmetic is double precision.  Points are tuples of Python floats
 and every distance is math.dist of two of them; numpy runs only the affine
-rank and the strip falsifier, which import it when they run.  The gadget
-is an instance of `search.search_good_point_coloring`: its nine points,
-the pairs {A, B} and {B, C} and its 20 triples as sets that may not be
-monochromatic, and the same 20 triples as sets that may not be rainbow.
+rank and the strip falsifier, which import it when they run.  The strip
+falsifier sweeps its blocks of trials on one thread per usable core.  The
+affine rank keeps OpenBLAS's thread pool asleep so that those threads get
+the cores: it reduces the difference matrix with a Householder QR in
+elementwise numpy and gives LAPACK only the small triangular factor.  An
+SVD of the tall matrix (373 x 45 for the r = 3 lattice) is large enough
+for OpenBLAS to run on its pool, and the pool's threads keep spinning for
+about 130 ms after the call.  The gadget is an instance of
+`search.search_good_point_coloring`: its nine points, the pairs {A, B}
+and {B, C} and its 20 triples as sets that may not be monochromatic, and
+the same 20 triples as sets that may not be rainbow.
 Distance comparisons use an absolute tolerance, 1e-9 by default.  That is
 ample for the gadget and the other small families (small combinations of
 1/2, 1/sqrt(2), sqrt(3)/4), but not at every scale: a distance near D is
@@ -27,14 +34,18 @@ tol=1e-6.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import sub
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .grid import CertificateError, read_uint, split_strict
 
 if TYPE_CHECKING:
+    import threading
+
     import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -189,9 +200,18 @@ def affine_rank(config: Configuration) -> int:
     """Dimension of the affine span: the numerical rank of the differences to the first point.
 
     The differences are divided by their largest absolute entry, so the
-    singular values neither overflow nor underflow, and numpy's default
-    cutoff is relative to the largest of them, so the rank does not depend
-    on the scale of the configuration.
+    singular values neither overflow nor underflow, and the cutoff is
+    numpy.linalg.matrix_rank's, s.max() * max(rows, cols) * eps, relative
+    to the largest of them, so the rank does not depend on the scale of
+    the configuration.  The singular values are taken from the triangular
+    factor of a Householder QR of the difference matrix (or of its
+    transpose, whichever is tall), which has the same singular values up
+    to rounding.  The QR is elementwise numpy and makes no BLAS call, and
+    LAPACK sees only the factor, min(rows, cols) on a side (45 for the
+    r = 3 lattice).  An SVD of the tall matrix itself (373 x 45) is large
+    enough for OpenBLAS to run it on its thread pool, whose threads then
+    spin for about 130 ms and hold the cores that the strip falsifier's
+    threads need.
     """
     import numpy as np
 
@@ -202,7 +222,39 @@ def affine_rank(config: Configuration) -> int:
     scale = np.abs(diffs).max(initial=0.0)
     if scale == 0.0:
         return 0
-    return int(np.linalg.matrix_rank(diffs / scale))
+    diffs /= scale
+    # one row per column of the tall one of diffs and diffs.T
+    lines = np.ascontiguousarray(diffs.T) if len(diffs) > diffs.shape[1] else diffs
+    s = np.linalg.svd(_triangular_factor(lines), compute_uv=False)
+    return int(np.count_nonzero(s > s.max() * max(diffs.shape) * np.finfo(float).eps))
+
+
+def _triangular_factor(lines: np.ndarray) -> np.ndarray:
+    """R^T of a Householder QR of lines.T (lines is wide), overwriting lines, with no BLAS call.
+
+    Reflector j is built from line j scaled by its largest entry, so its
+    norm neither overflows nor underflows, and is applied to the lines
+    below it with elementwise products and row sums.  Lines are rows, so
+    every operand is contiguous.
+    """
+    import numpy as np
+
+    count = len(lines)
+    for j in range(count):
+        v = lines[j, j:]
+        top = np.abs(v).max()
+        if top == 0.0:
+            continue
+        v = v / top
+        v0 = float(v[0])
+        norm = math.sqrt((v * v).sum())
+        beta = -norm if v0 >= 0.0 else norm  # opposite to v0, so v0 - beta cancels nothing
+        v[0] = v0 - beta
+        rest = lines[j + 1 :, j:]
+        # 2 / (v . v) = 1 / (norm * (norm + |v0|)) once v0 has moved away from beta
+        rest -= ((rest * v).sum(axis=1) / (norm * (norm + abs(v0))))[:, None] * v
+        lines[j, j] = beta * top
+    return np.tril(lines[:, :count])
 
 
 @dataclass(frozen=True)
@@ -358,16 +410,22 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     (numpy.random.default_rng(seed)): its rotation angle, uniform in
     [0, pi), is draw i; its center x, uniform in the fundamental domain
     [0, r*a), is draw trials + i.  The strip coloring depends on x alone,
-    so the center's y is never drawn.  Reports are therefore reproducible
-    bit for bit and independent of how the work is split.  Trials are
-    drawn and tested in blocks of 8,192, so memory is bounded by the
-    block size and not by `trials`.  For a <= b <= sqrt(3)*a no placement
-    can be monochromatic or rainbow, so both hit counts are zero: a copy
-    rotated by theta spreads its corners over a*|cos theta| + b*|sin theta|
-    in x, which lies in [a, sqrt(a^2 + b^2)] and so in [a, 2a].  A spread of
-    at least a puts the corners in strips whose indices differ by 1 or 2,
-    which have different colors for r >= 3, and a spread of at most 2a puts
-    them in at most three strips.  The range is checked exactly: a <= b,
+    so the center's y is never drawn.  Trials are drawn and tested in
+    blocks of 8,192, so memory is bounded by the block size (per usable
+    core) and not by `trials`.  The blocks are shared out in contiguous
+    runs, one per usable core, each swept on its own thread from
+    generators advanced to its first trial (see _falsify_strip_blocks).
+    Which numbers a trial draws depends on its index alone, and each hit
+    count is a sum of per-trial tests, so reports are reproducible bit for
+    bit and do not depend on the number of cores.
+
+    For a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow,
+    so both hit counts are zero: a copy rotated by theta spreads its
+    corners over a*|cos theta| + b*|sin theta| in x, which lies in
+    [a, sqrt(a^2 + b^2)] and so in [a, 2a].  A spread of at least a puts
+    the corners in strips whose indices differ by 1 or 2, which have
+    different colors for r >= 3, and a spread of at most 2a puts them in
+    at most three strips.  The range is checked exactly: a <= b,
     and b^2 <= 3a^2 in integers over the exact ratios of the two floats,
     so no rounding of sqrt(3)*a can let a b through or turn one away.
 
@@ -401,29 +459,87 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
         raise ValueError(f"r*a + a + b must be finite, with doubles at most a/2^32 apart, got r={r}, a={a}, b={b}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    if trials == 0:
-        return FalsificationReport(0, 0, 0)
     return _falsify_strip_blocks(r, a, b, trials, seed)
 
 
 def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
-    """falsify_strip's sweep, without its range checks, one block of trials at a time.
+    """falsify_strip's sweep, without its range checks, split over the usable cores.
+
+    The blocks of trials are cut into one contiguous run of whole blocks
+    per usable core (os.sched_getaffinity, else os.cpu_count()), at most
+    one run per block.  The calling thread sweeps the first run and a
+    threading.Thread each other one; numpy's draws and array operations
+    release the interpreter lock, so the runs overlap.  With one run no
+    thread is started.  Each run draws from its own generators, advanced to
+    its first trial, so every trial draws the numbers a single sweep draws
+    and is tested in a block of the same size: the hit counts are the same
+    sums, bit for bit, however many runs there are.  Every exit joins every
+    thread.  An exception in any run makes the others stop at their next
+    block, and is re-raised once all have stopped.
+    """
+    import threading
+
+    blocks = -(-trials // _BLOCK)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    runs = max(1, min(cores, blocks))
+    cuts = [blocks * k // runs * _BLOCK for k in range(runs)] + [trials]
+    halt = threading.Event()
+    results: list = [None] * runs
+
+    def sweep(k: int) -> None:
+        try:
+            results[k] = _strip_range(r, a, b, trials, seed, cuts[k], cuts[k + 1], halt)
+        except BaseException as exc:  # re-raised below, on the calling thread
+            halt.set()
+            results[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, runs):
+            thread = threading.Thread(target=sweep, args=(k,))
+            thread.start()
+            threads.append(thread)
+        sweep(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        halt.set()  # after the joins above a no-op; on any other exit it stops the runs
+        for thread in threads:
+            thread.join()
+    mono_hits = rainbow_hits = 0
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        mono_hits += result[0]
+        rainbow_hits += result[1]
+    return FalsificationReport(trials, mono_hits, rainbow_hits)
+
+
+def _strip_range(
+    r: int, a: float, b: float, trials: int, seed: int, start: int, stop: int, halt: threading.Event
+) -> tuple[int, int]:
+    """Mono and rainbow hits of trials start..stop-1 of a falsify_strip sweep of `trials`.
 
     Each PCG64 output is one double, so a generator advanced by k steps
-    continues the stream at draw k.  Corner x is (cx + ux) +- vx or
-    (cx - ux) +- vx, the same sums in the same order as cx + ux + vx, so
-    sharing cx + ux and cx - ux keeps every bit.
+    continues the stream at draw k: trial i's angle is draw i and its
+    center x draw trials + i, whatever start is.  Trials are tested 8,192
+    at a time from start, and the sweep returns early, with the hits so
+    far, once halt is set.  Corner x is (cx + ux) +- vx or (cx - ux) +- vx,
+    the same sums in the same order as cx + ux + vx, so sharing cx + ux and
+    cx - ux keeps every bit.
     """
     import numpy as np
 
-    angles = np.random.Generator(np.random.PCG64(seed))
-    centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials))
+    angles = np.random.Generator(np.random.PCG64(seed).advance(start))
+    centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials + start))
     half_a = a / 2.0
     half_b = b / 2.0
     colors = _corner_colors(r, a, b)
     mono_hits = rainbow_hits = 0
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
+    for first in range(start, stop, _BLOCK):
+        if halt.is_set():
+            break
+        size = min(_BLOCK, stop - first)
         theta = angles.uniform(0.0, math.pi, size)
         cx = centers_x.uniform(0.0, r * a, size)
         ux = half_a * np.cos(theta)
@@ -438,7 +554,7 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
                 (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
             )
             rainbow_hits += int(np.count_nonzero(rainbow))
-    return FalsificationReport(trials, mono_hits, rainbow_hits)
+    return mono_hits, rainbow_hits
 
 
 def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -611,8 +727,13 @@ def verify_triangle_gadget() -> GadgetReport:
     is the least uncovered coloring in row-major order over the axes
     C = (1, 3, ..., 9) and A_i = (1..9).
     """
-    _, triples = triangle_gadget()
-    return _search_gadget(triples)[0]
+    return _search_gadget(_gadget_triples())[0]
+
+
+@cache
+def _gadget_triples() -> tuple[tuple[str, str, str], ...]:
+    """triangle_gadget's triples, computed once per process for verify_triangle_gadget."""
+    return tuple(triangle_gadget()[1])
 
 
 _GADGET_ORDER = ("A", "B", "C", "A1", "A2", "A3", "A4", "A5", "A6")
@@ -620,7 +741,7 @@ _GADGET_ORDER = ("A", "B", "C", "A1", "A2", "A3", "A4", "A5", "A6")
 _GADGET_PAIRS = (("A", "B"), ("B", "C"))
 
 
-def _search_gadget(triples: list[tuple[str, str, str]]) -> tuple[GadgetReport, int]:
+def _search_gadget(triples: Sequence[tuple[str, str, str]]) -> tuple[GadgetReport, int]:
     """verify_triangle_gadget's search over a given list of gadget triples, and its node count."""
     from .search import search_good_point_coloring
 

@@ -787,8 +787,9 @@ def reference_parse_model_text(text: str) -> dict[int, bool]:
 # ---------------------------------------------------------------- geometry sweeps
 #
 # Two whole-array numpy sweeps, kept as the reference for the blocked strip
-# kernel and for the gadget search on the driver, with which they share no
-# code.  numpy is imported inside them so that the grid, graph and SAT tests
+# kernel and for the gadget search on the driver, and the affine rank as one
+# LAPACK SVD of the whole difference matrix; they share no code with what they
+# check.  numpy is imported inside them so that the grid, graph and SAT tests
 # load no numpy through this module.
 
 def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
@@ -819,6 +820,20 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
         (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
     )
     return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()))
+
+
+def reference_affine_rank(config) -> int:
+    """`affine_rank` as numpy.linalg.matrix_rank of the scaled differences to the first point."""
+    import numpy as np
+
+    pts = np.array([p.coords for p in config.points], dtype=float)
+    if np.abs(pts).max(initial=0.0) > np.finfo(float).max / 2:
+        pts /= 2
+    diffs = pts[1:] - pts[0]
+    scale = np.abs(diffs).max(initial=0.0)
+    if scale == 0.0:
+        return 0
+    return int(np.linalg.matrix_rank(diffs / scale))
 
 
 def reference_gadget_sweep(triples: list[tuple[str, str, str]]):

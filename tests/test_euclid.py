@@ -1,10 +1,15 @@
 """Point configurations, congruence, embeddings, colorings, and the gadget."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +36,11 @@ from gallaikit.euclid import (
     triangle_gadget,
     verify_triangle_gadget,
 )
-from gallaikit.euclid import _BLOCK, _corner_colors, _falsify_strip_blocks, _search_gadget
+from gallaikit import euclid
+from gallaikit.euclid import _BLOCK, _corner_colors, _falsify_strip_blocks, _search_gadget, _strip_range
 from gallaikit.grid import CertificateError
 
-from oracles import reference_congruent, reference_falsify_strip, reference_gadget_sweep
+from oracles import reference_affine_rank, reference_congruent, reference_falsify_strip, reference_gadget_sweep
 
 TOL = 1e-9
 
@@ -355,6 +361,25 @@ class TestAffineRank:
         line = [pt("a", -1e308, 0.0), pt("b", 1e308, 0.0), pt("c", 0.0, 0.0)]
         assert affine_rank(Configuration(line)) == 1
         assert affine_rank(Configuration([*line[:2], pt("c", 0.0, 1e300)])) == 2
+
+    def test_matches_the_svd_of_the_whole_matrix(self):
+        ranks = set()
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            k, dim = int(rng.integers(2, 60)), int(rng.integers(1, 50))  # tall and wide
+            generic = rng.uniform(-1.0, 1.0, (k, dim)) * 10.0 ** rng.uniform(-300, 300)
+            # integer factors and a power-of-two scale keep the low rank exact
+            q = int(rng.integers(0, min(k - 1, dim) + 1))
+            factors = rng.integers(-9, 10, (k, q)).astype(float), rng.integers(-9, 10, (q, dim)).astype(float)
+            low = (factors[0] @ factors[1] + rng.integers(-9, 10, dim)) * 2.0 ** int(rng.integers(-996, 997))
+            for x in (generic, low):
+                if seed % 3 == 0:
+                    x = x[rng.integers(0, k, k + int(rng.integers(0, 5)))]  # duplicated points
+                config = Configuration(LabeledPoint(f"p{i}", tuple(row)) for i, row in enumerate(x.tolist()))
+                want = reference_affine_rank(config)
+                assert affine_rank(config) == want, (seed, k, dim)
+                ranks.add(want)
+        assert len(ranks) > 30
 
 
 class TestPairEmbedding:
@@ -790,6 +815,100 @@ class TestStreamedStripFalsifier:
         assert report.mono_hits == report.rainbow_hits == 0
 
 
+def pretend_cores(monkeypatch, cores):
+    """Make the strip falsifier see `cores` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+class TestSplitStripFalsifier:
+    """Runs of whole blocks, one per usable core, add up to the single sweep."""
+
+    # b outside [a, sqrt(3)*a], so that both hit counts are non-zero from r = 4 on
+    CASES = [(3, 1.0, 0.9, 3 * _BLOCK + 17, 41), (4, 0.8, 2.6, 3 * _BLOCK + 17, 42), (5, 0.5, 2.4, 3 * _BLOCK + 17, 43)]
+
+    @pytest.mark.parametrize("r, a, b, trials, seed", CASES)
+    @pytest.mark.parametrize(
+        "cuts", [[1], [_BLOCK - 1], [_BLOCK], [_BLOCK + 1], [1001, 12345, 20000], [1, _BLOCK - 1, _BLOCK, _BLOCK + 1]]
+    )
+    def test_the_kernel_sums_over_any_partition(self, r, a, b, trials, seed, cuts):
+        want = reference_falsify_strip(r, a, b, trials, seed)
+        assert want.mono_hits > 0 and (want.rainbow_hits > 0) is (r >= 4)
+        bounds = [0, *cuts, trials]
+        halt = threading.Event()
+        hits = [_strip_range(r, a, b, trials, seed, lo, hi, halt) for lo, hi in zip(bounds, bounds[1:])]
+        assert (sum(h[0] for h in hits), sum(h[1] for h in hits)) == (want.mono_hits, want.rainbow_hits)
+
+    @pytest.mark.parametrize("r, a, b, trials, seed", CASES + [(4, 0.8, 2.6, 1, 44), (3, 1.0, 0.9, _BLOCK + 1, 45)])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 7])
+    def test_the_threaded_sweep_matches_the_reference(self, monkeypatch, r, a, b, trials, seed, cores):
+        pretend_cores(monkeypatch, cores)
+        assert _falsify_strip_blocks(r, a, b, trials, seed) == reference_falsify_strip(r, a, b, trials, seed)
+
+    def test_one_run_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        pretend_cores(monkeypatch, 1)
+        assert _falsify_strip_blocks(4, 0.8, 2.6, 5 * _BLOCK, 9) == reference_falsify_strip(4, 0.8, 2.6, 5 * _BLOCK, 9)
+        pretend_cores(monkeypatch, 8)
+        assert falsify_strip(3, 1.0, 1.5, _BLOCK, 9) == reference_falsify_strip(3, 1.0, 1.5, _BLOCK, 9)
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_an_exception_in_one_run_stops_the_others_and_propagates(self, monkeypatch, failing):
+        class Boom(Exception):
+            pass
+
+        trials = 10 ** 9  # 30,518 blocks per run, unless the runs stop
+        blocks = -(-trials // _BLOCK)
+        first = {blocks * k // 4 * _BLOCK: k for k in range(4)}
+        real_range, real_colors = euclid._strip_range, euclid._corner_colors
+        swept = []
+
+        def strip_range(r, a, b, trials, seed, start, stop, halt):
+            if first[start] == failing:
+                raise Boom(start)
+            return real_range(r, a, b, trials, seed, start, stop, halt)
+
+        def corner_colors(r, a, b):
+            colors = real_colors(r, a, b)
+            return lambda x: swept.append(None) or colors(x)
+
+        monkeypatch.setattr(euclid, "_strip_range", strip_range)
+        monkeypatch.setattr(euclid, "_corner_colors", corner_colors)
+        pretend_cores(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            _falsify_strip_blocks(3, 1.0, 1.5, trials, 5)
+        assert threading.active_count() == before
+        assert len(swept) < 4 * 10_000  # four corner arrays per block, for at most 10,000 blocks
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_a_process_pinned_to_one_cpu_reports_the_same(self):
+        cases = [*self.CASES, (6, 1.0, 1.6, 2 * 10 ** 5, 46)]
+        script = (
+            "import os, sys\n"
+            "from gallaikit.euclid import _falsify_strip_blocks\n"
+            "print(len(os.sched_getaffinity(0)))\n"
+            f"for case in {cases!r}:\n"
+            "    print(_falsify_strip_blocks(*case))\n"
+        )
+        cpu = min(os.sched_getaffinity(0))
+        src = str(Path(euclid.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "1"
+        assert lines[1:] == [repr(_falsify_strip_blocks(*case)) for case in cases]
+
+
 class TestGadgetBroadcast:
     """The search on the driver reports exactly what the whole-array reference sweep reports."""
 
@@ -799,6 +918,20 @@ class TestGadgetBroadcast:
         assert report == reference_gadget_sweep(triples)
         assert report == verify_triangle_gadget()
         assert nodes == 69
+
+    def test_the_triples_are_computed_once_per_process(self, monkeypatch):
+        report = verify_triangle_gadget()
+        first, second = triangle_gadget(), triangle_gadget()
+        assert first[0] is not second[0] and first[1] is not second[1]
+        first[1].clear()  # a caller's copy is its own
+        assert list(euclid._gadget_triples()) == second[1]
+
+        def recompute():
+            raise AssertionError("the gadget was rebuilt")
+
+        monkeypatch.setattr(euclid, "triangle_gadget", recompute)
+        assert verify_triangle_gadget() == report
+        assert _search_gadget(euclid._gadget_triples())[1] == 69
 
     @pytest.mark.parametrize(
         "drop, holds",
