@@ -11,9 +11,10 @@ monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 All arithmetic is double precision.  Points are tuples of Python floats
 and every distance is math.dist of two of them; numpy runs only the affine
 rank and the strip falsifier, which import it when they run.  The strip
-falsifier sweeps its blocks of trials on one thread per usable core.  The
-affine rank keeps OpenBLAS's thread pool asleep so that those threads get
-the cores: it reduces the difference matrix with a Householder QR in
+falsifier sweeps its blocks of trials on one thread per usable core, up
+to eight, each in buffers it allocates once.  The affine rank keeps
+OpenBLAS's thread pool asleep so that those threads get the cores: it
+reduces the difference matrix with a Householder QR in
 elementwise numpy and gives LAPACK only the small triangular factor.  An
 SVD of the tall matrix (373 x 45 for the r = 3 lattice) is large enough
 for OpenBLAS to run on its pool, and the pool's threads keep spinning for
@@ -37,7 +38,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, starmap
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -65,9 +66,11 @@ class LabeledPoint:
 
     def __post_init__(self) -> None:
         coords = tuple(map(float, self.coords))
-        if not all(map(math.isfinite, coords)):
-            bad = next(x for x in coords if not math.isfinite(x))
-            raise ValueError(f"point {self.label!r} has non-finite coordinate {bad}")
+        # an infinite or nan coordinate makes the sum inf or nan; a finite sum clears them all
+        if not math.isfinite(sum(coords)):
+            bad = next((x for x in coords if not math.isfinite(x)), None)
+            if bad is not None:
+                raise ValueError(f"point {self.label!r} has non-finite coordinate {bad}")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -141,28 +144,32 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
     k = len(a)
-    da = [[math.dist(p.coords, q.coords) for q in a.points] for p in a.points]
-    db = [[math.dist(p.coords, q.coords) for q in b.points] for p in b.points]
-    # the lower triangles: every pairwise distance once
-    sorted_a, sorted_b = [], []
-    for i in range(1, k):
-        sorted_a += da[i][:i]
-        sorted_b += db[i][:i]
-    sorted_a.sort()
-    sorted_b.sort()
-    if max(map(abs, map(sub, sorted_a, sorted_b)), default=0.0) > tol:
+    # each pair (i, j), i < j, once: math.dist(p, q) == math.dist(q, p) bit for bit
+    dist_a = list(starmap(math.dist, combinations([p.coords for p in a.points], 2)))
+    dist_b = list(starmap(math.dist, combinations([p.coords for p in b.points], 2)))
+    if max(map(abs, map(sub, sorted(dist_a), sorted(dist_b))), default=0.0) > tol:
         return None
+    # da[j]: the distances from point j of a to its points 0..j-1; db: every distance of b
+    da: list[list[float]] = [[] for _ in range(k)]
+    db = [[0.0] * k for _ in range(k)]
+    for (i, j), d, e in zip(combinations(range(k), 2), dist_a, dist_b):
+        da[j].append(d)
+        db[i][j] = db[j][i] = e
     mapping = [-1] * k
     used = [False] * k
 
     def place(idx: int) -> bool:
         if idx == k:
             return True
+        row_a = da[idx]
         for cand in range(k):
             if used[cand]:
                 continue
-            row_a, row_b = da[idx], db[cand]
-            if all(abs(row_a[p] - row_b[mapping[p]]) <= tol for p in range(idx)):
+            row_b = db[cand]
+            for d, m in zip(row_a, mapping):
+                if not abs(d - row_b[m]) <= tol:  # so a nan difference, inf - inf, fails
+                    break
+            else:
                 mapping[idx] = cand
                 used[cand] = True
                 if place(idx + 1):
@@ -394,7 +401,7 @@ class FalsificationReport:
 
 
 _BLOCK = 1 << 13  # trials per step of the strip falsifier; a step's 64 KiB arrays stay in L2 cache
-_TABLE_COLORS = 127  # the most colors the strip falsifier's int8 table holds
+_MAX_RUNS = 8  # the most threads the strip falsifier sweeps on; see _falsify_strip_blocks
 
 
 def _square_at_most_thrice(b: float, a: float) -> bool:
@@ -413,7 +420,7 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     so the center's y is never drawn.  Trials are drawn and tested in
     blocks of 8,192, so memory is bounded by the block size (per usable
     core) and not by `trials`.  The blocks are shared out in contiguous
-    runs, one per usable core, each swept on its own thread from
+    runs, one per usable core up to 8, each swept on its own thread from
     generators advanced to its first trial (see _falsify_strip_blocks).
     Which numbers a trial draws depends on its index alone, and each hit
     count is a sum of per-trial tests, so reports are reproducible bit for
@@ -467,21 +474,32 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
 
     The blocks of trials are cut into one contiguous run of whole blocks
     per usable core (os.sched_getaffinity, else os.cpu_count()), at most
-    one run per block.  The calling thread sweeps the first run and a
-    threading.Thread each other one; numpy's draws and array operations
-    release the interpreter lock, so the runs overlap.  With one run no
-    thread is started.  Each run draws from its own generators, advanced to
-    its first trial, so every trial draws the numbers a single sweep draws
-    and is tested in a block of the same size: the hit counts are the same
-    sums, bit for bit, however many runs there are.  Every exit joins every
-    thread.  An exception in any run makes the others stop at their next
-    block, and is re-raised once all have stopped.
+    one run per block and at most _MAX_RUNS = 8 runs.  The calling thread
+    sweeps the first run and a threading.Thread each other one; numpy's
+    draws and array operations release the interpreter lock, so the runs
+    overlap.  With one run no thread is started.  Each run draws from its
+    own generators, advanced to its first trial, so every trial draws the
+    numbers a single sweep draws and is tested in a block of the same
+    size: the hit counts are the same sums, bit for bit, however many runs
+    there are.  Every exit joins every thread.  An exception in any run
+    makes the others stop at their next block, and is re-raised once all
+    have stopped.
+
+    Each extra thread costs about 74 MB of address space, an 8 MB stack
+    and a 64 MB malloc arena, though little memory.  With the usable-core
+    count set in-process, `strip-falsify 3 1 1.5 --trials 20000000`
+    peaks at 152, 223, 370 and 665 MB of address space with 1, 2, 4 and 8
+    runs; without the cap it reached 739 MB with 9 and 813 MB with 10.
+    Eight is the most runs that stay under an address-space limit of
+    800,000 KiB (`ulimit -v 800000`) with room for one more thread: the
+    in-process count does not start the thread OpenBLAS adds per core
+    when numpy is imported, about 42 MB each.
     """
     import threading
 
     blocks = -(-trials // _BLOCK)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    runs = max(1, min(cores, blocks))
+    runs = max(1, min(cores, blocks, _MAX_RUNS))
     cuts = [blocks * k // runs * _BLOCK for k in range(runs)] + [trials]
     halt = threading.Event()
     results: list = [None] * runs
@@ -524,56 +542,90 @@ def _strip_range(
     continues the stream at draw k: trial i's angle is draw i and its
     center x draw trials + i, whatever start is.  Trials are tested 8,192
     at a time from start, and the sweep returns early, with the hits so
-    far, once halt is set.  Corner x is (cx + ux) +- vx or (cx - ux) +- vx,
-    the same sums in the same order as cx + ux + vx, so sharing cx + ux and
-    cx - ux keeps every bit.
+    far, once halt is set.
+
+    The run allocates its buffers once, for a whole block, and every step
+    works in them; the final block, if shorter, uses their leading parts.
+    The four corners of a block are the rows of one (4, n) array, in the
+    order (cx + ux) + vx, (cx + ux) - vx, (cx - ux) + vx, (cx - ux) - vx,
+    so one divide by a, one floor, one cast and one table lookup cover
+    them all; the cast writes the strip indices over the block's draws,
+    which are no longer read once the corners are built.  Every value is the one the whole-array sweep computes, bit
+    for bit: uniform(0, hi) is 0 + hi * u for u = Generator.random(), and
+    0 + hi * u is hi * u exactly, so random(out=) scaled in place by pi
+    and by r*a gives the same angles and centers; a ufunc writing into a
+    buffer rounds as one that allocates its result; and the corners are
+    the same two rounded sums in the same order.
     """
     import numpy as np
 
     angles = np.random.Generator(np.random.PCG64(seed).advance(start))
     centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials + start))
     half_a = a / 2.0
-    half_b = b / 2.0
-    colors = _corner_colors(r, a, b)
+    neg_half_b = -(b / 2.0)
+    span = r * a
+    table = _corner_colors(r, a, b)
+    size = min(_BLOCK, stop - start)
+    draws = np.empty((4, size))
+    theta_buf, cx_buf, ux_buf, vx_buf = draws
+    corner_buf = np.empty(4 * size)
+    index_buf = draws.reshape(-1).view(np.intp)  # the draws are dead once the corners are built
+    mask_buf = np.empty((2, size), dtype=bool)
     mono_hits = rainbow_hits = 0
     for first in range(start, stop, _BLOCK):
         if halt.is_set():
             break
-        size = min(_BLOCK, stop - first)
-        theta = angles.uniform(0.0, math.pi, size)
-        cx = centers_x.uniform(0.0, r * a, size)
-        ux = half_a * np.cos(theta)
-        vx = -half_b * np.sin(theta)
-        right = cx + ux
-        left = cx - ux
-        c0, c1, c2, c3 = map(colors, (right + vx, right - vx, left + vx, left - vx))
-        mono = (c0 == c1) & (c0 == c2) & (c0 == c3)
-        mono_hits += int(np.count_nonzero(mono))
+        n = min(_BLOCK, stop - first)
+        theta, cx, ux, vx = theta_buf[:n], cx_buf[:n], ux_buf[:n], vx_buf[:n]
+        corners = corner_buf[: 4 * n].reshape(4, n)
+        index = index_buf[: 4 * n].reshape(4, n)
+        hit, pair = mask_buf[:, :n]
+        angles.random(out=theta)
+        theta *= math.pi
+        centers_x.random(out=cx)
+        cx *= span
+        np.cos(theta, out=ux)
+        ux *= half_a
+        np.sin(theta, out=vx)
+        vx *= neg_half_b
+        right_up, right_down, left_up, left_down = corners
+        np.add(cx, ux, out=right_up)
+        np.subtract(cx, ux, out=left_up)
+        np.subtract(right_up, vx, out=right_down)
+        right_up += vx
+        np.subtract(left_up, vx, out=left_down)
+        left_up += vx
+        corners /= a
+        np.floor(corners, out=corners)
+        np.copyto(index, corners, casting="unsafe")
+        c0, c1, c2, c3 = table[index]  # raises IndexError outside the table, never a wrong color
+        np.equal(c0, c1, out=hit)
+        for c in (c2, c3):
+            hit &= np.equal(c0, c, out=pair)
+        mono_hits += int(np.count_nonzero(hit))
         if r >= 4:
-            rainbow = (
-                (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
-            )
-            rainbow_hits += int(np.count_nonzero(rainbow))
+            np.not_equal(c0, c1, out=hit)
+            for p, q in ((c0, c2), (c0, c3), (c1, c2), (c1, c3), (c2, c3)):
+                hit &= np.not_equal(p, q, out=pair)
+            rainbow_hits += int(np.count_nonzero(hit))
     return mono_hits, rainbow_hits
 
 
-def _corner_colors(r: int, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The strip color floor(x/a) mod r of each corner x in an array.
+def _corner_colors(r: int, a: float, b: float) -> np.ndarray:
+    """The table of strip colors the strip falsifier reads floor(x/a) mod r from.
 
-    With at most 127 colors this is a lookup of k = floor(x/a) in an int8
-    table of length L, a multiple of r, holding i mod r at index i.  take
-    reads a negative k as L + k, which is congruent to k mod r, so every k
-    in [-L, L) gets exactly its color and any other k raises IndexError.
-    L exceeds both ends of the range falsify_strip's docstring derives
-    for k, so the lookup never raises.
+    Its length L is a multiple of r and it holds i mod r at index i, in
+    the smallest unsigned type that holds r - 1.  Indexing reads a
+    negative k as L + k, which is congruent to k mod r, so every k in
+    [-L, L) gets exactly its color and any other k raises IndexError.  L
+    exceeds both ends of the range falsify_strip's docstring derives for
+    k = floor(x/a), so the lookup never raises; for the largest r it
+    accepts, 2^20 - 3, the table takes 8 MiB.
     """
     import numpy as np
 
-    if r > _TABLE_COLORS:
-        return lambda x: np.floor(x / a).astype(np.int64) % r
     reach = math.ceil((a + b) / (2.0 * a))
-    table = np.tile(np.arange(r, dtype=np.int8), 2 + reach // r)
-    return lambda x: table.take(np.floor(x / a).astype(np.intp))
+    return np.tile(np.arange(r, dtype=np.min_scalar_type(r - 1)), 2 + reach // r)
 
 
 MAX_SEGMENT_STEPS = 10**6  # the longest walk rainbow_segment takes, in steps of length d

@@ -797,14 +797,24 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
 
     Makes no range check on b, so b outside [a, sqrt(3)*a] produces hits.
     """
+    from gallaikit.euclid import FalsificationReport
+
+    mono, rainbow = _reference_strip_hits(r, a, b, trials, seed)
+    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()))
+
+
+def reference_falsify_strip_part(r: int, a: float, b: float, trials: int, seed: int, lo: int, hi: int):
+    """(mono, rainbow) hits among trials lo..hi-1 of the whole-array sweep of `trials`."""
+    mono, rainbow = _reference_strip_hits(r, a, b, trials, seed)
+    return int(mono[lo:hi].sum()), int(rainbow[lo:hi].sum())
+
+
+def _reference_strip_hits(r: int, a: float, b: float, trials: int, seed: int):
+    """Per-trial mono and rainbow flags of the whole-array sweep."""
     import math
 
     import numpy as np
 
-    from gallaikit.euclid import FalsificationReport
-
-    if trials == 0:
-        return FalsificationReport(0, 0, 0)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi, trials)
     cx = rng.uniform(0.0, r * a, trials)
@@ -819,7 +829,7 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
     rainbow = (
         (c0 != c1) & (c0 != c2) & (c0 != c3) & (c1 != c2) & (c1 != c3) & (c2 != c3)
     )
-    return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()))
+    return mono, rainbow
 
 
 def reference_affine_rank(config) -> int:
@@ -903,3 +913,21 @@ def reference_congruent(a, b, tol: float = 1e-9) -> dict[str, str] | None:
     if place(0):
         return {a.points[i].label: b.points[mapping[i]].label for i in range(k)}
     return None
+
+
+def reference_congruent_prechecked(a, b, tol: float = 1e-9) -> dict[str, str] | None:
+    """`congruent` with the sorted-distance pre-check over full distance matrices, then the backtracking."""
+    import math
+
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
+    k = len(a)
+    da = [[math.dist(p.coords, q.coords) for q in a.points] for p in a.points]
+    db = [[math.dist(p.coords, q.coords) for q in b.points] for p in b.points]
+    sorted_a = sorted(da[i][j] for i in range(k) for j in range(i))
+    sorted_b = sorted(db[i][j] for i in range(k) for j in range(i))
+    if max((abs(x - y) for x, y in zip(sorted_a, sorted_b)), default=0.0) > tol:
+        return None
+    return reference_congruent(a, b, tol)

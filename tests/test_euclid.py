@@ -40,7 +40,14 @@ from gallaikit import euclid
 from gallaikit.euclid import _BLOCK, _corner_colors, _falsify_strip_blocks, _search_gadget, _strip_range
 from gallaikit.grid import CertificateError
 
-from oracles import reference_affine_rank, reference_congruent, reference_falsify_strip, reference_gadget_sweep
+from oracles import (
+    reference_affine_rank,
+    reference_congruent,
+    reference_congruent_prechecked,
+    reference_falsify_strip,
+    reference_falsify_strip_part,
+    reference_gadget_sweep,
+)
 
 TOL = 1e-9
 
@@ -68,6 +75,27 @@ class TestDistance:
     def test_nonfinite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             pt("a", float("nan"), 0)
+
+    def test_coordinates_whose_sum_overflows_are_accepted(self):
+        assert sum((1e308, 1e308)) == math.inf
+        assert pt("a", 1e308, 1e308).coords == (1e308, 1e308)
+        assert pt("a", -1e308, -1e308, 1e308).coords == (-1e308, -1e308, 1e308)
+
+    @pytest.mark.parametrize(
+        "coords, bad",
+        [
+            ((1e308, math.inf), "inf"),
+            ((-math.inf, 1e308), "-inf"),
+            ((math.inf, -math.inf), "inf"),
+            ((math.nan, 1.0), "nan"),
+            ((1e308, 1e308, math.nan), "nan"),
+            ((1.0, -math.inf, math.nan), "-inf"),
+        ],
+    )
+    def test_first_nonfinite_coordinate_is_named(self, coords, bad):
+        with pytest.raises(ValueError) as caught:
+            pt("a", *coords)
+        assert str(caught.value) == f"point 'a' has non-finite coordinate {bad}"
 
 
 class TestConfiguration:
@@ -251,6 +279,54 @@ class TestSortedDistancePreCheck:
             rect = emb.rectangle_configuration(i, i2, j, j2)
             assert congruent(rect, ref) == reference_congruent(rect, ref) is not None
             assert congruent(rect, wrong) is reference_congruent(rect, wrong) is None
+
+
+class TestCongruentMapping:
+    """congruent returns the very mapping of the full-matrix algorithm with its pre-check."""
+
+    @staticmethod
+    def nudged(config, rng, size, prefix):
+        """A copy of config with every coordinate moved by at most size, its points shuffled."""
+        order = list(config.points)
+        rng.shuffle(order)
+        return Configuration(
+            LabeledPoint(f"{prefix}{k}", [x + rng.uniform(-size, size) for x in p.coords]) for k, p in enumerate(order)
+        )
+
+    def test_seeded_configurations(self):
+        rng = random.Random(34)
+        found = missed = 0
+        for case in range(400):
+            k = rng.randint(3, 6)
+            if case % 4 == 0:
+                # a regular simplex: every distance within 1e-9 of every other, so the
+                # search meets many candidates that pass and the first one must win
+                a = self.nudged(regular_simplex(k - 1, rng.uniform(0.5, 2.0)), rng, 1e-11, "p")
+            elif case % 4 == 1:
+                # a square or rectangle with near-equal sides, plus points on the grid
+                side = rng.uniform(0.5, 2.0)
+                grid = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)][:k]
+                a = Configuration(
+                    LabeledPoint(f"p{i}", (x * side, y * (side + rng.uniform(-4e-10, 4e-10))))
+                    for i, (x, y) in enumerate(grid)
+                )
+            else:
+                dim = rng.randint(1, 4)
+                a = Configuration(
+                    LabeledPoint(f"p{i}", [rng.uniform(-3, 3) for _ in range(dim)]) for i in range(k)
+                )
+            for b in (self.nudged(a, rng, 1e-10, "q"), self.nudged(a, rng, 1e-9, "q"), self.nudged(a, rng, 0.1, "q")):
+                for tol in (1e-12, 1e-9, 1e-6):
+                    want = reference_congruent_prechecked(a, b, tol)
+                    assert congruent(a, b, tol) == want, (case, tol)
+                    found += want is not None
+                    missed += want is None
+        assert found >= 1000 and missed >= 1000
+
+    def test_infinite_distances_never_match(self):
+        # math.dist overflows to inf, and inf - inf is nan, which fails the tolerance
+        a = Configuration([pt("x", -1e308, 0.0), pt("y", 1e308, 0.0), pt("z", 0.0, 0.0)])
+        assert congruent(a, a) is None and reference_congruent_prechecked(a, a) is None
 
 
 class TestRegularSimplex:
@@ -789,24 +865,34 @@ class TestStreamedStripFalsifier:
             seed = rng.randrange(2 ** 32)
             assert _falsify_strip_blocks(r, a, b, 3000, seed) == reference_falsify_strip(r, a, b, 3000, seed)
 
-    @pytest.mark.parametrize("r, b", [(3, 1.5), (5, 1.0), (4, 2.5), (127, 9.0)])
+    @pytest.mark.parametrize("r", [127, 128, 1000])
+    @pytest.mark.parametrize("b, seed", [(0.9, 51), (2.6, 52)])
+    def test_one_table_for_many_colors(self, r, b, seed):
+        # b outside [a, sqrt(3)*a]: below it whole placements fit in one strip, above
+        # it placements span four strips
+        report = _falsify_strip_blocks(r, 1.0, b, 2 * _BLOCK + 3, seed)
+        assert report == reference_falsify_strip(r, 1.0, b, 2 * _BLOCK + 3, seed)
+        assert (report.mono_hits > 0) is (b < 1.0) and (report.rainbow_hits > 0) is (b > 2.0)
+
+    @pytest.mark.parametrize("r, b", [(3, 1.5), (5, 1.0), (4, 2.5), (127, 9.0), (128, 1.2), (1000, 1.7), (2**20 - 3, 1.0)])
     def test_color_table_is_exact_or_raises(self, r, b):
-        colors = _corner_colors(r, 1.0, b)
+        table = _corner_colors(r, 1.0, b)
+        assert table.dtype == np.min_scalar_type(r - 1)
 
         def fits(k):
             try:
-                colors(np.array([k + 0.5]))
+                table[np.array([k])]
             except IndexError:
                 return False
             return True
 
-        inside = [k for k in range(-3 * r - 10, 3 * r + 10) if fits(k)]
         # the table accepts one whole range [-L, L), L a multiple of r covering the bound
-        length = inside[-1] + 1
-        assert inside == list(range(-length, length)) and length % r == 0
+        length = len(table)
+        assert [k for k in (-length - 1, -length, length - 1, length) if fits(k)] == [-length, length - 1]
+        assert length % r == 0
         assert length > r + math.ceil((1.0 + b) / 2) and length > math.ceil((1.0 + b) / 2) + 1
-        x = np.array(inside, dtype=float) + 0.5
-        assert colors(x).tolist() == [k % r for k in inside]
+        inside = np.arange(-length, length)
+        assert np.array_equal(table[inside], inside % r)
 
     @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_public_falsifier_matches_reference_at_block_edges(self, trials):
@@ -838,11 +924,54 @@ class TestSplitStripFalsifier:
         hits = [_strip_range(r, a, b, trials, seed, lo, hi, halt) for lo, hi in zip(bounds, bounds[1:])]
         assert (sum(h[0] for h in hits), sum(h[1] for h in hits)) == (want.mono_hits, want.rainbow_hits)
 
+    @pytest.mark.parametrize("r, a, b, seed", [(3, 1.0, 0.9, 61), (4, 0.8, 2.6, 62), (5, 0.5, 2.4, 63)])
+    @pytest.mark.parametrize(
+        "trials, cuts",
+        [
+            (5000, []),
+            (5000, [4999]),
+            (5000, [1, 2, 2500, 4999]),
+            (_BLOCK - 1, [_BLOCK - 2]),
+            (3 * _BLOCK + 1, [3 * _BLOCK]),
+            (3 * _BLOCK + 1, [_BLOCK, 2 * _BLOCK, 3 * _BLOCK]),
+            (2 * _BLOCK + 17, [_BLOCK + 16, 2 * _BLOCK + 16]),
+        ],
+    )
+    def test_the_buffered_kernel_on_short_and_single_trial_blocks(self, r, a, b, seed, trials, cuts):
+        # short sweeps and final one-trial blocks sweep leading parts of the run's buffers
+        want = reference_falsify_strip(r, a, b, trials, seed)
+        assert want.mono_hits > 0 and (want.rainbow_hits > 0) is (r >= 4)
+        bounds = [0, *cuts, trials]
+        halt = threading.Event()
+        hits = [_strip_range(r, a, b, trials, seed, lo, hi, halt) for lo, hi in zip(bounds, bounds[1:])]
+        assert (sum(h[0] for h in hits), sum(h[1] for h in hits)) == (want.mono_hits, want.rainbow_hits)
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = reference_falsify_strip_part(r, a, b, trials, seed, lo, hi)
+            assert _strip_range(r, a, b, trials, seed, lo, hi, halt) == part, (lo, hi)
+
+    def test_an_empty_range_sweeps_nothing(self):
+        assert _strip_range(4, 0.8, 2.6, 100, 1, 100, 100, threading.Event()) == (0, 0)
+
     @pytest.mark.parametrize("r, a, b, trials, seed", CASES + [(4, 0.8, 2.6, 1, 44), (3, 1.0, 0.9, _BLOCK + 1, 45)])
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 7])
     def test_the_threaded_sweep_matches_the_reference(self, monkeypatch, r, a, b, trials, seed, cores):
         pretend_cores(monkeypatch, cores)
         assert _falsify_strip_blocks(r, a, b, trials, seed) == reference_falsify_strip(r, a, b, trials, seed)
+
+    @pytest.mark.parametrize("cores, runs", [(2, 2), (8, 8), (9, 8), (64, 8)])
+    def test_runs_are_capped_at_eight(self, monkeypatch, cores, runs):
+        # each extra thread reserves about 74 MB of address space
+        real_range, starts = euclid._strip_range, []
+
+        def strip_range(r, a, b, trials, seed, start, stop, halt):
+            starts.append(start)
+            return real_range(r, a, b, trials, seed, start, stop, halt)
+
+        monkeypatch.setattr(euclid, "_strip_range", strip_range)
+        pretend_cores(monkeypatch, cores)
+        trials = 16 * _BLOCK + 5
+        assert _falsify_strip_blocks(4, 0.8, 2.6, trials, 47) == reference_falsify_strip(4, 0.8, 2.6, trials, 47)
+        assert sorted(starts) == [17 * k // runs * _BLOCK for k in range(runs)]
 
     def test_one_run_starts_no_thread(self, monkeypatch):
         def refuse(self):
@@ -862,7 +991,7 @@ class TestSplitStripFalsifier:
         trials = 10 ** 9  # 30,518 blocks per run, unless the runs stop
         blocks = -(-trials // _BLOCK)
         first = {blocks * k // 4 * _BLOCK: k for k in range(4)}
-        real_range, real_colors = euclid._strip_range, euclid._corner_colors
+        real_range, real_event = euclid._strip_range, threading.Event
         swept = []
 
         def strip_range(r, a, b, trials, seed, start, stop, halt):
@@ -870,18 +999,21 @@ class TestSplitStripFalsifier:
                 raise Boom(start)
             return real_range(r, a, b, trials, seed, start, stop, halt)
 
-        def corner_colors(r, a, b):
-            colors = real_colors(r, a, b)
-            return lambda x: swept.append(None) or colors(x)
+        class CountingEvent(real_event):
+            """The sweeps' stop flag, which every run reads once per block."""
+
+            def is_set(self):
+                swept.append(None)
+                return super().is_set()
 
         monkeypatch.setattr(euclid, "_strip_range", strip_range)
-        monkeypatch.setattr(euclid, "_corner_colors", corner_colors)
+        monkeypatch.setattr(threading, "Event", CountingEvent)
         pretend_cores(monkeypatch, 4)
         before = threading.active_count()
         with pytest.raises(Boom):
             _falsify_strip_blocks(3, 1.0, 1.5, trials, 5)
         assert threading.active_count() == before
-        assert len(swept) < 4 * 10_000  # four corner arrays per block, for at most 10,000 blocks
+        assert len(swept) < 10_000  # one check per block, for at most 10,000 blocks
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_a_process_pinned_to_one_cpu_reports_the_same(self):
