@@ -8,17 +8,13 @@ constructive rainbow-segment walk, and the nine-point gadget whose finite
 enumeration establishes that every coloring of 3-space contains a
 monochromatic or rainbow 30-60-90 triangle with unit hypotenuse.
 
-All arithmetic is double precision.  Points are tuples of Python floats
-and every distance is math.dist of two of them; numpy runs only the affine
-rank and the strip falsifier, which import it when they run.  The strip
-falsifier sweeps its blocks of trials on one thread per usable core, up
-to eight, each in buffers it allocates once.  The affine rank keeps
-OpenBLAS's thread pool asleep so that those threads get the cores: it
-reduces the difference matrix with a Householder QR in
-elementwise numpy and gives LAPACK only the small triangular factor.  An
-SVD of the tall matrix (373 x 45 for the r = 3 lattice) is large enough
-for OpenBLAS to run on its pool, and the pool's threads keep spinning for
-about 130 ms after the call.  The gadget is an instance of
+All arithmetic is double precision, except where the strip falsifier
+screens its trials in single precision and recomputes in double every
+trial the screen cannot settle, so its reports are those of a double
+sweep.  Points are tuples of Python floats and every distance is
+math.dist of two of them; numpy runs only the affine rank (one
+numpy.linalg.matrix_rank) and the strip falsifier (in blocks, on the
+calling thread), which import it when they run.  The gadget is an instance of
 `search.search_good_point_coloring`: its nine points, the pairs {A, B}
 and {B, C} and its 20 triples as sets that may not be monochromatic, and
 the same 20 triples as sets that may not be rainbow.
@@ -35,7 +31,6 @@ tol=1e-6.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, starmap
@@ -45,8 +40,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from .grid import CertificateError, read_uint, split_strict
 
 if TYPE_CHECKING:
-    import threading
-
     import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -207,18 +200,10 @@ def affine_rank(config: Configuration) -> int:
     """Dimension of the affine span: the numerical rank of the differences to the first point.
 
     The differences are divided by their largest absolute entry, so the
-    singular values neither overflow nor underflow, and the cutoff is
-    numpy.linalg.matrix_rank's, s.max() * max(rows, cols) * eps, relative
-    to the largest of them, so the rank does not depend on the scale of
-    the configuration.  The singular values are taken from the triangular
-    factor of a Householder QR of the difference matrix (or of its
-    transpose, whichever is tall), which has the same singular values up
-    to rounding.  The QR is elementwise numpy and makes no BLAS call, and
-    LAPACK sees only the factor, min(rows, cols) on a side (45 for the
-    r = 3 lattice).  An SVD of the tall matrix itself (373 x 45) is large
-    enough for OpenBLAS to run it on its thread pool, whose threads then
-    spin for about 130 ms and hold the cores that the strip falsifier's
-    threads need.
+    singular values neither overflow nor underflow, and the rank is
+    numpy.linalg.matrix_rank's, whose cutoff, s.max() * max(rows, cols) *
+    eps, is relative to the largest singular value, so the rank does not
+    depend on the scale of the configuration.
     """
     import numpy as np
 
@@ -229,39 +214,7 @@ def affine_rank(config: Configuration) -> int:
     scale = np.abs(diffs).max(initial=0.0)
     if scale == 0.0:
         return 0
-    diffs /= scale
-    # one row per column of the tall one of diffs and diffs.T
-    lines = np.ascontiguousarray(diffs.T) if len(diffs) > diffs.shape[1] else diffs
-    s = np.linalg.svd(_triangular_factor(lines), compute_uv=False)
-    return int(np.count_nonzero(s > s.max() * max(diffs.shape) * np.finfo(float).eps))
-
-
-def _triangular_factor(lines: np.ndarray) -> np.ndarray:
-    """R^T of a Householder QR of lines.T (lines is wide), overwriting lines, with no BLAS call.
-
-    Reflector j is built from line j scaled by its largest entry, so its
-    norm neither overflows nor underflows, and is applied to the lines
-    below it with elementwise products and row sums.  Lines are rows, so
-    every operand is contiguous.
-    """
-    import numpy as np
-
-    count = len(lines)
-    for j in range(count):
-        v = lines[j, j:]
-        top = np.abs(v).max()
-        if top == 0.0:
-            continue
-        v = v / top
-        v0 = float(v[0])
-        norm = math.sqrt((v * v).sum())
-        beta = -norm if v0 >= 0.0 else norm  # opposite to v0, so v0 - beta cancels nothing
-        v[0] = v0 - beta
-        rest = lines[j + 1 :, j:]
-        # 2 / (v . v) = 1 / (norm * (norm + |v0|)) once v0 has moved away from beta
-        rest -= ((rest * v).sum(axis=1) / (norm * (norm + abs(v0))))[:, None] * v
-        lines[j, j] = beta * top
-    return np.tril(lines[:, :count])
+    return int(np.linalg.matrix_rank(diffs / scale))
 
 
 @dataclass(frozen=True)
@@ -400,8 +353,12 @@ class FalsificationReport:
     rainbow_hits: int
 
 
-_BLOCK = 1 << 13  # trials per step of the strip falsifier; a step's 64 KiB arrays stay in L2 cache
-_MAX_RUNS = 8  # the most threads the strip falsifier sweeps on; see _falsify_strip_blocks
+_BLOCK = 1 << 14  # trials per step of the strip falsifier; a step's arrays stay in L2 cache
+
+#: The bound the strip screen rests on: for every double t in [0, pi],
+#: |cos(float32(t)) - cos(t)| and |sin(float32(t)) - sin(t)| are at most this,
+#: numpy's float32 trig against its float64 trig.  Observed: about 1.6e-7.
+TRIG_ERR = 2.0**-12
 
 
 def _square_at_most_thrice(b: float, a: float) -> bool:
@@ -418,13 +375,11 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     [0, pi), is draw i; its center x, uniform in the fundamental domain
     [0, r*a), is draw trials + i.  The strip coloring depends on x alone,
     so the center's y is never drawn.  Trials are drawn and tested in
-    blocks of 8,192, so memory is bounded by the block size (per usable
-    core) and not by `trials`.  The blocks are shared out in contiguous
-    runs, one per usable core up to 8, each swept on its own thread from
-    generators advanced to its first trial (see _falsify_strip_blocks).
-    Which numbers a trial draws depends on its index alone, and each hit
-    count is a sum of per-trial tests, so reports are reproducible bit for
-    bit and do not depend on the number of cores.
+    blocks of 16,384 on the calling thread, so memory is bounded by the
+    block size and not by `trials`.  Which numbers a trial draws depends
+    on its index alone, and each hit count is a sum of per-trial tests, so
+    reports are reproducible bit for bit and do not depend on the block
+    size.
 
     For a <= b <= sqrt(3)*a no placement can be monochromatic or rainbow,
     so both hit counts are zero: a copy rotated by theta spreads its
@@ -436,24 +391,20 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
     and b^2 <= 3a^2 in integers over the exact ratios of the two floats,
     so no rounding of sqrt(3)*a can let a b through or turn one away.
 
-    A corner's color is read from a table indexed by floor(x/a).  Every
-    corner lies within (a + b)/2 of its center x, which lies in [0, r*a],
-    so floor(x/a) lies in [floor(-(a+b)/(2a)) - 1, r + ceil((a+b)/(2a))];
-    the extra -1 absorbs rounding below an integer.  The table covers that
-    range and gives the exact color of any index it accepts; an index
-    outside it raises IndexError, so a wrong bound can never give a wrong
-    color.  For r < 4 the rainbow test is skipped: four corners cannot take
-    four distinct colors out of three, so the rainbow count is exactly 0.
-
-    The sweep rounds.  With u = math.ulp(E), E = r*a + a + b, no corner
-    exceeds E in size, so a computed x/a (two rounded sums of cx and the
-    rounded ux and vx, then a division) lies within 4u/a of the exact one at
-    the drawn angle and center.  A false hit needs a corner within 4u of a
-    strip boundary (probability at most 32u/a) and a spread within 8u of a
-    or 2a, so E must be finite and u at most a/2^32, which keeps false hits
-    below 2^-40 per trial.  As E/2^53 < u <= E/2^52 for normal E, that
-    accepts every r up to 2^20 - 3 for every normal a, none from 2^21 on,
-    and keeps floor(x/a) below 2^21; at r*a = 10^16 the spacing is 2.
+    The verdicts are those of a sweep in doubles: a trial with draws u
+    and w has the angle pi*u and the center x cx = (r*a)*w, its corners
+    are (cx +- ux) +- vx with ux = cos(angle)*(a/2) and vx =
+    sin(angle)*(-b/2), and a corner's color is floor(x/a) mod r.
+    _StripScreen finds these floors, mostly in single precision.  The
+    sweep rounds.  With u = math.ulp(E), E = r*a + a + b, no corner
+    exceeds E in size, so a computed x/a lies within 4u/a of the exact one
+    at the drawn angle and center.  A false hit needs a corner within 4u
+    of a strip boundary (probability at most 32u/a) and a spread within 8u
+    of a or 2a, so E must be finite and u at most a/2^32, which keeps
+    false hits below 2^-40 per trial.  As E/2^53 < u <= E/2^52 for normal
+    E, that accepts every r up to 2^20 - 3 for every normal a, none from
+    2^21 on, and keeps floor(x/a) below 2^21; at r*a = 10^16 the spacing
+    is 2.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
@@ -470,162 +421,184 @@ def falsify_strip(r: int, a: float, b: float, trials: int, seed: int) -> Falsifi
 
 
 def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) -> FalsificationReport:
-    """falsify_strip's sweep, without its range checks, split over the usable cores.
+    """falsify_strip's sweep, without its range checks, in blocks on the calling thread.
 
-    The blocks of trials are cut into one contiguous run of whole blocks
-    per usable core (os.sched_getaffinity, else os.cpu_count()), at most
-    one run per block and at most _MAX_RUNS = 8 runs.  The calling thread
-    sweeps the first run and a threading.Thread each other one; numpy's
-    draws and array operations release the interpreter lock, so the runs
-    overlap.  With one run no thread is started.  Each run draws from its
-    own generators, advanced to its first trial, so every trial draws the
-    numbers a single sweep draws and is tested in a block of the same
-    size: the hit counts are the same sums, bit for bit, however many runs
-    there are.  Every exit joins every thread.  An exception in any run
-    makes the others stop at their next block, and is re-raised once all
-    have stopped.
+    Each PCG64 output is one double, so a generator advanced by `trials`
+    steps continues the stream at draw `trials`, and Generator.random(out=)
+    continues each stream where the previous block stopped.  A block's
+    draws go to a _StripScreen, which gives each trial the code of its
+    corners' strip indices, and one np.take from the table that
+    _verdict_table builds once per call turns the codes into verdicts,
+    0 (neither), 1 (mono) and 2 (rainbow).  The draw buffers are
+    allocated once, as are the screen's; a shorter final block uses their
+    leading parts.
 
-    Each extra thread costs about 74 MB of address space, an 8 MB stack
-    and a 64 MB malloc arena, though little memory.  With the usable-core
-    count set in-process, `strip-falsify 3 1 1.5 --trials 20000000`
-    peaks at 152, 223, 370 and 665 MB of address space with 1, 2, 4 and 8
-    runs; without the cap it reached 739 MB with 9 and 813 MB with 10.
-    Eight is the most runs that stay under an address-space limit of
-    800,000 KiB (`ulimit -v 800000`) with room for one more thread: the
-    in-process count does not start the thread OpenBLAS adds per core
-    when numpy is imported, about 42 MB each.
+    No thread is started, so the address space does not grow with the
+    number of cores: `strip-falsify 3 1 1.5 --trials 20000000` peaks at
+    153 MB of VmPeak on a 2-core machine, about 42 MB of it per core for
+    the thread pool OpenBLAS starts when numpy is imported.  A sweep split
+    into one run per core, each further run on its own thread, peaked at
+    223 MB there: each thread reserves an 8 MB stack and a 64 MB malloc
+    arena.  On the screened block step two threads gained under 4 %.
     """
-    import threading
+    import numpy as np
 
-    blocks = -(-trials // _BLOCK)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    runs = max(1, min(cores, blocks, _MAX_RUNS))
-    cuts = [blocks * k // runs * _BLOCK for k in range(runs)] + [trials]
-    halt = threading.Event()
-    results: list = [None] * runs
-
-    def sweep(k: int) -> None:
-        try:
-            results[k] = _strip_range(r, a, b, trials, seed, cuts[k], cuts[k + 1], halt)
-        except BaseException as exc:  # re-raised below, on the calling thread
-            halt.set()
-            results[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, runs):
-            thread = threading.Thread(target=sweep, args=(k,))
-            thread.start()
-            threads.append(thread)
-        sweep(0)
-        for thread in threads:
-            thread.join()
-    finally:
-        halt.set()  # after the joins above a no-op; on any other exit it stops the runs
-        for thread in threads:
-            thread.join()
+    size = min(_BLOCK, trials)
+    screen = _StripScreen(r, a, b, size)
+    table = _verdict_table(r, screen.base)
+    angles = np.random.default_rng(seed)
+    centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials))
+    turns_buf, shares_buf = np.empty((2, size))
     mono_hits = rainbow_hits = 0
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-        mono_hits += result[0]
-        rainbow_hits += result[1]
+    for first in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - first)
+        turns, shares = turns_buf[:n], shares_buf[:n]
+        angles.random(out=turns)
+        centers_x.random(out=shares)
+        codes, _ = screen(turns, shares)
+        verdicts = np.take(table, codes, mode="raise")
+        found = int(np.count_nonzero(verdicts))  # mono + rainbow
+        if found:
+            rainbow = int(verdicts.sum()) - found  # the sum is mono + 2 * rainbow
+            mono_hits += found - rainbow
+            rainbow_hits += rainbow
     return FalsificationReport(trials, mono_hits, rainbow_hits)
 
 
-def _strip_range(
-    r: int, a: float, b: float, trials: int, seed: int, start: int, stop: int, halt: threading.Event
-) -> tuple[int, int]:
-    """Mono and rainbow hits of trials start..stop-1 of a falsify_strip sweep of `trials`.
+class _StripScreen:
+    """The strip falsifier's block step: the code of each trial's four strip indices.
 
-    Each PCG64 output is one double, so a generator advanced by k steps
-    continues the stream at draw k: trial i's angle is draw i and its
-    center x draw trials + i, whatever start is.  Trials are tested 8,192
-    at a time from start, and the sweep returns early, with the hits so
-    far, once halt is set.
+    A trial draws u (its angle's) and w (its center's).  Its corners, in
+    the order (cx + ux) + vx, (cx + ux) - vx, (cx - ux) + vx and
+    (cx - ux) - vx, get the strip indices k0..k3, k = floor(x/a) of the
+    double x/a that falsify_strip's docstring defines.  Their colors are
+    k mod r, so the verdict depends only on r and d_i = k_i - k0.  Each
+    |d_i| <= 2J (below), and the trial's code is (d1 + 2J)*B^2 +
+    (d2 + 2J)*B + (d3 + 2J) for B = base = 4J + 1, one of 0..B^3 - 1.
 
-    The run allocates its buffers once, for a whole block, and every step
-    works in them; the final block, if shorter, uses their leading parts.
-    The four corners of a block are the rows of one (4, n) array, in the
-    order (cx + ux) + vx, (cx + ux) - vx, (cx - ux) + vx, (cx - ux) - vx,
-    so one divide by a, one floor, one cast and one table lookup cover
-    them all; the cast writes the strip indices over the block's draws,
-    which are no longer read once the corners are built.  Every value is the one the whole-array sweep computes, bit
-    for bit: uniform(0, hi) is 0 + hi * u for u = Generator.random(), and
-    0 + hi * u is hi * u exactly, so random(out=) scaled in place by pi
-    and by r*a gives the same angles and centers; a ufunc writing into a
-    buffer rounds as one that allocates its result; and the corners are
-    the same two rounded sums in the same order.
+    The screen.  K = floor(r*w) and the fraction f = r*w - K come from the
+    double r*w; with c = cos(t)/2 and s = -(b/2a)*sin(t) from float32 trig
+    of t = float32(pi*u), the corner offsets o = (f +- c) +- s are summed
+    in float32, and j = floor(o) is the screened k - K.  Nothing of this
+    depends on r but f.  A trial with a corner whose o lies within eps of
+    an integer, |(o - j) - 1/2| > 1/2 - eps, is recomputed from its draws
+    with the double expressions, pi*u, (r*a)*w, cos(angle)*(a/2),
+    sin(angle)*(-b/2), the two sums in order, /a and floor: about 0.2-0.3 %
+    of trials, at every r.
+
+    Soundness.  Let h = 1/2 + b/(2a) and X one of the sweep's doubles
+    x/a.  The screen is sound exactly when the TRIG_ERR bound holds (a
+    test checks it at over 10^6 angles): then c and s are within
+    TRIG_ERR/2 and (b/2a)*TRIG_ERR of cos(angle)/2 and -(b/2a)*sin(angle)
+    for the double cos and sin of the sweep's angle, a sum of TRIG_ERR*h.
+    Every other error is below 2^-20*(1 + h): X is within 5u/a <= 2^-29
+    of r*w + cos(angle)/2 - (b/2a)*sin(angle) (or its other three sign
+    patterns) in exact arithmetic, the 4u/a of falsify_strip's docstring
+    and u/a for cx; the double r*w is within 2^-32 of r*w; f's rounding
+    to float32 is at most 2^-25, the float32 factor b/2a and product at
+    most h*2^-23, the two float32 sums (1 + h)*2^-23, and the float32
+    test itself 2^-24.  So with eps = TRIG_ERR*h + 2^-20*(1 + h),
+    o and X - K lie on the same side of every integer whenever the trial
+    is not recomputed, and j = floor(X) - K.  Both o and X - K lie within
+    2*eps of [-h, 1 + h), as f is in [0, 1), so j and floor(X) - K lie in
+    [-J, J] for J = floor(h + 2*eps) + 1, and the d_i in [-2J, 2J].  For
+    a <= b <= sqrt(3)*a, J = 2 and the table has 9^3 entries.
+    """
+
+    def __init__(self, r: int, a: float, b: float, size: int):
+        import numpy as np
+
+        half = 0.5 + b / (2.0 * a)
+        self.eps = TRIG_ERR * half + 2.0**-20 * (1.0 + half)
+        self.base = 4 * (math.floor(half + 2.0 * self.eps) + 1) + 1
+        self._r, self._a, self._span = r, a, r * a
+        self._half_a, self._neg_half_b = a / 2.0, -(b / 2.0)
+        self._ratio = np.float32(-(b / (2.0 * a)))
+        self._limit = np.float32(0.5 - self.eps)
+        self._singles = np.empty((4, size), dtype=np.float32)
+        self._doubles = np.empty((2, size))
+        self._corners = np.empty((2, 4 * size), dtype=np.float32)
+        self._near = np.empty(size, dtype=bool)
+        self._codes = np.empty(size, dtype=np.intp)
+
+    def __call__(self, turns: np.ndarray, shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the trials with draws turns[i] and shares[i], and which were recomputed.
+
+        The codes are a view of the screen's buffer, valid until its next call.
+        """
+        import numpy as np
+
+        n = len(turns)
+        angle, cos, sin, frac = (buf[:n] for buf in self._singles)
+        scaled, whole = (buf[:n] for buf in self._doubles)
+        offsets, floors = (buf[: 4 * n].reshape(4, n) for buf in self._corners)
+        near, codes = self._near[:n], self._codes[:n]
+        np.multiply(turns, math.pi, out=angle)  # the double angle, rounded to float32
+        np.cos(angle, out=cos)
+        cos *= 0.5
+        np.sin(angle, out=sin)
+        sin *= self._ratio
+        np.multiply(shares, self._r, out=scaled)
+        np.floor(scaled, out=whole)
+        np.subtract(scaled, whole, out=frac)  # exact in doubles, then rounded to float32
+        o0, o1, o2, o3 = offsets
+        np.add(frac, cos, out=o0)
+        np.subtract(frac, cos, out=o2)
+        np.subtract(o0, sin, out=o1)
+        o0 += sin
+        np.subtract(o2, sin, out=o3)
+        o2 += sin
+        np.floor(offsets, out=floors)
+        offsets -= floors  # each offset's fraction
+        offsets -= 0.5
+        np.abs(offsets, out=offsets)
+        np.max(offsets, axis=0, out=frac)
+        np.greater(frac, self._limit, out=near)
+        k0, k1, k2, k3 = floors
+        base = self.base
+        k1 *= base
+        k1 += k2
+        k1 *= base
+        k1 += k3
+        k0 *= -(base * base + base + 1)
+        k0 += base**3 // 2
+        np.add(k1, k0, out=codes, casting="unsafe")  # small integers, exact in float32
+        exact = np.flatnonzero(near)
+        if len(exact):
+            codes[exact] = self._exact_codes(turns[exact], shares[exact])
+        return codes, exact
+
+    def _exact_codes(self, turns: np.ndarray, shares: np.ndarray) -> np.ndarray:
+        """The codes of these trials from the double sweep's own expressions."""
+        import numpy as np
+
+        angle = turns * math.pi
+        cx = shares * self._span
+        ux = np.cos(angle) * self._half_a
+        vx = np.sin(angle) * self._neg_half_b
+        right, left = cx + ux, cx - ux
+        k0, k1, k2, k3 = np.floor(np.stack([right + vx, right - vx, left + vx, left - vx]) / self._a)
+        base = self.base
+        return (((k1 - k0) * base + (k2 - k0)) * base + (k3 - k0) + base**3 // 2).astype(np.intp)
+
+
+def _verdict_table(r: int, base: int) -> np.ndarray:
+    """The verdict of every code of _StripScreen with this base, for r colors.
+
+    Entry (d1 + R)*base^2 + (d2 + R)*base + (d3 + R), R = base // 2 and
+    each |d_i| <= R, is 1 if the strip indices 0, d1, d2, d3 have one
+    color mod r, 2 if they have four (never for r < 4) and 0 otherwise.
+    np.take(..., mode="raise") raises on a code past the end.
     """
     import numpy as np
 
-    angles = np.random.Generator(np.random.PCG64(seed).advance(start))
-    centers_x = np.random.Generator(np.random.PCG64(seed).advance(trials + start))
-    half_a = a / 2.0
-    neg_half_b = -(b / 2.0)
-    span = r * a
-    table = _corner_colors(r, a, b)
-    size = min(_BLOCK, stop - start)
-    draws = np.empty((4, size))
-    theta_buf, cx_buf, ux_buf, vx_buf = draws
-    corner_buf = np.empty(4 * size)
-    index_buf = draws.reshape(-1).view(np.intp)  # the draws are dead once the corners are built
-    mask_buf = np.empty((2, size), dtype=bool)
-    mono_hits = rainbow_hits = 0
-    for first in range(start, stop, _BLOCK):
-        if halt.is_set():
-            break
-        n = min(_BLOCK, stop - first)
-        theta, cx, ux, vx = theta_buf[:n], cx_buf[:n], ux_buf[:n], vx_buf[:n]
-        corners = corner_buf[: 4 * n].reshape(4, n)
-        index = index_buf[: 4 * n].reshape(4, n)
-        hit, pair = mask_buf[:, :n]
-        angles.random(out=theta)
-        theta *= math.pi
-        centers_x.random(out=cx)
-        cx *= span
-        np.cos(theta, out=ux)
-        ux *= half_a
-        np.sin(theta, out=vx)
-        vx *= neg_half_b
-        right_up, right_down, left_up, left_down = corners
-        np.add(cx, ux, out=right_up)
-        np.subtract(cx, ux, out=left_up)
-        np.subtract(right_up, vx, out=right_down)
-        right_up += vx
-        np.subtract(left_up, vx, out=left_down)
-        left_up += vx
-        corners /= a
-        np.floor(corners, out=corners)
-        np.copyto(index, corners, casting="unsafe")
-        c0, c1, c2, c3 = table[index]  # raises IndexError outside the table, never a wrong color
-        np.equal(c0, c1, out=hit)
-        for c in (c2, c3):
-            hit &= np.equal(c0, c, out=pair)
-        mono_hits += int(np.count_nonzero(hit))
-        if r >= 4:
-            np.not_equal(c0, c1, out=hit)
-            for p, q in ((c0, c2), (c0, c3), (c1, c2), (c1, c3), (c2, c3)):
-                hit &= np.not_equal(p, q, out=pair)
-            rainbow_hits += int(np.count_nonzero(hit))
-    return mono_hits, rainbow_hits
-
-
-def _corner_colors(r: int, a: float, b: float) -> np.ndarray:
-    """The table of strip colors the strip falsifier reads floor(x/a) mod r from.
-
-    Its length L is a multiple of r and it holds i mod r at index i, in
-    the smallest unsigned type that holds r - 1.  Indexing reads a
-    negative k as L + k, which is congruent to k mod r, so every k in
-    [-L, L) gets exactly its color and any other k raises IndexError.  L
-    exceeds both ends of the range falsify_strip's docstring derives for
-    k = floor(x/a), so the lookup never raises; for the largest r it
-    accepts, 2^20 - 3, the table takes 8 MiB.
-    """
-    import numpy as np
-
-    reach = math.ceil((a + b) / (2.0 * a))
-    return np.tile(np.arange(r, dtype=np.min_scalar_type(r - 1)), 2 + reach // r)
+    digits = np.indices((base, base, base)).reshape(3, -1) - base // 2
+    colors = np.vstack([np.zeros_like(digits[0]), digits]) % r
+    mono = (colors == colors[0]).all(axis=0)
+    rainbow = np.ones_like(mono)
+    for i, j in combinations(range(4), 2):
+        rainbow &= colors[i] != colors[j]
+    return (mono + 2 * rainbow).astype(np.intp)
 
 
 MAX_SEGMENT_STEPS = 10**6  # the longest walk rainbow_segment takes, in steps of length d

@@ -803,10 +803,29 @@ def reference_falsify_strip(r: int, a: float, b: float, trials: int, seed: int):
     return FalsificationReport(trials, int(mono.sum()), int(rainbow.sum()))
 
 
-def reference_falsify_strip_part(r: int, a: float, b: float, trials: int, seed: int, lo: int, hi: int):
-    """(mono, rainbow) hits among trials lo..hi-1 of the whole-array sweep of `trials`."""
-    mono, rainbow = _reference_strip_hits(r, a, b, trials, seed)
-    return int(mono[lo:hi].sum()), int(rainbow[lo:hi].sum())
+def reference_strip_corners(r: int, a: float, b: float, turns, shares):
+    """The four corner x of each trial with draws turns[i] (angle) and shares[i] (center), in doubles.
+
+    The whole-array sweep's expressions, with the draws given: angle
+    pi*u, center x (r*a)*w, corners (cx + ux) + vx, (cx + ux) - vx,
+    (cx - ux) + vx, (cx - ux) - vx as the rows of a (4, n) array.
+    """
+    import math
+
+    import numpy as np
+
+    theta = math.pi * np.asarray(turns, dtype=float)
+    cx = (r * a) * np.asarray(shares, dtype=float)
+    ux = (a / 2.0) * np.cos(theta)
+    vx = -(b / 2.0) * np.sin(theta)
+    return np.array([cx + ux + vx, cx + ux - vx, cx - ux + vx, cx - ux - vx])
+
+
+def reference_strip_floors(r: int, a: float, b: float, turns, shares):
+    """floor(x/a), in doubles, of the corners reference_strip_corners gives: the strip indices."""
+    import numpy as np
+
+    return np.floor(reference_strip_corners(r, a, b, turns, shares) / a).astype(np.int64)
 
 
 def _reference_strip_hits(r: int, a: float, b: float, trials: int, seed: int):
