@@ -899,7 +899,36 @@ class TestStripScreen:
             err = np.abs(trig(theta.astype(np.float32)).astype(float) - trig(theta))
             assert err.max() <= TRIG_ERR / 16, trig
 
-    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 127, 128, 2**20 - 3])
+    # b outside [a, sqrt(3)*a], so that both hit counts are non-zero from r = 4 on
+    CASES = [(3, 1.0, 0.9, 3 * _BLOCK + 17, 41), (4, 0.8, 2.6, 3 * _BLOCK + 17, 42), (5, 0.5, 2.4, 3 * _BLOCK + 17, 43)]
+
+    @pytest.mark.parametrize("r, a, b, trials, seed", CASES)
+    @pytest.mark.parametrize(
+        "cuts", [[1], [_BLOCK - 1], [_BLOCK], [_BLOCK + 1], [1001, 12345, 20000], [1, _BLOCK - 1, _BLOCK, _BLOCK + 1]]
+    )
+    def test_one_screen_sums_over_any_partition(self, r, a, b, trials, seed, cuts):
+        # one screen, called on pieces of every length, reuses leading parts of its buffers
+        want = reference_falsify_strip(r, a, b, trials, seed)
+        assert want.mono_hits > 0 and (want.rainbow_hits > 0) is (r >= 4)
+        turns = np.random.default_rng(seed).random(trials)
+        shares = np.random.Generator(np.random.PCG64(seed).advance(trials)).random(trials)
+        bounds = [0, *cuts, trials]
+        screen = _StripScreen(r, a, b, max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+        table = _verdict_table(r, screen.base)
+        verdicts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            codes, _ = screen(turns[lo:hi], shares[lo:hi])
+            assert np.array_equal(codes, reference_codes(r, a, b, turns[lo:hi], shares[lo:hi], screen.base)), (lo, hi)
+            verdicts.append(np.take(table, codes, mode="raise"))
+        verdicts = np.concatenate(verdicts)
+        assert (np.count_nonzero(verdicts == 1), np.count_nonzero(verdicts == 2)) == (want.mono_hits, want.rainbow_hits)
+
+    def test_an_empty_block_gives_no_codes(self):
+        screen = _StripScreen(4, 0.8, 2.6, 100)
+        codes, exact = screen(np.empty(0), np.empty(0))
+        assert len(codes) == len(exact) == 0
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 127, 128, 1000, 2**20 - 3])
     def test_verdict_table_against_mod_r(self, r):
         for base in (5, 9):
             reach = base // 2
