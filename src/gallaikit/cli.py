@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -282,6 +283,9 @@ def run(argv: Sequence[str]) -> CommandResult:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # numpy's OpenBLAS starts a thread per core when it is imported, each with
+    # about 42 MB of address space, and no command gains from them
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     result = run(sys.argv[1:] if argv is None else argv)
     if result.summary:
         stream = sys.stderr if result.exit_code == 2 else sys.stdout

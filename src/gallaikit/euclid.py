@@ -18,14 +18,12 @@ calling thread), which import it when they run.  The gadget is an instance of
 `search.search_good_point_coloring`: its nine points, the pairs {A, B}
 and {B, C} and its 20 triples as sets that may not be monochromatic, and
 the same 20 triples as sets that may not be rainbow.
-Distance comparisons use an absolute tolerance, 1e-9 by default.  That is
-ample for the gadget and the other small families (small combinations of
-1/2, 1/sqrt(2), sqrt(3)/4), but not at every scale: a distance near D is
-rounded by about D * 2^-53, so from sides near 1e8 on the default misses
-true matches.  `congruent` finds all 1,386 index rectangles of
-`grid_lattice_embedding(1, 1.1e7, 1.7e7)` with the default, none of those
-of `grid_lattice_embedding(1, 1.1e8, 1.7e8)`, and all of them with
-tol=1e-6.
+Congruence compares distances with a tolerance of 1e-9 times the largest
+pairwise distance of the two configurations, so it does not depend on
+their scale: scaling both by a power of two scales every distance, every
+difference of two and the tolerance exactly, as long as none of them
+overflows or falls below the normal range.  The gadget's triples are
+matched by the same rule.
 """
 
 from __future__ import annotations
@@ -42,7 +40,8 @@ from .grid import CertificateError, read_uint, split_strict
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_TOL = 1e-9
+#: congruence tolerance, relative to the largest pairwise distance compared
+_REL_TOL = 1e-9
 
 #: side lengths of the 30-60-90 triangle with unit hypotenuse
 GADGET_SIDES = (0.5, math.sqrt(3) / 2, 1.0)
@@ -108,8 +107,15 @@ def distance(p: LabeledPoint, q: LabeledPoint) -> float:
     return math.dist(p.coords, q.coords)
 
 
-def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> dict[str, str] | None:
-    """Label bijection under which all pairwise distances match within tol, or None.
+def congruent(a: Configuration, b: Configuration) -> dict[str, str] | None:
+    """Label bijection under which all pairwise distances match, or None.
+
+    Two distances match when they differ by at most tol, 1e-9 times the
+    largest pairwise distance of a and b, so the answer does not depend on
+    the scale: `grid_lattice_embedding(1, 1.1e8, 1.7e8)` has all its index
+    rectangles congruent to `planar_rectangle(1.1e8, 1.7e8)`, and a
+    1e-10 x 2e-10 rectangle is not congruent to a 1e-10 x 3e-10 one.  When
+    that largest distance overflows to inf, the answer is None.
 
     The two configurations may live in different ambient dimensions.  The
     search tries assignments in point order with early pruning on the
@@ -126,20 +132,22 @@ def congruent(a: Configuration, b: Configuration, tol: float = DEFAULT_TOL) -> d
     by symmetry the j-th entries differ by at most tol.  Rounded
     subtraction is monotone in each argument, so this holds for the
     computed differences too.
-
-    tol is absolute, so it must exceed the rounding of the distances, about
-    2^-53 times their size: the default 1e-9 finds every index rectangle of
-    grid_lattice_embedding(1, 1.1e7, 1.7e7) in planar_rectangle(1.1e7,
-    1.7e7), but none at 1.1e8 x 1.7e8, where tol=1e-6 finds them all.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    return _congruent_within(a, b, None)
+
+
+def _congruent_within(a: Configuration, b: Configuration, tol: float | None) -> dict[str, str] | None:
+    """congruent with the absolute tolerance tol, or with congruent's own when tol is None."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)} points")
     k = len(a)
     # each pair (i, j), i < j, once: math.dist(p, q) == math.dist(q, p) bit for bit
     dist_a = list(starmap(math.dist, combinations([p.coords for p in a.points], 2)))
     dist_b = list(starmap(math.dist, combinations([p.coords for p in b.points], 2)))
+    if tol is None:
+        tol = _REL_TOL * max(max(dist_a, default=0.0), max(dist_b, default=0.0))
+        if not math.isfinite(tol):  # a distance overflowed
+            return None
     if max(map(abs, map(sub, sorted(dist_a), sorted(dist_b))), default=0.0) > tol:
         return None
     # da[j]: the distances from point j of a to its points 0..j-1; db: every distance of b
@@ -434,12 +442,14 @@ def _falsify_strip_blocks(r: int, a: float, b: float, trials: int, seed: int) ->
     leading parts.
 
     No thread is started, so the address space does not grow with the
-    number of cores: `strip-falsify 3 1 1.5 --trials 20000000` peaks at
-    153 MB of VmPeak on a 2-core machine, about 42 MB of it per core for
-    the thread pool OpenBLAS starts when numpy is imported.  A sweep split
-    into one run per core, each further run on its own thread, peaked at
-    223 MB there: each thread reserves an 8 MB stack and a 64 MB malloc
-    arena.  On the screened block step two threads gained under 4 %.
+    number of cores.  The CLI also caps the pool OpenBLAS starts when numpy
+    is imported at one thread, unless OPENBLAS_NUM_THREADS says otherwise:
+    `strip-falsify 3 1 1.5 --trials 20000000` peaks at 112 MB of VmPeak
+    on a 2-core machine, against 153 MB with the default of one OpenBLAS
+    thread per core, about 42 MB each.  A sweep split into one run per
+    core, each further run on its own thread, peaked at 223 MB there:
+    each thread reserves an 8 MB stack and a 64 MB malloc arena.  On the
+    screened block step two threads gained under 4 %.
     """
     import numpy as np
 
@@ -696,8 +706,9 @@ def triangle_gadget() -> tuple[Configuration, list[tuple[str, str, str]]]:
     plane, plus a regular hexagon A1..A6 of circumradius 1/2 centered at A
     in the plane x=0 (perpendicular to AB) with A1 and A4 on the z-axis
     (the line through A perpendicular to the ABC plane).  The triple list
-    is found by matching each 3-subset's distance multiset against
-    {1/2, sqrt(3)/2, 1} within 1e-9.
+    is found by matching each 3-subset's sorted sides against 1/2,
+    sqrt(3)/2 and 1, within 1e-9 times the largest of the six, as
+    `congruent` matches distances.
     """
     s3 = math.sqrt(3)
     config = Configuration(
@@ -720,7 +731,8 @@ def triangle_gadget() -> tuple[Configuration, list[tuple[str, str, str]]]:
         dists = sorted(
             (distance(pts[x], pts[y]), distance(pts[x], pts[z]), distance(pts[y], pts[z]))
         )
-        if all(abs(got - want) <= DEFAULT_TOL for got, want in zip(dists, target)):
+        tol = _REL_TOL * max(dists[-1], target[-1])
+        if all(abs(got - want) <= tol for got, want in zip(dists, target)):
             triples.append((pts[x].label, pts[y].label, pts[z].label))
     return config, triples
 

@@ -131,7 +131,8 @@ class SearchOptions:
     node_budget caps the number of decision nodes (tentative color
     assignments).  worker_hint is accepted, and must be positive, but is
     ignored: every search runs in one process.  Each engine always applies
-    its symmetry reductions (module docstring).
+    its symmetry reductions (module docstring).  The point-set search,
+    search_good_point_coloring, takes no options yet: it has no budget.
     """
 
     node_budget: int | None = None
@@ -159,8 +160,9 @@ W = TypeVar("W")
 class SearchOutcome(Generic[W]):
     """Result of a search: verdict, optional verified witness, and node count.
 
-    The witness is a GridColoring for grid searches and an EdgeColoring for
-    complete-graph searches.  Every field is determined by the instance and
+    The witness is a GridColoring for grid searches, an EdgeColoring for
+    complete-graph searches and the list of the points' colors for
+    point-set searches.  Every field is determined by the instance and
     the options, so two runs of one search give equal outcomes.
     """
 

@@ -6,18 +6,19 @@ spaces, a bit-table sweep for two-color row triples, a column-type multiset
 search for two-row grids, a plain recursive search with the engines' slot
 order and symmetry rules and the grid engine's row-start Hall test (here
 over every subset of the full columns), a first-use walk over every
-coloring of a finite point set, a bit-parallel complete evaluation of CNF
-encodings over all colorings, the SAT layer's former per-literal code
-as the reference for its bulk rewrite, the former whole-array geometry
-sweeps as the reference for their streamed rewrites, and the former
-`congruent` without its sorted-distance pre-check.
+coloring, that is every set partition, of a finite point set, a
+bit-parallel complete evaluation of CNF encodings over all colorings, the
+SAT layer's former per-literal code as the reference for its bulk
+rewrite, the former whole-array geometry sweeps as the reference for
+their streamed rewrites, and the former `congruent` without its
+sorted-distance pre-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from gallaikit.grid import CertificateError, GridColoring, GridRectangle
 from gallaikit.graphs import EdgeColoring
@@ -447,31 +448,40 @@ def reference_edge_search(
     return reference_search(len(edges), r, bad, lambda colors: 1, color_symmetry, budget)
 
 
+def set_partitions(points: int, blocks: int) -> Iterator[list[int]]:
+    """Every partition of points 0..points-1 into at most `blocks` blocks, in lexicographic order.
+
+    Each is its restricted growth string: the list of the points' block
+    numbers 1, 2, ..., numbered by first use, so these are also the
+    colorings with colors 1..blocks numbered by first use.
+    """
+
+    def walk(colors: list[int]) -> Iterator[list[int]]:
+        if len(colors) == points:
+            yield colors
+            return
+        for c in range(1, min(max(colors, default=0) + 1, blocks) + 1):
+            yield from walk(colors + [c])
+
+    return walk([])
+
+
+def point_coloring_is_good(colors: list[int], mono: list[list[int]], rainbow: list[list[int]]) -> bool:
+    """No mono set has one color and no rainbow set has as many colors as points."""
+    return all(len({colors[p] for p in s}) > 1 for s in mono) and all(
+        len({colors[p] for p in s}) < len(s) for s in rainbow
+    )
+
+
 def reference_point_coloring(
     points: int, r: int, mono: list[list[int]], rainbow: list[list[int]]
 ) -> list[int] | None:
     """The least good first-use coloring of points 0..points-1 with r colors, or None.
 
     Walks every coloring numbered by first use in lexicographic order and
-    tests each whole one: good when no mono set has one color and no
-    rainbow set has as many colors as points.
+    tests each whole one.
     """
-
-    def good(colors: list[int]) -> bool:
-        return all(len({colors[p] for p in s}) > 1 for s in mono) and all(
-            len({colors[p] for p in s}) < len(s) for s in rainbow
-        )
-
-    def walk(colors: list[int]) -> list[int] | None:
-        if len(colors) == points:
-            return colors if good(colors) else None
-        for c in range(1, min(max(colors, default=0) + 1, r) + 1):
-            found = walk(colors + [c])
-            if found is not None:
-                return found
-        return None
-
-    return walk([])
+    return next((c for c in set_partitions(points, r) if point_coloring_is_good(c, mono, rainbow)), None)
 
 
 # ------------------------------------------------------------- sat side

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest -s tests/test_acceptance.py` to see the status lines as the
-criteria execute.  Geometry comparisons use absolute tolerance 1e-9; all
+criteria execute.  Geometry comparisons use tolerance 1e-9, relative to
+the distances compared in `congruent` and absolute elsewhere; all
 combinatorial answers are exact.
 """
 
@@ -146,7 +147,7 @@ def test_criterion_6_embedding_geometry():
         reference = planar_rectangle(a, b)
         for i, i2 in combinations(range(1, emb.rows + 1), 2):
             for j, j2 in combinations(range(1, emb.cols + 1), 2):
-                if congruent(emb.rectangle_configuration(i, i2, j, j2), reference, TOL) is None:
+                if congruent(emb.rectangle_configuration(i, i2, j, j2), reference) is None:
                     failures.append((r, i, i2, j, j2))
         rank = affine_rank(emb.configuration())
         if rank != 13 * r + 4:

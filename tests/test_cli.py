@@ -280,6 +280,24 @@ class TestStripFalsify:
         assert result.exit_code == 2
         assert result.summary.startswith("error: r*a + a + b must be finite")
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's /proc/self/status")
+    def test_numpy_runs_with_one_blas_thread(self):
+        # In a fresh interpreter whose environment leaves OpenBLAS's pool size unset:
+        # the command imports numpy, and the process still has one thread.
+        script = (
+            "import sys\n"
+            "from gallaikit.cli import main\n"
+            "assert main(['strip-falsify', '3', '1', '1.5', '--trials', '2000', '--seed', '1']) == 0\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))\n"
+        )
+        src = str(Path(gallaikit.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["mono=0 rainbow=0", "Threads:\t1"]
+
 
 class TestRainbowSegment:
     def test_halfplane(self):

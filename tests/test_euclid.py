@@ -36,7 +36,15 @@ from gallaikit.euclid import (
     verify_triangle_gadget,
 )
 from gallaikit import euclid
-from gallaikit.euclid import TRIG_ERR, _BLOCK, _StripScreen, _falsify_strip_blocks, _search_gadget, _verdict_table
+from gallaikit.euclid import (
+    TRIG_ERR,
+    _BLOCK,
+    _StripScreen,
+    _congruent_within,
+    _falsify_strip_blocks,
+    _search_gadget,
+    _verdict_table,
+)
 from gallaikit.grid import CertificateError
 
 from oracles import (
@@ -50,10 +58,17 @@ from oracles import (
 )
 
 TOL = 1e-9
+#: powers of two by which congruence tests scale both configurations
+SCALES = range(-900, 901, 100)
 
 
 def pt(label, *coords):
     return LabeledPoint(label, coords)
+
+
+def scaled(config, k):
+    """config with every coordinate multiplied by 2**k, exactly."""
+    return Configuration(LabeledPoint(p.label, [math.ldexp(x, k) for x in p.coords]) for p in config.points)
 
 
 class TestDistance:
@@ -154,10 +169,6 @@ class TestCongruent:
         with pytest.raises(ValueError, match="size"):
             congruent(regular_simplex(1, 1.0), regular_simplex(2, 1.0))
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="tol"):
-            congruent(regular_simplex(1, 1.0), regular_simplex(1, 1.0), tol=0.0)
-
     @settings(max_examples=60, deadline=None)
     @given(small_configurations())
     def test_reflexive(self, config):
@@ -182,7 +193,8 @@ class TestCongruent:
             db = sorted(
                 distance(p, q) for p, q in combinations(b.points, 2)
             )
-            assert all(abs(x - y) <= TOL for x, y in zip(da, db))
+            tol = TOL * max(da + db, default=0.0)
+            assert all(abs(x - y) <= tol for x, y in zip(da, db))
 
     @settings(max_examples=100, deadline=None)
     @given(small_configurations(), st.randoms(use_true_random=False), st.floats(1e-12, 0.5))
@@ -203,7 +215,7 @@ class TestCongruent:
                 )
                 for k, p in enumerate(order)
             )
-            mapping = congruent(a, b, tol)
+            mapping = _congruent_within(a, b, tol)
             assert mapping is not None or not must_match
             if mapping is None:
                 continue
@@ -245,9 +257,11 @@ class TestSortedDistancePreCheck:
             for b in others:
                 for tol in (1e-12, 1e-9, 1e-3):
                     want = reference_congruent(a, b, tol)
-                    assert congruent(a, b, tol) == want
+                    assert _congruent_within(a, b, tol) == want
                     matches += want is not None
                     mismatches += want is None
+                want = congruent(a, b)
+                assert all(congruent(scaled(a, e), scaled(b, e)) == want for e in SCALES)
         assert matches >= 300 and mismatches >= 300
 
     @pytest.mark.parametrize("bump, congruent_expected", [(0.0, True), (2.0 ** -50, False)])
@@ -258,7 +272,7 @@ class TestSortedDistancePreCheck:
         b = Configuration([pt("u", 0.0), pt("v", 1.25 + bump), pt("w", 3.0)])
         want = reference_congruent(a, b, tol)
         assert (want is not None) is congruent_expected
-        assert congruent(a, b, tol) == want
+        assert _congruent_within(a, b, tol) == want
 
     def test_equal_distance_multisets_without_congruence(self):
         # two homometric sets on a line: the pre-check passes, the backtracking refuses
@@ -277,8 +291,8 @@ class TestSortedDistancePreCheck:
             i, i2 = sorted(rng.sample(range(1, emb.rows + 1), 2))
             j, j2 = sorted(rng.sample(range(1, emb.cols + 1), 2))
             rect = emb.rectangle_configuration(i, i2, j, j2)
-            assert congruent(rect, ref) == reference_congruent(rect, ref) is not None
-            assert congruent(rect, wrong) is reference_congruent(rect, wrong) is None
+            assert _congruent_within(rect, ref, TOL) == reference_congruent(rect, ref, TOL) is not None
+            assert _congruent_within(rect, wrong, TOL) is reference_congruent(rect, wrong, TOL) is None
 
 
 class TestCongruentMapping:
@@ -318,15 +332,49 @@ class TestCongruentMapping:
             for b in (self.nudged(a, rng, 1e-10, "q"), self.nudged(a, rng, 1e-9, "q"), self.nudged(a, rng, 0.1, "q")):
                 for tol in (1e-12, 1e-9, 1e-6):
                     want = reference_congruent_prechecked(a, b, tol)
-                    assert congruent(a, b, tol) == want, (case, tol)
+                    assert _congruent_within(a, b, tol) == want, (case, tol)
                     found += want is not None
                     missed += want is None
+                want = congruent(a, b)
+                assert all(congruent(scaled(a, e), scaled(b, e)) == want for e in SCALES), case
         assert found >= 1000 and missed >= 1000
 
     def test_infinite_distances_never_match(self):
-        # math.dist overflows to inf, and inf - inf is nan, which fails the tolerance
+        # math.dist overflows to inf: congruent's tolerance is inf, and under a finite
+        # one inf - inf is nan, which fails it
         a = Configuration([pt("x", -1e308, 0.0), pt("y", 1e308, 0.0), pt("z", 0.0, 0.0)])
-        assert congruent(a, a) is None and reference_congruent_prechecked(a, a) is None
+        assert congruent(a, a) is None
+        assert _congruent_within(a, a, TOL) is None and reference_congruent_prechecked(a, a, TOL) is None
+
+
+class TestCongruentAtEveryScale:
+    """congruent's tolerance is 1e-9 times the largest distance of the two configurations."""
+
+    def test_lattice_rectangles_at_every_power_of_two_scale(self):
+        emb = grid_lattice_embedding(2, 1.1, 1.7)
+        ref, wrong = planar_rectangle(1.1, 1.7), planar_rectangle(1.1, 1.25 * 1.7)
+        rng = random.Random(36)
+        for _ in range(50):
+            i, i2 = sorted(rng.sample(range(1, emb.rows + 1), 2))
+            j, j2 = sorted(rng.sample(range(1, emb.cols + 1), 2))
+            rect = emb.rectangle_configuration(i, i2, j, j2)
+            want = congruent(rect, ref)
+            assert want is not None and congruent(rect, wrong) is None
+            for e in SCALES:
+                assert congruent(scaled(rect, e), scaled(ref, e)) == want, e
+                assert congruent(scaled(rect, e), scaled(wrong, e)) is None, e
+
+    def test_tiny_rectangles_of_other_shapes_differ(self):
+        # an absolute 1e-9 cannot tell sides of 2e-10 from sides of 3e-10
+        a, b = planar_rectangle(1e-10, 2e-10), planar_rectangle(1e-10, 3e-10)
+        assert _congruent_within(a, b, TOL) is not None
+        assert congruent(a, b) is None
+
+    def test_coincident_points_match_only_coincident_points(self):
+        # the tolerance is 0 against the coincident pair and 1e-309 against the other
+        same = Configuration([pt("x", 1.0, 2.0), pt("y", 1.0, 2.0)])
+        assert congruent(same, Configuration([pt("u", -3.0, 0.0), pt("v", -3.0, 0.0)])) == {"x": "u", "y": "v"}
+        assert congruent(same, Configuration([pt("u", 0.0, 0.0), pt("v", 1e-300, 0.0)])) is None
 
 
 class TestRegularSimplex:
@@ -389,11 +437,11 @@ class TestLatticeEmbedding:
         reference = planar_rectangle(3.0, 4.0)
         for i, i2, j, j2 in [(1, 2, 1, 2), (1, 7, 1, 12), (3, 5, 2, 9)]:
             quad = emb.rectangle_configuration(i, i2, j, j2)
-            assert congruent(quad, reference, TOL) is not None
+            assert congruent(quad, reference) is not None
 
-    @pytest.mark.parametrize("a, b, tol", [(1.1e7, 1.7e7, {}), (1.1e8, 1.7e8, {"tol": 1e-6})])
-    def test_every_index_rectangle_within_the_absolute_tolerance(self, a, b, tol):
-        # distances near 2e8 round by about 3e-8, so 1.1e8 x 1.7e8 needs a tol above the default
+    @pytest.mark.parametrize("a, b", [(1.1e7, 1.7e7), (1.1e8, 1.7e8)])
+    def test_every_index_rectangle_at_any_size(self, a, b):
+        # distances near 2e8 round by about 3e-8, more than an absolute 1e-9
         emb = grid_lattice_embedding(1, a, b)
         reference = planar_rectangle(a, b)
         quads = [
@@ -403,7 +451,7 @@ class TestLatticeEmbedding:
         ]
         assert len(quads) == 1386
         for quad in quads:
-            assert congruent(emb.rectangle_configuration(*quad), reference, **tol) is not None, quad
+            assert congruent(emb.rectangle_configuration(*quad), reference) is not None, quad
 
     @pytest.mark.parametrize(
         "a, b", [(s, s) for s in (1e-310, 1e-200, 1e-7, 1.0, 1e12, 1e200, 1e308)] + [(1e-7, 1.0), (1.0, 1e12)]
@@ -473,7 +521,7 @@ class TestPairEmbedding:
         square = Configuration(
             [pt("q1", 0, 0), pt("q2", 1, 0), pt("q3", 1, 1), pt("q4", 0, 1)]
         )
-        assert congruent(cycle, square, TOL) is not None
+        assert congruent(cycle, square) is not None
 
     def test_path_image_distances(self):
         emb = simplex_midpoint_embedding(4)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from gallaikit.grid import CertificateError, format_grid_certificate, verify_good
+from gallaikit.grid import CertificateError, GridColoring, format_grid_certificate, verify_good
 from gallaikit.search import (
     Outcome,
     SearchOptions,
@@ -23,7 +23,14 @@ from gallaikit.search import (
     threshold_scan,
 )
 
-from oracles import naive_good_exists, reference_point_coloring, two_row_forcing_threshold, two_row_good_exists
+from oracles import (
+    naive_good_exists,
+    point_coloring_is_good,
+    reference_point_coloring,
+    set_partitions,
+    two_row_forcing_threshold,
+    two_row_good_exists,
+)
 
 
 class TestSmallVerdicts:
@@ -381,3 +388,83 @@ class TestK6PairFamily:
         # all 2^14 first-use 2-colorings of the 15 points
         mono, rainbow = k6_pair_family()
         assert reference_point_coloring(15, 2, mono, rainbow) is None
+
+
+#: seven points of {0,1}^6 spanning five dimensions
+CUBE_SEVEN = [
+    (0, 1, 1, 1, 1, 1),
+    (1, 0, 1, 0, 0, 0),
+    (1, 0, 1, 1, 1, 1),
+    (1, 1, 0, 0, 0, 0),
+    (1, 1, 0, 1, 1, 1),
+    (1, 1, 1, 1, 0, 1),
+    (1, 1, 1, 1, 1, 0),
+]
+
+
+def cube_seven_triangles(sides: list[int]) -> list[list[int]]:
+    """The triples of CUBE_SEVEN whose sorted squared sides are `sides`, from exact integers."""
+
+    def square(p, q):
+        return sum((x - y) ** 2 for x, y in zip(CUBE_SEVEN[p], CUBE_SEVEN[q]))
+
+    return [
+        list(t)
+        for t in combinations(range(len(CUBE_SEVEN)), 3)
+        if sorted(square(p, q) for p, q in combinations(t, 2)) == sides
+    ]
+
+
+class TestCubeSeven:
+    """Every coloring of E^5 has a mono (√2, √2, √2) or a rainbow (√2, √3, √5) triangle."""
+
+    def test_the_points_span_five_dimensions(self):
+        from gallaikit.euclid import Configuration, LabeledPoint, affine_rank
+
+        config = Configuration(LabeledPoint(f"p{k}", p) for k, p in enumerate(CUBE_SEVEN))
+        assert affine_rank(config) == 5
+
+    @pytest.mark.parametrize("r, nodes", [(2, 79), (3, 120), (7, 122)])
+    def test_every_coloring_has_a_mono_or_a_rainbow_triangle(self, r, nodes):
+        mono, rainbow = cube_seven_triangles([2, 2, 2]), cube_seven_triangles([2, 3, 5])
+        assert (len(mono), len(rainbow)) == (10, 14)
+        assert search_good_point_coloring(7, r, mono, rainbow) == SearchOutcome(Outcome.EXHAUSTED, None, nodes)
+
+    def test_no_set_partition_is_good(self):
+        # a coloring of seven points is a partition of them, whatever r is
+        mono, rainbow = cube_seven_triangles([2, 2, 2]), cube_seven_triangles([2, 3, 5])
+        partitions = list(set_partitions(7, 7))
+        assert len(partitions) == 877
+        assert not any(point_coloring_is_good(c, mono, rainbow) for c in partitions)
+
+
+class TestPointEngineOnGrids:
+    """search_good_point_coloring with the rectangles as cell 4-sets against the grid engine."""
+
+    @staticmethod
+    def verdict(n, m, r):
+        rectangles = [
+            [i * m + j, i * m + j2, i2 * m + j, i2 * m + j2]
+            for i, i2 in combinations(range(n), 2)
+            for j, j2 in combinations(range(m), 2)
+        ]
+        out = search_good_point_coloring(n * m, r, rectangles, rectangles)
+        assert out.kind is search_good_coloring(n, m, r).kind, (n, m, r)
+        if out.witness is not None:
+            rows = [out.witness[i * m : (i + 1) * m] for i in range(n)]
+            assert verify_good(GridColoring(n, m, r, rows)).is_good, (n, m, r)
+        return out
+
+    def test_every_grid_of_at_most_twelve_cells(self):
+        shapes = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+        instances = [(n, m, r) for n, m in shapes for r in range(1, 5)]
+        assert len(instances) == 140
+        for n, m, r in instances:
+            out = self.verdict(n, m, r)
+            if n * m <= 9:
+                assert (out.kind is Outcome.FOUND) == naive_good_exists(n, m, r), (n, m, r)
+
+    @pytest.mark.parametrize("n, m, nodes", [(3, 7, 39807), (5, 5, 17367)])
+    def test_two_color_obstructions(self, n, m, nodes):
+        # the grid engine's sorted rows and columns and matching bounds need 137 and 205
+        assert self.verdict(n, m, 2) == SearchOutcome(Outcome.EXHAUSTED, None, nodes)
